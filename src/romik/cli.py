@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import cache_io, verify
-from .core import SequenceCache
+from .core import IntegrityError, SequenceCache
 from .residues import VanishingThresholds, build_residue_grid, is_prime
 
 CACHE_DIR_ENV = "ROMIK_CACHE_DIR"
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args, parser)
-    except (cache_io.CacheFormatError, ValueError) as exc:
+    except (cache_io.CacheFormatError, ValueError, IntegrityError) as exc:
         print(f"romik: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,11 +11,17 @@ no value is ever rounded or truncated silently.  The objects computed:
     r(n, k)     2^(n-k) s(n, k),
     d(n)        d(0) = 1 and d(n) = v(n) - sum_{k=1}^{n-1} r(n, k) d(k).
 
-The s-table is built through an integer-scaled representation of the series
-(coefficients carried as m! * [z^m], so products become binomial
-convolutions and never leave the integers).  The Fraction-based path in
+The s-table is built one row at a time from the rows below it.  With
+h(m) = (2m)! [z^(2m)] f(z)^2, the identity f^(2k) = f^(2k-2) * f^2 gives
+
+    s(n, 1) = h(n) / 2,
+    (2k)(2k-1) s(n, k) = sum_{m=1}^{n-k+1} C(2n, 2m) h(m) s(n-m, k-1),
+
+so every row is integer multiply-adds followed by one exact division per
+entry, and raising the bound only appends rows (Comtet, Advanced
+Combinatorics, section 3.3).  The Fraction-based path in
 ``s_table_by_series`` computes the same table directly from
-``RationalSeries`` powers and serves as the reference the scaled path is
+``RationalSeries`` powers and serves as the reference the recurrence is
 tested against.
 """
 
@@ -24,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 
 class IntegrityError(ArithmeticError):
     """An exactness invariant failed: a division left a remainder, a value
     that must be odd came out even, or a diagonal entry is not 1.  Any of
-    these indicates a bug, never a property of the input."""
+    these indicates a bug or a corrupted row restored by
+    ``SequenceCache.from_values``, never a property of the requested index."""
 
 
 def odd_product_squared(n: int, offset: int) -> int:
@@ -53,8 +61,8 @@ class RationalSeries:
     """Truncated power series with exact Fraction coefficients.
 
     ``coefficients[m]`` is the coefficient of z^m; the list always has
-    exactly ``truncation_order + 1`` entries.  Addition and multiplication
-    truncate at the smaller operand order, and comparison is exact.
+    exactly ``truncation_order + 1`` entries.  Multiplication truncates at
+    the smaller operand order, and comparison is exact.
     """
 
     coefficients: list[Fraction]
@@ -75,13 +83,6 @@ class RationalSeries:
             raise IndexError(f"power {m} outside truncation order {self.truncation_order}")
         return self.coefficients[m]
 
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        coeffs = [
-            self.coefficients[m] + other.coefficients[m] for m in range(order + 1)
-        ]
-        return RationalSeries(coeffs, order)
-
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         order = min(self.truncation_order, other.truncation_order)
         a, b = self.coefficients, other.coefficients
@@ -99,13 +100,11 @@ class SequenceCache:
     """Memoized exact values of u(n), v(n), d(n) and the triangular s-table.
 
     Sequences are append-only dense arrays seeded with u(0)=v(0)=d(0)=1.
-    The s-table is built in bulk up to a bound: powers f^(2k) of the series
-    are produced incrementally (f^(2k) = f^(2k-2) * f^2) and shared across
-    k, so callers that need a range of values should call
-    ``build_s_table(max_n)`` once up front.  Raising the bound later
-    triggers a full rebuild at the new truncation order (requesting d(n) or
-    s(n, k) one n at a time in ascending order does that rebuild per step,
-    which is correct but quadratically slower than pre-sizing).
+    The s-table is append-only too: row n is computed once from rows
+    1..n-1 and h(1..n) (see the module docstring), so growing the bound,
+    whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
+    one n at a time, only builds the rows not yet held.  A cache restored
+    by ``from_values`` grows the same way from its loaded rows and u.
 
     After a build phase the cache is only read, so it is safe to share
     across threads that no longer mutate it.
@@ -115,6 +114,7 @@ class SequenceCache:
         self._u: list[int] = [1]
         self._v: list[int] = [1]
         self._d: list[int] = [1]
+        self._h: list[int] = [0]  # _h[m] = (2m)! [z^(2m)] f^2
         self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k)
 
     # -- u, v ----------------------------------------------------------
@@ -124,12 +124,19 @@ class SequenceCache:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         u = self._u
-        while len(u) <= n:
-            j = len(u)
-            acc = 0
-            for m in range(j):
-                acc += comb(2 * j + 1, 2 * m + 1) * odd_product_squared(j - m, 1) * u[m]
-            u.append(odd_product_squared(j, 3) - acc)
+        if len(u) <= n:
+            # squares[i] = (1*5*...*(4i-3))^2
+            squares = [1]
+            prod = 1
+            for i in range(1, n + 1):
+                prod *= 4 * i - 3
+                squares.append(prod * prod)
+            while len(u) <= n:
+                j = len(u)
+                acc = 0
+                for m in range(j):
+                    acc += comb(2 * j + 1, 2 * m + 1) * squares[j - m] * u[m]
+                u.append(odd_product_squared(j, 3) - acc)
         return u[n]
 
     def v(self, n: int) -> int:
@@ -158,37 +165,35 @@ class SequenceCache:
         return len(self._s_rows)
 
     def build_s_table(self, max_n: int) -> None:
-        """Fill s(n, k) for all 1 <= k <= n <= max_n (no-op if already built)."""
-        if max_n <= len(self._s_rows):
+        """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
+        rows past ``s_bound`` (no-op if already built)."""
+        rows = self._s_rows
+        if max_n <= len(rows):
             return
-        order = 2 * max_n
+        # f has m! [z^m] f = u((m-1)/2) for odd m, so h(m) is the binomial
+        # convolution of u with itself over odd indices.
         self.u(max_n - 1)
-        u = self._u
+        u, h = self._u, self._h
+        for m in range(len(h), max_n + 1):
+            h.append(sum(comb(2 * m, 2 * i + 1) * u[i] * u[m - 1 - i] for i in range(m)))
 
-        # Scaled coefficients: egf[m] = m! * [z^m] f(z)^2.  f itself has
-        # m! * [z^m] f = u((m-1)/2) for odd m, so the product collapses to
-        # an integer binomial convolution.
-        f2 = [0] * (order + 1)
-        for m in range(2, order + 1, 2):
-            acc = 0
-            for i in range(1, m, 2):
-                acc += comb(m, i) * u[(i - 1) // 2] * u[(m - i - 1) // 2]
-            f2[m] = acc
-
-        rows = [[0] * n for n in range(1, max_n + 1)]
-        power = f2
-        for k in range(1, max_n + 1):
-            if k > 1:
-                power = _scaled_mul_even(power, f2, order, 2 * k)
-            fact_2k = factorial(2 * k)
-            for n in range(k, max_n + 1):
-                q, rem = divmod(power[2 * n], fact_2k)
+        for n in range(len(rows) + 1, max_n + 1):
+            first, rem = divmod(h[n], 2)
+            if rem:
+                raise IntegrityError(f"s({n},1) is not an integer")
+            row = [first]
+            # terms[m-1] = C(2n, 2m) h(m) and below[m-1] = row n-m, m = 1..n-1
+            terms = [comb(2 * n, 2 * m) * h[m] for m in range(1, n)]
+            below = rows[::-1]
+            for k in range(2, n + 1):
+                column = [r[k - 2] for r in below[: n - k + 1]]  # s(n-m, k-1)
+                q, rem = divmod(sum(map(mul, terms, column)), 2 * k * (2 * k - 1))
                 if rem:
                     raise IntegrityError(f"s({n},{k}) is not an integer")
-                rows[n - 1][k - 1] = q
-            if rows[k - 1][k - 1] != 1:
-                raise IntegrityError(f"s({k},{k}) = {rows[k - 1][k - 1]}, expected 1")
-        self._s_rows = rows
+                row.append(q)
+            if row[-1] != 1:
+                raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
+            rows.append(row)
 
     def s(self, n: int, k: int) -> int:
         """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
@@ -286,20 +291,6 @@ def _check_pair(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
-def _scaled_mul_even(a: list[int], b: list[int], order: int, lo: int) -> list[int]:
-    # Binomial convolution of scaled coefficients restricted to the even
-    # grid; a is supported on even m >= lo-2, b on even m >= 2.
-    out = [0] * (order + 1)
-    for m in range(lo, order + 1, 2):
-        acc = 0
-        for i in range(lo - 2, m - 1, 2):
-            bi = b[m - i]
-            if bi:
-                acc += comb(m, i) * a[i] * bi
-        out[m] = acc
-    return out
-
-
 def theta_series(truncation_order: int, cache: SequenceCache) -> RationalSeries:
     """The series sum_j u(j)/(2j+1)! z^(2j+1), truncated after z^truncation_order.
 
@@ -319,7 +310,7 @@ def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     """Triangular s-table computed through Fraction series arithmetic.
 
     This is the reference path: s(n, k) = (2n)!/(2k)! [z^(2n)] f^(2k) with
-    all coefficients as exact rationals.  The integer-scaled path used by
+    all coefficients as exact rationals.  The row recurrence used by
     SequenceCache.build_s_table must reproduce it bit for bit.
     """
     if max_n < 1:

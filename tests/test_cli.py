@@ -232,6 +232,25 @@ class TestCacheCommand:
         assert code == 2
         assert "unsupported version" in err
 
+    def test_growing_an_edited_table_is_an_error(self, tmp_path, capsys):
+        directory = str(tmp_path / "store")
+        code, _, _ = run_cli(["cache", "build", "--dir", directory, "--max", "10"], capsys)
+        assert code == 0
+        s_path = os.path.join(directory, "s.txt")
+        with open(s_path) as handle:
+            lines = handle.readlines()
+        for i, line in enumerate(lines):
+            if line.startswith("10 5 "):
+                n, k, value = line.split()
+                lines[i] = f"{n} {k} {int(value) + 1}\n"
+        with open(s_path, "w") as handle:
+            handle.writelines(lines)
+        code, _, err = run_cli(
+            ["compute", "--seq", "d", "--max", "16", "--cache-dir", directory], capsys
+        )
+        assert code == 2
+        assert "not an integer" in err
+
 
 class TestCacheDirFlow:
     def test_compute_populates_and_reuses(self, tmp_path, capsys):
