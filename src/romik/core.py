@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 
@@ -62,7 +62,10 @@ class RationalSeries:
 
     ``coefficients[m]`` is the coefficient of z^m; the list always has
     exactly ``truncation_order + 1`` entries.  Multiplication truncates at
-    the smaller operand order, and comparison is exact.
+    the smaller operand order and pairs only nonzero coefficients: the
+    products landing on each power are summed as integers over the lcm of
+    their denominators and reduced once, into one Fraction per coefficient.
+    Comparison is exact.
     """
 
     coefficients: list[Fraction]
@@ -85,15 +88,29 @@ class RationalSeries:
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         order = min(self.truncation_order, other.truncation_order)
-        a, b = self.coefficients, other.coefficients
+        a = _nonzero_terms(self.coefficients, order)
+        b = _nonzero_terms(other.coefficients, order)
+        # products[m]: the unreduced (numerator, denominator) of each a_i * b_(m-i)
+        products: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
+        for i, na, da in a:
+            for j, nb, db in b:
+                if i + j > order:
+                    break
+                products[i + j].append((na * nb, da * db))
         coeffs = []
-        for m in range(order + 1):
-            acc = Fraction(0)
-            for i in range(m + 1):
-                if a[i] and b[m - i]:
-                    acc += a[i] * b[m - i]
-            coeffs.append(acc)
+        for terms in products:
+            den = lcm(*(d for _, d in terms))
+            coeffs.append(Fraction(sum(n * (den // d) for n, d in terms), den))
         return RationalSeries(coeffs, order)
+
+
+def _nonzero_terms(coefficients: list[Fraction], order: int) -> list[tuple[int, int, int]]:
+    """(index, numerator, denominator) of each nonzero coefficient up to order."""
+    return [
+        (i, c.numerator, c.denominator)
+        for i, c in enumerate(coefficients[: order + 1])
+        if c
+    ]
 
 
 class SequenceCache:

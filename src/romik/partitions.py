@@ -10,11 +10,10 @@ support the per-prime reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator
 
 from .core import IntegrityError, SequenceCache
-from .residues import is_prime
+from .residues import factorials, is_prime
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,11 @@ def _descend(
         if remaining == 0:
             yield _from_descending_parts(prefix)
         return
+    if remaining == parts_left and part_filter.forbidden_part != 1:
+        # Only ones fit; this is what the loop below would reach part by part.
+        if part_filter.max_part is None or part_filter.max_part >= 1:
+            yield _from_descending_parts(prefix + [1] * parts_left)
+        return
     # Largest usable value: leave room for parts_left-1 further parts >= 1.
     hi = min(cap, remaining - (parts_left - 1))
     if part_filter.max_part is not None:
@@ -163,10 +167,11 @@ def multinomial_count(partition: OddPartition) -> int:
     This counts set partitions of a total-element set into blocks whose
     sizes realize the partition; integrality is asserted, not assumed.
     """
+    fact = factorials(partition.total)
     den = 1
     for part, count in partition.multiplicities:
-        den *= factorial(part) ** count * factorial(count)
-    q, rem = divmod(factorial(partition.total), den)
+        den *= fact[part] ** count * fact[count]
+    q, rem = divmod(fact[partition.total], den)
     if rem:
         raise IntegrityError(f"multinomial for {partition.dump()} is not an integer")
     return q
@@ -180,11 +185,13 @@ def s_by_partitions(n: int, k: int, cache: SequenceCache) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    # Parts are at most 2n - 2k + 1, so u is needed up to index n - k.
+    us = [cache.u(j) for j in range(n - k + 1)]
     total = 0
     for lam in enumerate_partitions(2 * n, 2 * k):
         term = multinomial_count(lam)
         for part, count in lam.multiplicities:
-            term *= cache.u((part - 1) // 2) ** count
+            term *= us[(part - 1) // 2] ** count
         total += term
     return total
 

@@ -10,9 +10,10 @@ integrality of each quotient is itself part of what gets witnessed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import factorial, isqrt
+from math import isqrt
 
 from .core import IntegrityError, SequenceCache
 
@@ -100,10 +101,32 @@ def single_index_term_valuation(n: int, k: int, c: int, p: int = 5) -> int:
     )
 
 
-def _exact_quotient(num: int, den: int, what: str) -> int:
+# _FACTORIALS[i] = i!, grown on demand by factorials(); shared by the closed
+# forms here and by partitions.multinomial_count.  Growth holds the lock so
+# that concurrent callers cannot append out of order; entries never change.
+_FACTORIALS = [1]
+_FACTORIALS_LOCK = threading.Lock()
+
+
+def factorials(n: int) -> list[int]:
+    """The table [0!, 1!, ..., m!] for some m >= n, extended as needed.
+
+    The list is the module's own table: callers index it and never mutate it.
+    """
+    table = _FACTORIALS
+    if len(table) <= n:
+        with _FACTORIALS_LOCK:
+            while len(table) <= n:
+                table.append(table[-1] * len(table))
+    return table
+
+
+def _exact_quotient(num: int, den: int, what: str, *args: int) -> int:
+    """num / den, which must divide exactly; ``what % args`` names the
+    quotient in the error and is formatted only when raising."""
     q, rem = divmod(num, den)
     if rem:
-        raise IntegrityError(f"{what} is not an integer")
+        raise IntegrityError(f"{what % args} is not an integer")
     return q
 
 
@@ -125,9 +148,8 @@ def r_mod5_closed_form(n: int, k: int) -> int:
     else:
         a, b = (5 * k - n - 1) // 2, (n - k - 1) // 2
         lead = 2
-    q = _exact_quotient(
-        factorial(2 * n), factorial(a) * factorial(b) * 5**b, f"r({n},{k}) quotient"
-    )
+    fact = factorials(2 * n)
+    q = _exact_quotient(fact[2 * n], fact[a] * fact[b] * 5**b, "r(%d,%d) quotient", n, k)
     return lead * q % 5
 
 
@@ -142,11 +164,12 @@ def s_mod5_single_index(n: int, k: int) -> int:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if n > 5 * k:
         return 0
-    num = factorial(2 * n)
+    fact = factorials(2 * n)
+    num = fact[2 * n]
     total = 0
     for c in range(max(0, n - 3 * k), (n - k) // 2 + 1):
-        den = factorial(3 * k - n + c) * factorial(n - k - 2 * c) * factorial(c) * 5**c
-        term = _exact_quotient(num, den, f"s({n},{k}) summand c={c}") % 5
+        den = fact[3 * k - n + c] * fact[n - k - 2 * c] * fact[c] * 5**c
+        term = _exact_quotient(num, den, "s(%d,%d) summand c=%d", n, k, c) % 5
         if c & 1:
             term = -term
         total = (total + term) % 5
@@ -170,10 +193,9 @@ def five_cycle_class_size(n: int, k: int) -> int:
     and n - 5k fixed points: n! / ((n-5k)! k! 5^k)."""
     if k < 0 or 5 * k > n:
         raise ValueError(f"need 0 <= 5k <= n, got n={n}, k={k}")
+    fact = factorials(n)
     return _exact_quotient(
-        factorial(n),
-        factorial(n - 5 * k) * factorial(k) * 5**k,
-        f"class size ({n},{k})",
+        fact[n], fact[n - 5 * k] * fact[k] * 5**k, "class size (%d,%d)", n, k
     )
 
 

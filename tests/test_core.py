@@ -110,8 +110,8 @@ class TestSTable:
 
     def test_matches_rational_reference_path(self):
         fresh = SequenceCache()
-        fresh.build_s_table(40)
-        assert s_table_by_series(40, fresh) == fresh.known_s_rows()
+        fresh.build_s_table(80)
+        assert s_table_by_series(80, fresh) == fresh.known_s_rows()
 
     def test_incremental_growth_matches_bulk(self, cache):
         grown = SequenceCache()
@@ -184,6 +184,13 @@ class TestThetaSeries:
             theta_series(0, cache)
 
 
+# Rationals with small, often repeated denominators; many of them are zero.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+
+
 class TestRationalSeries:
     def test_mul_truncates_at_smaller_order(self):
         a = RationalSeries([Fraction(1), Fraction(1), Fraction(1)], 2)
@@ -191,6 +198,21 @@ class TestRationalSeries:
         prod = a * b
         assert prod.truncation_order == 1
         assert prod.coefficients == [Fraction(1), Fraction(2)]
+
+    @given(
+        a=st.lists(RATIONALS, min_size=1, max_size=12),
+        b=st.lists(RATIONALS, min_size=1, max_size=12),
+    )
+    def test_mul_matches_naive_convolution(self, a, b):
+        order = min(len(a), len(b)) - 1
+        expected = [
+            sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
+            for m in range(order + 1)
+        ]
+        prod = RationalSeries(a, len(a) - 1) * RationalSeries(b, len(b) - 1)
+        assert prod.truncation_order == order
+        assert prod.coefficients == expected
+        assert all(type(c) is Fraction for c in prod.coefficients)
 
     def test_exact_equality(self):
         a = RationalSeries([Fraction(2, 4)], 0)

@@ -29,6 +29,12 @@ class TestEnumerate:
         for k2 in (2, 4, 6, 10):
             assert parts_set(k2, k2) == {(1,) * k2}
 
+    def test_all_ones_respects_filter(self):
+        assert parts_set(6, 4) == {(1, 1, 1, 3)}
+        assert parts_set(6, 4, PartitionFilter(forbidden_part=1)) == set()
+        assert parts_set(4, 4, PartitionFilter(forbidden_part=1)) == set()
+        assert parts_set(4, 4, PartitionFilter(max_part=0)) == set()
+
     def test_six_into_two_max_five(self):
         assert parts_set(6, 2, PartitionFilter.first_three_odds()) == {(1, 5), (3, 3)}
 
@@ -55,12 +61,16 @@ class TestEnumerate:
         assert all(max(p.parts()) < 9 for p in enumerate_partitions(16, 4, flt))
 
     def test_largest_part_first_ordering(self):
-        streamed = [
-            tuple(sorted(p.parts(), reverse=True))
-            for p in enumerate_partitions(12, 4)
-        ]
-        assert streamed == sorted(streamed, reverse=True)
-        assert len(set(streamed)) == len(streamed)
+        filters = [None, PartitionFilter.first_three_odds(), PartitionFilter.avoiding_prime(7)]
+        for part_filter in filters:
+            for total, num_parts in ((12, 4), (30, 8)):
+                streamed = [
+                    tuple(sorted(p.parts(), reverse=True))
+                    for p in enumerate_partitions(total, num_parts, part_filter)
+                ]
+                assert streamed, (part_filter, total, num_parts)
+                assert streamed == sorted(streamed, reverse=True)
+                assert len(set(streamed)) == len(streamed)
 
     def test_nonempty_for_valid_pairs(self):
         for n in range(1, 13):
@@ -77,7 +87,7 @@ class TestEnumerate:
         total=st.integers(min_value=1, max_value=18),
         num_parts=st.integers(min_value=1, max_value=6),
         max_part=st.sampled_from([None, 3, 5, 8, 15]),
-        forbidden=st.sampled_from([None, 3, 5, 7]),
+        forbidden=st.sampled_from([None, 1, 3, 5, 7]),
     )
     def test_matches_combinations_reference(self, total, num_parts, max_part, forbidden):
         # independent route: filter combinations_with_replacement by sum

@@ -2,13 +2,14 @@
 five-cycle counts and residue grids."""
 
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from romik import (
+    IntegrityError,
     VanishingThresholds,
     binomial_vanishes,
     build_residue_grid,
@@ -23,6 +24,7 @@ from romik import (
     s_mod5_single_index,
     single_index_term_valuation,
 )
+from romik.residues import _exact_quotient, factorials
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -69,6 +71,22 @@ class TestFactorialValuation:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             factorial_valuation(10, 4)
+
+
+class TestFactorialTable:
+    def test_values(self):
+        table = factorials(60)
+        assert len(table) > 60
+        assert table[:61] == [factorial(i) for i in range(61)]
+
+    def test_grows_in_place(self):
+        assert factorials(250) is factorials(3)
+        assert factorials(250)[250] == factorial(250)
+
+    def test_exact_quotient(self):
+        assert _exact_quotient(factorial(10), factorial(7), "10!/7!") == 720
+        with pytest.raises(IntegrityError, match=r"^s\(7,2\) summand c=1 is not an integer$"):
+            _exact_quotient(10, 3, "s(%d,%d) summand c=%d", 7, 2, 1)
 
 
 class TestSingleIndexTermValuation:
