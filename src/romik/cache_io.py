@@ -1,38 +1,44 @@
 """On-disk persistence for SequenceCache.
 
-Plain text, one file per sequence inside a cache directory:
+Binary, one file per sequence inside a cache directory: u.bin, v.bin and
+d.bin hold u(n), v(n), d(n) for n = 0, 1, 2, ...; s.bin holds the s-table
+flattened row by row, s(1,1), s(2,1), s(2,2), s(3,1), ...  Each file is
 
-    u.txt, v.txt, d.txt   header 'ROMIKCACHE v1 seq=<name>', then lines
-                          '<n> <decimal value>' for n = 0, 1, 2, ... with
-                          no gaps,
-    s.txt                 header 'ROMIKCACHE v1 seq=s', then lines
-                          '<n> <k> <decimal value>' covering every pair
-                          1 <= k <= n row by row.
+    header    ASCII line 'ROMIKCACHE v2 seq=<u|v|d|s> count=<N>\\n'
+    lengths   N little-endian uint32 byte lengths
+    values    N integers, x as
+              x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
 
-Loading validates the header and the contiguity of indices; a malformed or
-gapped file is rejected with the offending line number rather than being
-silently truncated.
+so each value has one encoding.  A load reads each file once, in order,
+and raises CacheFormatError unless the header is exact, the count fits the
+file size before anything is unpacked, the size is exactly header + 4N +
+the sum of the lengths, each value has its own length, and the s count is
+triangular: a torn, extended or re-counted file fails loudly rather than
+yielding a plausible wrong value.  v1 text files (*.txt) are not read; a
+directory holding only them loads as empty and is refilled.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+from math import isqrt
 
 from .core import SequenceCache
 
 MAGIC = "ROMIKCACHE"
-VERSION = "v1"
-SEQUENCE_FILES = {"u": "u.txt", "v": "v.txt", "d": "d.txt"}
-S_TABLE_FILE = "s.txt"
+VERSION = "v2"
+SEQUENCE_FILES = {"u": "u.bin", "v": "v.bin", "d": "d.bin"}
+S_TABLE_FILE = "s.bin"
+_MAX_HEADER = 80  # bytes searched for the header's newline
 
 
 class CacheFormatError(ValueError):
-    """A cache file failed validation (bad header, gap, or unparsable line)."""
+    """A cache file failed validation (bad header, size, length or shape)."""
 
-    def __init__(self, path: str, line_number: int, message: str) -> None:
-        super().__init__(f"{path}:{line_number}: {message}")
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
         self.path = path
-        self.line_number = line_number
 
 
 class CacheVersionError(CacheFormatError):
@@ -40,83 +46,77 @@ class CacheVersionError(CacheFormatError):
 
 
 def write_sequence(path: str, name: str, values: list[int]) -> None:
-    """Write one sequence file (values indexed from 0, no gaps by construction)."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"{MAGIC} {VERSION} seq={name}\n")
-        for n, value in enumerate(values):
-            handle.write(f"{n} {value}\n")
+    """Write one sequence file (values indexed from 0)."""
+    _write(path, name, [values])
+
+
+def _write(path: str, name: str, chunks: list[list[int]]) -> None:
+    # Streamed chunk by chunk: no file-sized buffer or full length list is built.
+    with open(path, "wb") as handle:
+        handle.write(f"{MAGIC} {VERSION} seq={name} count={sum(map(len, chunks))}\n".encode())
+        for chunk in chunks:
+            handle.write(struct.pack(f"<{len(chunk)}I", *[(x.bit_length() + 8) // 8 for x in chunk]))
+        for chunk in chunks:
+            for x in chunk:
+                handle.write(x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True))
 
 
 def read_sequence(path: str, name: str) -> list[int]:
-    """Read one sequence file back, enforcing header, order and contiguity."""
-    with open(path, "r", encoding="ascii") as handle:
-        _check_header(path, handle.readline(), name)
+    """Read one sequence file back, enforcing header, count and sizes."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        line = handle.readline(_MAX_HEADER)
+        if not line.endswith(b"\n"):
+            raise CacheFormatError(path, f"no header line in the first {_MAX_HEADER} bytes")
+        count = _parse_header(path, line[:-1].decode("ascii", "backslashreplace"), name)
+        start = len(line) + 4 * count
+        if count == 0 or start > size:
+            raise CacheFormatError(path, f"count={count} does not fit a file of {size} bytes")
+        # A read cut short (the file shrank after fstat) is padded, then caught by tell().
+        lengths = struct.unpack(f"<{count}I", handle.read(4 * count).ljust(4 * count, b"\0"))
+        declared = start + sum(lengths)
+        if declared != size:
+            raise CacheFormatError(path, f"file has {size} bytes, header and lengths declare {declared}")
+        # Value by value: the file's bytes and all its values are never held at once.
         values: list[int] = []
-        for line_number, line in enumerate(handle, start=2):
-            fields = line.split()
-            if len(fields) != 2:
-                raise CacheFormatError(path, line_number, f"expected 'n value', got {line.rstrip()!r}")
-            try:
-                n, value = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise CacheFormatError(path, line_number, f"non-integer field in {line.rstrip()!r}") from None
-            if n != len(values):
-                raise CacheFormatError(path, line_number, f"expected index {len(values)}, found {n} (gap or disorder)")
-            values.append(value)
-    if not values:
-        raise CacheFormatError(path, 2, "file holds no values")
+        for length in lengths:
+            x = int.from_bytes(handle.read(length), "little", signed=True)
+            if length != (x.bit_length() + 8) // 8:
+                raise CacheFormatError(path, f"value {len(values)} is not in its {length}-byte form")
+            values.append(x)
+        if handle.tell() != size:
+            raise CacheFormatError(path, f"file changed while being read at byte {handle.tell()}")
     return values
 
 
+def _parse_header(path: str, header: str, name: str) -> int:
+    fields = header.split(" ")
+    if fields[0] != MAGIC:
+        raise CacheFormatError(path, f"not a {MAGIC} file (header {header!r})")
+    if fields[1:2] != [VERSION]:
+        found = (fields + [""])[1]
+        raise CacheVersionError(path, f"unsupported version {found!r} (supported: {VERSION})")
+    expected = f"{MAGIC} {VERSION} seq={name} count="
+    count = header[len(expected):]
+    if not (count.isascii() and count.isdigit()) or header != f"{expected}{int(count)}":
+        raise CacheFormatError(path, f"expected header '{expected}<N>', found {header!r}")
+    return int(count)
+
+
 def write_s_table(path: str, rows: list[list[int]]) -> None:
-    """Write the triangular s-table (rows[n-1] holds s(n, 1..n))."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"{MAGIC} {VERSION} seq=s\n")
-        for n, row in enumerate(rows, start=1):
-            for k, value in enumerate(row, start=1):
-                handle.write(f"{n} {k} {value}\n")
+    """Write the triangular s-table (rows[n-1] holds s(n, 1..n)) row by row."""
+    _write(path, "s", rows)
 
 
 def read_s_table(path: str) -> list[list[int]]:
     """Read the triangular s-table back, enforcing complete triangle coverage."""
-    with open(path, "r", encoding="ascii") as handle:
-        _check_header(path, handle.readline(), "s")
-        rows: list[list[int]] = []
-        expect_n, expect_k = 1, 1
-        for line_number, line in enumerate(handle, start=2):
-            fields = line.split()
-            if len(fields) != 3:
-                raise CacheFormatError(path, line_number, f"expected 'n k value', got {line.rstrip()!r}")
-            try:
-                n, k, value = (int(f) for f in fields)
-            except ValueError:
-                raise CacheFormatError(path, line_number, f"non-integer field in {line.rstrip()!r}") from None
-            if (n, k) != (expect_n, expect_k):
-                raise CacheFormatError(
-                    path, line_number,
-                    f"expected entry ({expect_n},{expect_k}), found ({n},{k}) (gap or disorder)",
-                )
-            if k == 1:
-                rows.append([])
-            rows[-1].append(value)
-            if expect_k == expect_n:
-                expect_n, expect_k = expect_n + 1, 1
-            else:
-                expect_k += 1
-        if expect_k != 1:
-            raise CacheFormatError(path, line_number + 1, f"row {expect_n} stops before k={expect_n}")
-    return rows
-
-
-def _check_header(path: str, line: str, name: str) -> None:
-    fields = line.split()
-    if len(fields) != 3 or fields[0] != MAGIC or not fields[2].startswith("seq="):
-        raise CacheFormatError(path, 1, f"not a {MAGIC} file (header {line.rstrip()!r})")
-    if fields[1] != VERSION:
-        raise CacheVersionError(path, 1, f"unsupported version {fields[1]!r} (supported: {VERSION})")
-    found = fields[2][len("seq="):]
-    if found != name:
-        raise CacheFormatError(path, 1, f"expected seq={name}, found seq={found}")
+    values = read_sequence(path, "s")
+    bound = (isqrt(8 * len(values) + 1) - 1) // 2
+    done = bound * (bound + 1) // 2
+    if done != len(values):
+        short = f"row {bound + 1} stops after {len(values) - done} of {bound + 1} entries"
+        raise CacheFormatError(path, f"count={len(values)} is not triangular: {short}")
+    return [values[n * (n - 1) // 2:n * (n + 1) // 2] for n in range(1, bound + 1)]
 
 
 def store_cache(directory: str, cache: SequenceCache) -> None:

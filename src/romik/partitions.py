@@ -78,6 +78,16 @@ class OddPartition:
         if sum(count for _, count in self.multiplicities) != self.num_parts:
             raise ValueError("multiplicities do not give the declared part count")
 
+    @classmethod
+    def _trusted(cls, total: int, num_parts: int, multiplicities: tuple) -> "OddPartition":
+        """Build without __post_init__'s checks, for partitions that
+        _descend makes valid by construction."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "total", total)
+        object.__setattr__(partition, "num_parts", num_parts)
+        object.__setattr__(partition, "multiplicities", multiplicities)
+        return partition
+
     def parts(self) -> tuple[int, ...]:
         """All parts in increasing order, with repetition."""
         out: list[int] = []
@@ -158,7 +168,7 @@ def _from_descending_parts(parts: list[int]) -> OddPartition:
             mults[-1] = (part, mults[-1][1] + 1)
         else:
             mults.append((part, 1))
-    return OddPartition(sum(parts), len(parts), tuple(mults))
+    return OddPartition._trusted(sum(parts), len(parts), tuple(mults))
 
 
 def multinomial_count(partition: OddPartition) -> int:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from romik import SequenceCache
-from romik.cache_io import write_sequence
+from romik.cache_io import read_s_table, write_s_table, write_sequence
 from romik.cli import main
 
 D_LINE = "1,1,-1,51,849,-26199,1341999,82018251,18703396449"
@@ -167,7 +167,7 @@ class TestVerify:
         cache.d(10)
         values = cache.known_values("d")
         values[6] += 2  # odd but off-pattern mod 5
-        write_sequence(str(tmp_path / "d.txt"), "d", values)
+        write_sequence(str(tmp_path / "d.bin"), "d", values)
         code, out, _ = run_cli(
             [
                 "verify", "--suite", "mod5", "--max", "10",
@@ -221,13 +221,17 @@ class TestCacheCommand:
         assert "SEQ s ROWS 6" in out
 
     def test_check_rejects_gap(self, tmp_path, capsys):
-        (tmp_path / "d.txt").write_text("ROMIKCACHE v1 seq=d\n0 1\n2 -1\n")
+        # d = 1, 1, -1 with the value d(1) cut out but the count kept.
+        path = tmp_path / "d.bin"
+        write_sequence(str(path), "d", [1, 1, -1])
+        data = path.read_bytes()
+        path.write_bytes(data[:-2] + data[-1:])
         code, _, err = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
         assert code == 2
-        assert "expected index 1" in err
+        assert f"file has {len(data) - 1} bytes, header and lengths declare {len(data)}" in err
 
     def test_check_rejects_version(self, tmp_path, capsys):
-        (tmp_path / "d.txt").write_text("ROMIKCACHE v2 seq=d\n0 1\n")
+        (tmp_path / "d.bin").write_bytes(b"ROMIKCACHE v1 seq=d\n0 1\n")
         code, _, err = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
         assert code == 2
         assert "unsupported version" in err
@@ -236,15 +240,10 @@ class TestCacheCommand:
         directory = str(tmp_path / "store")
         code, _, _ = run_cli(["cache", "build", "--dir", directory, "--max", "10"], capsys)
         assert code == 0
-        s_path = os.path.join(directory, "s.txt")
-        with open(s_path) as handle:
-            lines = handle.readlines()
-        for i, line in enumerate(lines):
-            if line.startswith("10 5 "):
-                n, k, value = line.split()
-                lines[i] = f"{n} {k} {int(value) + 1}\n"
-        with open(s_path, "w") as handle:
-            handle.writelines(lines)
+        s_path = os.path.join(directory, "s.bin")
+        rows = read_s_table(s_path)
+        rows[9][4] += 1  # s(10, 5)
+        write_s_table(s_path, rows)
         code, _, err = run_cli(
             ["compute", "--seq", "d", "--max", "16", "--cache-dir", directory], capsys
         )
@@ -259,7 +258,7 @@ class TestCacheDirFlow:
             ["compute", "--seq", "d", "--max", "8", "--cache-dir", directory], capsys
         )
         assert code == 0
-        assert os.path.exists(os.path.join(directory, "d.txt"))
+        assert os.path.exists(os.path.join(directory, "d.bin"))
         code, second, _ = run_cli(
             ["compute", "--seq", "d", "--max", "8", "--cache-dir", directory], capsys
         )
@@ -271,7 +270,7 @@ class TestCacheDirFlow:
         monkeypatch.setenv("ROMIK_CACHE_DIR", directory)
         code, _, _ = run_cli(["compute", "--seq", "u", "--max", "5"], capsys)
         assert code == 0
-        assert os.path.exists(os.path.join(directory, "u.txt"))
+        assert os.path.exists(os.path.join(directory, "u.bin"))
 
     def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
         env_dir = str(tmp_path / "envcache")
@@ -281,5 +280,5 @@ class TestCacheDirFlow:
             ["compute", "--seq", "u", "--max", "5", "--cache-dir", flag_dir], capsys
         )
         assert code == 0
-        assert os.path.exists(os.path.join(flag_dir, "u.txt"))
+        assert os.path.exists(os.path.join(flag_dir, "u.bin"))
         assert not os.path.exists(env_dir)

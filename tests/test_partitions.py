@@ -114,6 +114,10 @@ class TestEnumerate:
         flt = PartitionFilter(max_part=max_part)
         seen = set()
         for p in enumerate_partitions(2 * n, 2 * k, flt):
+            # The walk builds partitions unchecked; the checked constructor
+            # must accept each one and give an equal object.
+            checked = OddPartition(p.total, p.num_parts, p.multiplicities)
+            assert p == checked and hash(p) == hash(checked)
             vec = p.multiplicity_vector()
             assert sum((i + 1) * c for i, c in enumerate(vec)) == 2 * n
             assert sum(vec) == 2 * k
