@@ -127,9 +127,9 @@ def _open_cache(args) -> tuple[SequenceCache, tuple[int, ...]]:
 
 def _cache_sizes(cache: SequenceCache) -> tuple[int, ...]:
     return (
-        len(cache.known_values("u")),
-        len(cache.known_values("v")),
-        len(cache.known_values("d")),
+        cache.known_count("u"),
+        cache.known_count("v"),
+        cache.known_count("d"),
         cache.s_bound,
     )
 
@@ -324,6 +324,6 @@ def _run_cache(args, parser) -> int:
         return 0
     cache = cache_io.load_cache(args.dir)
     for name in ("u", "v", "d"):
-        print(f"SEQ {name} COUNT {len(cache.known_values(name))}")
+        print(f"SEQ {name} COUNT {cache.known_count(name)}")
     print(f"SEQ s ROWS {cache.s_bound}")
     return 0

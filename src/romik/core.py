@@ -19,7 +19,16 @@ h(m) = (2m)! [z^(2m)] f(z)^2, the identity f^(2k) = f^(2k-2) * f^2 gives
 
 so every row is integer multiply-adds followed by one exact division per
 entry, and raising the bound only appends rows (Comtet, Advanced
-Combinatorics, section 3.3).  The Fraction-based path in
+Combinatorics, section 3.3).
+
+The inner loops hold only the big-integer multiply-adds.  Each index reads
+its binomial coefficients from one row [C(N, 0), ..., C(N, N)] built
+multiplicatively (``_binomial_row``), the odd products in u and v are
+carried from one index to the next, and the s-table keeps a column index
+next to its rows, so the sum for s(n, k) is one dot product of a slice of
+the row's terms, in descending m, with the stored column k-1.
+
+The Fraction-based path in
 ``s_table_by_series`` computes the same table directly from
 ``RationalSeries`` powers and serves as the reference the recurrence is
 tested against.
@@ -29,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
-from operator import mul
+from math import factorial, lcm, prod
+from operator import lshift, mul
 
 
 class IntegrityError(ArithmeticError):
@@ -123,6 +132,12 @@ class SequenceCache:
     one n at a time, only builds the rows not yet held.  A cache restored
     by ``from_values`` grows the same way from its loaded rows and u.
 
+    ``_s_rows`` is the record of the table; ``_s_cols`` indexes the same
+    integers by column, ``_s_cols[k-1] = [s(k, k), s(k+1, k), ...]``, for
+    the row recurrence.  ``_index_s_rows`` alone fills the index, after
+    each new row and, for rows restored by ``from_values``, when the table
+    first grows, so a loaded cache that is only read never builds it.
+
     After a build phase the cache is only read, so it is safe to share
     across threads that no longer mutate it.
     """
@@ -133,6 +148,7 @@ class SequenceCache:
         self._d: list[int] = [1]
         self._h: list[int] = [0]  # _h[m] = (2m)! [z^(2m)] f^2
         self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k)
+        self._s_cols: list[list[int]] = []  # _s_cols[k-1][n-k] = s(n, k)
 
     # -- u, v ----------------------------------------------------------
 
@@ -142,18 +158,19 @@ class SequenceCache:
             raise ValueError(f"n must be >= 0, got {n}")
         u = self._u
         if len(u) <= n:
-            # squares[i] = (1*5*...*(4i-3))^2
+            # squares[i] = (1*5*...*(4i-3))^2; odd3 = 3*7*...*(4j-1), carried with j
             squares = [1]
-            prod = 1
+            odd1 = 1
             for i in range(1, n + 1):
-                prod *= 4 * i - 3
-                squares.append(prod * prod)
+                odd1 *= 4 * i - 3
+                squares.append(odd1 * odd1)
+            odd3 = prod(range(3, 4 * len(u) - 4, 4))
             while len(u) <= n:
                 j = len(u)
-                acc = 0
-                for m in range(j):
-                    acc += comb(2 * j + 1, 2 * m + 1) * squares[j - m] * u[m]
-                u.append(odd_product_squared(j, 3) - acc)
+                odd3 *= 4 * j - 1
+                # C(2j+1, 2m+1) (1*5*...*(4(j-m)-3))^2 for m = 0..j-1
+                weights = map(mul, _binomial_row(2 * j + 1)[1 : 2 * j : 2], squares[j:0:-1])
+                u.append(odd3 * odd3 - sum(map(mul, weights, u)))
         return u[n]
 
     def v(self, n: int) -> int:
@@ -164,14 +181,16 @@ class SequenceCache:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         v = self._v
-        while len(v) <= n:
-            j = len(v)
-            acc = 0
-            for m in range(1, j):
-                acc += comb(2 * j, 2 * m) * v[m] * v[j - m]
-            if acc & 1:
-                raise IntegrityError(f"intermediate sum for v({j}) is odd")
-            v.append((1 << (j - 1)) * odd_product_squared(j, 1) - acc // 2)
+        if len(v) <= n:
+            odd1 = prod(range(1, 4 * len(v) - 4, 4))  # 1*5*...*(4j-3), carried with j
+            while len(v) <= n:
+                j = len(v)
+                odd1 *= 4 * j - 3
+                weighted = map(mul, _binomial_row(2 * j)[2 : 2 * j : 2], v[1:j])
+                acc = sum(map(mul, weighted, v[j - 1 : 0 : -1]))
+                if acc & 1:
+                    raise IntegrityError(f"intermediate sum for v({j}) is odd")
+                v.append((odd1 * odd1 << (j - 1)) - acc // 2)
         return v[n]
 
     # -- s, r ----------------------------------------------------------
@@ -184,33 +203,43 @@ class SequenceCache:
     def build_s_table(self, max_n: int) -> None:
         """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
         rows past ``s_bound`` (no-op if already built)."""
-        rows = self._s_rows
+        rows, cols = self._s_rows, self._s_cols
         if max_n <= len(rows):
             return
+        self._index_s_rows()  # rows restored by from_values
         # f has m! [z^m] f = u((m-1)/2) for odd m, so h(m) is the binomial
         # convolution of u with itself over odd indices.
         self.u(max_n - 1)
         u, h = self._u, self._h
         for m in range(len(h), max_n + 1):
-            h.append(sum(comb(2 * m, 2 * i + 1) * u[i] * u[m - 1 - i] for i in range(m)))
+            odd_binomials = _binomial_row(2 * m)[1 : 2 * m : 2]  # C(2m, 2i+1), i = 0..m-1
+            h.append(sum(map(mul, map(mul, odd_binomials, u), u[m - 1 :: -1])))
 
         for n in range(len(rows) + 1, max_n + 1):
             first, rem = divmod(h[n], 2)
             if rem:
                 raise IntegrityError(f"s({n},1) is not an integer")
             row = [first]
-            # terms[m-1] = C(2n, 2m) h(m) and below[m-1] = row n-m, m = 1..n-1
-            terms = [comb(2 * n, 2 * m) * h[m] for m in range(1, n)]
-            below = rows[::-1]
+            # terms[t] = C(2n, 2m) h(m) for m = n-1-t, so terms[k-2:] lines up
+            # with cols[k-2] = [s(k-1, k-1), ..., s(n-1, k-1)] = s(n-m, k-1).
+            terms = list(map(mul, _binomial_row(2 * n)[2 * n - 2 : 1 : -2], h[n - 1 : 0 : -1]))
             for k in range(2, n + 1):
-                column = [r[k - 2] for r in below[: n - k + 1]]  # s(n-m, k-1)
-                q, rem = divmod(sum(map(mul, terms, column)), 2 * k * (2 * k - 1))
+                q, rem = divmod(sum(map(mul, terms[k - 2 :], cols[k - 2])), 2 * k * (2 * k - 1))
                 if rem:
                     raise IntegrityError(f"s({n},{k}) is not an integer")
                 row.append(q)
             if row[-1] != 1:
                 raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
             rows.append(row)
+            self._index_s_rows()
+
+    def _index_s_rows(self) -> None:
+        """Append the entries of the rows not yet in the column index to it."""
+        cols = self._s_cols
+        for row in self._s_rows[len(cols) :]:
+            cols.append([])
+            for col, x in zip(cols, row, strict=True):
+                col.append(x)
 
     def s(self, n: int, k: int) -> int:
         """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
@@ -245,11 +274,9 @@ class SequenceCache:
             self.build_s_table(n)
             while len(d) <= n:
                 j = len(d)
-                row = self._s_rows[j - 1]
-                acc = 0
-                for k in range(1, j):
-                    acc += (row[k - 1] << (j - k)) * d[k]
-                val = self.v(j) - acc
+                # r(j, k) d(k) = (s(j, k) << (j-k)) d(k) for k = 1..j-1
+                shifted = map(lshift, self._s_rows[j - 1][: j - 1], range(j - 1, 0, -1))
+                val = self.v(j) - sum(map(mul, shifted, d[1:j]))
                 if val & 1 == 0:
                     raise IntegrityError(f"d({j}) = {val} is even")
                 d.append(val)
@@ -259,8 +286,15 @@ class SequenceCache:
 
     def known_values(self, name: str) -> list[int]:
         """Copy of all cached values of sequence 'u', 'v' or 'd'."""
+        return list(self._sequence(name))
+
+    def known_count(self, name: str) -> int:
+        """Number of cached values of sequence 'u', 'v' or 'd'."""
+        return len(self._sequence(name))
+
+    def _sequence(self, name: str) -> list[int]:
         try:
-            return list({"u": self._u, "v": self._v, "d": self._d}[name])
+            return {"u": self._u, "v": self._v, "d": self._d}[name]
         except KeyError:
             raise ValueError(f"unknown sequence {name!r}") from None
 
@@ -301,6 +335,15 @@ class SequenceCache:
                     raise ValueError(f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
             cache._s_rows = [list(row) for row in s_rows]
         return cache
+
+
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, 0), C(n, 1), ..., C(n, n)], built multiplicatively up to the
+    middle and mirrored."""
+    half = [1]
+    for i in range(n // 2):
+        half.append(half[-1] * (n - i) // (i + 1))
+    return half + half[: n + 1 - len(half)][::-1]
 
 
 def _check_pair(n: int, k: int) -> None:

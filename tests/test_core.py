@@ -1,5 +1,6 @@
 """Tests for the exact sequence recurrences and the series-based s-table."""
 
+import hashlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,11 +17,32 @@ from romik import (
     theta_series,
 )
 from romik.cache_io import load_cache, store_cache
+from romik.core import _binomial_row
 
 # Published initial segments.
 U_VALUES = [1, 6, 256, 28560, 6071040]
 V_VALUES = [1, 1, 47, 7395, 2453425, 1399055625]
 D_VALUES = [1, 1, -1, 51, 849, -26199, 1341999, 82018251, 18703396449]
+
+# SHA-256 of ",".join(d(0..150)) and of the s rows 1..150, one row per line
+# with its values comma-joined.
+D_150_SHA256 = "8ce8eab94666689ea20b7f293dcdbd6decafafeb5f372d72db400b61115bbd92"
+S_150_SHA256 = "5d93860d78cde1a1218584e852c54e930b21cbab09f6d5ce6360fd3b091e21fc"
+
+
+def _transposed(rows):
+    """Columns [s(k, k), s(k+1, k), ...] of a triangular table of rows."""
+    return [[row[k] for row in rows[k:]] for k in range(len(rows))]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBinomialRow:
+    def test_matches_comb(self):
+        for n in range(402):
+            assert _binomial_row(n) == [comb(n, i) for i in range(n + 1)]
 
 
 class TestOddProductSquared:
@@ -65,6 +87,40 @@ class TestSequences:
         for f in (cache.u, cache.v, cache.d):
             with pytest.raises(ValueError):
                 f(-1)
+
+    def test_u_v_match_definition_when_grown_in_steps(self):
+        u_ref, v_ref = [1], [1]
+        for n in range(1, 31):
+            u_sum = sum(
+                comb(2 * n + 1, 2 * m + 1) * odd_product_squared(n - m, 1) * u_ref[m]
+                for m in range(n)
+            )
+            u_ref.append(odd_product_squared(n, 3) - u_sum)
+            v_sum = sum(comb(2 * n, 2 * m) * v_ref[m] * v_ref[n - m] for m in range(1, n))
+            halved, rem = divmod(v_sum, 2)
+            assert rem == 0
+            v_ref.append(2 ** (n - 1) * odd_product_squared(n, 1) - halved)
+        grown = SequenceCache()
+        for n in (1, 2, 7, 30):
+            grown.u(n)
+            grown.v(n)
+        assert grown.known_values("u") == u_ref
+        assert grown.known_values("v") == v_ref
+
+    def test_known_count_is_length_of_known_values(self, cache):
+        for name in "uvd":
+            assert cache.known_count(name) == len(cache.known_values(name))
+        for lookup in (cache.known_count, cache.known_values):
+            with pytest.raises(ValueError, match="unknown sequence"):
+                lookup("s")
+
+    def test_pinned_digests_to_150(self):
+        fresh = SequenceCache()
+        fresh.d(150)
+        assert _sha256(",".join(map(str, fresh.known_values("d")))) == D_150_SHA256
+        rows = fresh.known_s_rows()
+        assert len(rows) == 150
+        assert _sha256("\n".join(",".join(map(str, row)) for row in rows)) == S_150_SHA256
 
     def test_cold_cache_recomputation_is_identical(self, cache):
         fresh = SequenceCache()
@@ -126,6 +182,14 @@ class TestSTable:
         grown.build_s_table(20)
         assert all(a is b for a, b in zip(grown._s_rows[:10], held, strict=True))
         assert grown.known_s_rows() == cache.known_s_rows()[:20]
+        assert grown._s_cols == _transposed(grown.known_s_rows())
+
+        # The column index follows growth through ascending d() too.
+        grown = SequenceCache()
+        for n in range(1, 18):
+            grown.d(n)
+            assert grown._s_cols == _transposed(grown.known_s_rows())
+        assert grown.known_s_rows() == cache.known_s_rows()[:17]
 
     def test_ascending_d_matches_bulk(self):
         bulk = SequenceCache()
@@ -142,11 +206,13 @@ class TestSTable:
         store_cache(str(tmp_path), stored)
         reloaded = load_cache(str(tmp_path))
         assert reloaded.s_bound == 20
+        assert reloaded._s_cols == []  # indexed on first growth, not on load
         reloaded.d(40)
         bulk = SequenceCache()
         bulk.build_s_table(40)
         bulk.d(40)
         assert reloaded.known_s_rows() == bulk.known_s_rows()
+        assert reloaded._s_cols == _transposed(reloaded.known_s_rows())
         for name in "uvd":
             assert reloaded.known_values(name)[:41] == bulk.known_values(name)[:41]
 
