@@ -2,9 +2,11 @@
 
 Binary, one file per sequence inside a cache directory: u.bin, v.bin and
 d.bin hold u(n), v(n), d(n) for n = 0, 1, 2, ...; s.bin holds the s-table
-flattened row by row, s(1,1), s(2,1), s(2,2), s(3,1), ...  Each file is
+in the form SequenceCache stores it, s^(n, k) = s(n, k) >> (E(n) - E(k))
+with E(n) = v2((2n)!), flattened row by row, s^(1,1), s^(2,1), s^(2,2),
+s^(3,1), ...  Each file is
 
-    header    ASCII line 'ROMIKCACHE v2 seq=<u|v|d|s> count=<N>\\n'
+    header    ASCII line 'ROMIKCACHE v3 seq=<u|v|d|s> count=<N>\\n'
     lengths   N little-endian uint32 byte lengths
     values    N integers, x as
               x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
@@ -14,8 +16,13 @@ and raises CacheFormatError unless the header is exact, the count fits the
 file size before anything is unpacked, the size is exactly header + 4N +
 the sum of the lengths, each value has its own length, and the s count is
 triangular: a torn, extended or re-counted file fails loudly rather than
-yielding a plausible wrong value.  v1 text files (*.txt) are not read; a
-directory holding only them loads as empty and is refilled.
+yielding a plausible wrong value.  The stored s rows are handed to
+``SequenceCache.from_stored`` as they are, with no per-entry conversion.
+
+v2 files hold the same layout with s.bin in true s values; every v2 file
+is rejected with CacheVersionError, so a v2 cache must be rebuilt.  v1
+text files (*.txt) are not read; a directory holding only them loads as
+empty and is refilled.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from math import isqrt
 from .core import SequenceCache
 
 MAGIC = "ROMIKCACHE"
-VERSION = "v2"
+VERSION = "v3"
 SEQUENCE_FILES = {"u": "u.bin", "v": "v.bin", "d": "d.bin"}
 S_TABLE_FILE = "s.bin"
 _MAX_HEADER = 80  # bytes searched for the header's newline
@@ -104,12 +111,14 @@ def _parse_header(path: str, header: str, name: str) -> int:
 
 
 def write_s_table(path: str, rows: list[list[int]]) -> None:
-    """Write the triangular s-table (rows[n-1] holds s(n, 1..n)) row by row."""
+    """Write the triangular s-table in stored form (rows[n-1] holds
+    s^(n, 1..n), as ``SequenceCache.stored_s_rows`` returns it) row by row."""
     _write(path, "s", rows)
 
 
 def read_s_table(path: str) -> list[list[int]]:
-    """Read the triangular s-table back, enforcing complete triangle coverage."""
+    """Read the triangular s-table back in stored form, enforcing complete
+    triangle coverage."""
     values = read_sequence(path, "s")
     bound = (isqrt(8 * len(values) + 1) - 1) // 2
     done = bound * (bound + 1) // 2
@@ -125,7 +134,7 @@ def store_cache(directory: str, cache: SequenceCache) -> None:
     for name, filename in SEQUENCE_FILES.items():
         write_sequence(os.path.join(directory, filename), name, cache.known_values(name))
     if cache.s_bound:
-        write_s_table(os.path.join(directory, S_TABLE_FILE), cache.known_s_rows())
+        write_s_table(os.path.join(directory, S_TABLE_FILE), cache.stored_s_rows())
 
 
 def load_cache(directory: str) -> SequenceCache:
@@ -142,4 +151,4 @@ def load_cache(directory: str) -> SequenceCache:
     s_path = os.path.join(directory, S_TABLE_FILE)
     if os.path.exists(s_path):
         kwargs["s_rows"] = read_s_table(s_path)
-    return SequenceCache.from_values(**kwargs)
+    return SequenceCache.from_stored(**kwargs)

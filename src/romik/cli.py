@@ -327,3 +327,7 @@ def _run_cache(args, parser) -> int:
         print(f"SEQ {name} COUNT {cache.known_count(name)}")
     print(f"SEQ s ROWS {cache.s_bound}")
     return 0
+
+
+if __name__ == "__main__":
+    entry_point()

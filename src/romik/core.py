@@ -21,11 +21,28 @@ so every row is integer multiply-adds followed by one exact division per
 entry, and raising the bound only appends rows (Comtet, Advanced
 Combinatorics, section 3.3).
 
+Every entry carries a power of two known in advance.  With
+E(n) = v2((2n)!) = 2n - (binary digit sum of n), Kummer's theorem gives
+v2(C(2n, 2m)) = E(n) - E(m) - E(n-m).  With v2(u(j)) >= v2((2j+1)!) = E(j)
+this makes 2^E(n) divide h(n), and induction on the recurrence then gives
+2^(E(n) - E(k)) | s(n, k).  The table is held with that power
+divided out, s^(n, k) = s(n, k) >> (E(n) - E(k)).  Writing C^(n, m) for
+the odd part C(2n, 2m) >> (E(n) - E(m) - E(n-m)) and odd(k) for the odd
+part of k, the powers of two cancel exactly (E(k) - E(k-1) = 1 + v2(k)):
+
+    s^(n, 1) = h(n) >> E(n),
+    (2k-1) odd(k) s^(n, k) = sum_{m=1}^{n-k+1} C^(n, m) s^(m, 1) s^(n-m, k-1).
+
+h(n) is computed once per new row from u, and h(m) for m < n is read back
+as s^(m, 1) from column 1.  That h(n) is a multiple of 2^E(n) is checked:
+a remainder raises IntegrityError, never yields a value.  The shift is
+tight (s^(k, k) = 1), so no larger power is known in general.
+
 The inner loops hold only the big-integer multiply-adds.  Each index reads
 its binomial coefficients from one row [C(N, 0), ..., C(N, N)] built
 multiplicatively (``_binomial_row``), the odd products in u and v are
 carried from one index to the next, and the s-table keeps a column index
-next to its rows, so the sum for s(n, k) is one dot product of a slice of
+next to its rows, so the sum for s^(n, k) is one dot product of a slice of
 the row's terms, in descending m, with the stored column k-1.
 
 The Fraction-based path in
@@ -43,10 +60,11 @@ from operator import lshift, mul
 
 
 class IntegrityError(ArithmeticError):
-    """An exactness invariant failed: a division left a remainder, a value
-    that must be odd came out even, or a diagonal entry is not 1.  Any of
-    these indicates a bug or a corrupted row restored by
-    ``SequenceCache.from_values``, never a property of the requested index."""
+    """An exactness invariant failed: a division left a remainder, a known
+    power of two does not divide a value, a value that must be odd came out
+    even, or a diagonal entry is not 1.  Any of these indicates a bug or a
+    corrupted value restored by ``SequenceCache.from_values`` or
+    ``from_stored``, never a property of the requested index."""
 
 
 def odd_product_squared(n: int, offset: int) -> int:
@@ -127,16 +145,23 @@ class SequenceCache:
 
     Sequences are append-only dense arrays seeded with u(0)=v(0)=d(0)=1.
     The s-table is append-only too: row n is computed once from rows
-    1..n-1 and h(1..n) (see the module docstring), so growing the bound,
+    1..n-1 and h(n) (see the module docstring), so growing the bound,
     whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
     one n at a time, only builds the rows not yet held.  A cache restored
-    by ``from_values`` grows the same way from its loaded rows and u.
+    by ``from_values`` or ``from_stored`` grows the same way from its
+    loaded rows and u.
 
-    ``_s_rows`` is the record of the table; ``_s_cols`` indexes the same
-    integers by column, ``_s_cols[k-1] = [s(k, k), s(k+1, k), ...]``, for
-    the row recurrence.  ``_index_s_rows`` alone fills the index, after
-    each new row and, for rows restored by ``from_values``, when the table
-    first grows, so a loaded cache that is only read never builds it.
+    ``_s_rows`` is the record of the table and holds it normalized,
+    ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
+    holds E(0..s_bound) and grows only where rows are appended or
+    restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k), ``s_row``,
+    ``known_s_rows`` and ``d`` shift on read; ``stored_s_rows`` and
+    ``from_stored`` pass the held form to and from ``cache_io``, which
+    writes it as it is.  ``_s_cols`` indexes the same integers by column,
+    ``_s_cols[k-1] = [s^(k, k), s^(k+1, k), ...]``, for the row
+    recurrence.  ``_index_s_rows`` alone fills the index, after each new
+    row and, for restored rows, when the table first grows, so a loaded
+    cache that is only read never builds it.
 
     After a build phase the cache is only read, so it is safe to share
     across threads that no longer mutate it.
@@ -146,9 +171,9 @@ class SequenceCache:
         self._u: list[int] = [1]
         self._v: list[int] = [1]
         self._d: list[int] = [1]
-        self._h: list[int] = [0]  # _h[m] = (2m)! [z^(2m)] f^2
-        self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k)
-        self._s_cols: list[list[int]] = []  # _s_cols[k-1][n-k] = s(n, k)
+        self._e: list[int] = [0]  # _e[n] = E(n) for n <= s_bound
+        self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k) >> (E(n) - E(k))
+        self._s_cols: list[list[int]] = []  # _s_cols[k-1][n-k] = _s_rows[n-1][k-1]
 
     # -- u, v ----------------------------------------------------------
 
@@ -206,25 +231,28 @@ class SequenceCache:
         rows, cols = self._s_rows, self._s_cols
         if max_n <= len(rows):
             return
-        self._index_s_rows()  # rows restored by from_values
-        # f has m! [z^m] f = u((m-1)/2) for odd m, so h(m) is the binomial
-        # convolution of u with itself over odd indices.
+        self._index_s_rows()  # rows restored by from_values or from_stored
         self.u(max_n - 1)
-        u, h = self._u, self._h
-        for m in range(len(h), max_n + 1):
-            odd_binomials = _binomial_row(2 * m)[1 : 2 * m : 2]  # C(2m, 2i+1), i = 0..m-1
-            h.append(sum(map(mul, map(mul, odd_binomials, u), u[m - 1 :: -1])))
-
+        self._extend_e(max_n)
+        u, e = self._u, self._e
         for n in range(len(rows) + 1, max_n + 1):
-            first, rem = divmod(h[n], 2)
-            if rem:
-                raise IntegrityError(f"s({n},1) is not an integer")
+            binomials = _binomial_row(2 * n)
+            # f has m! [z^m] f = u((m-1)/2) for odd m, so h(n) is the binomial
+            # convolution of u with itself over odd indices.
+            h = sum(map(mul, map(mul, binomials[1 : 2 * n : 2], u), u[n - 1 :: -1]))
+            first = h >> e[n]
+            if first << e[n] != h:
+                raise IntegrityError(f"h({n}) / 2^{e[n]} is not an integer")
+            # terms[t] = C^(n, m) s^(m, 1) for m = n-1-t, so terms[k-2:] lines up
+            # with cols[k-2] = [s^(k-1, k-1), ..., s^(n-1, k-1)] = s^(n-m, k-1).
+            terms = [
+                (binomials[2 * m] >> (e[n] - e[m] - e[n - m])) * rows[m - 1][0]
+                for m in range(n - 1, 0, -1)
+            ]
             row = [first]
-            # terms[t] = C(2n, 2m) h(m) for m = n-1-t, so terms[k-2:] lines up
-            # with cols[k-2] = [s(k-1, k-1), ..., s(n-1, k-1)] = s(n-m, k-1).
-            terms = list(map(mul, _binomial_row(2 * n)[2 * n - 2 : 1 : -2], h[n - 1 : 0 : -1]))
             for k in range(2, n + 1):
-                q, rem = divmod(sum(map(mul, terms[k - 2 :], cols[k - 2])), 2 * k * (2 * k - 1))
+                odd_k = k // (k & -k)
+                q, rem = divmod(sum(map(mul, terms[k - 2 :], cols[k - 2])), (2 * k - 1) * odd_k)
                 if rem:
                     raise IntegrityError(f"s({n},{k}) is not an integer")
                 row.append(q)
@@ -241,24 +269,44 @@ class SequenceCache:
             for col, x in zip(cols, row, strict=True):
                 col.append(x)
 
-    def s(self, n: int, k: int) -> int:
-        """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
+    def _extend_e(self, n: int) -> None:
+        """Grow the table of E(m) = v2((2m)!) = 2m - (binary digit sum of m)
+        to m = n.  Called only where rows are appended or restored."""
+        e = self._e
+        e.extend(2 * m - bin(m).count("1") for m in range(len(e), n + 1))
+
+    def _stored(self, n: int, k: int) -> int:
+        """s^(n, k) as held, growing the table to n if needed."""
         _check_pair(n, k)
         if n > len(self._s_rows):
             self.build_s_table(n)
         return self._s_rows[n - 1][k - 1]
 
+    def s(self, n: int, k: int) -> int:
+        """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
+        x = self._stored(n, k)
+        e = self._e
+        return x << (e[n] - e[k])
+
     def r(self, n: int, k: int) -> int:
-        """Exact r(n, k) = 2^(n-k) s(n, k)."""
-        return self.s(n, k) << (n - k)
+        """Exact r(n, k) = 2^(n-k) s(n, k), one shift of the stored entry."""
+        x = self._stored(n, k)
+        e = self._e
+        return x << (e[n] - e[k] + n - k)
 
     def s_row(self, n: int) -> list[int]:
-        """The row [s(n, 1), ..., s(n, n)] as a copy."""
+        """The row [s(n, 1), ..., s(n, n)] as a new list."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if n > len(self._s_rows):
             self.build_s_table(n)
-        return list(self._s_rows[n - 1])
+        return self._unshifted_row(n)
+
+    def _unshifted_row(self, n: int) -> list[int]:
+        """[s(n, 1), ..., s(n, n)] from the held row n."""
+        e = self._e
+        # list() trims the comprehension's spare capacity, as list(row) would.
+        return list([x << (e[n] - ek) for x, ek in zip(self._s_rows[n - 1], e[1:])])
 
     # -- d ---------------------------------------------------------------
 
@@ -272,10 +320,12 @@ class SequenceCache:
         d = self._d
         if n >= len(d):
             self.build_s_table(n)
+            e = self._e
             while len(d) <= n:
                 j = len(d)
-                # r(j, k) d(k) = (s(j, k) << (j-k)) d(k) for k = 1..j-1
-                shifted = map(lshift, self._s_rows[j - 1][: j - 1], range(j - 1, 0, -1))
+                # r(j, k) d(k) = (s^(j, k) << (E(j) + j - E(k) - k)) d(k) for k = 1..j-1
+                shifts = [e[j] + j - e[k] - k for k in range(1, j)]
+                shifted = map(lshift, self._s_rows[j - 1][: j - 1], shifts)
                 val = self.v(j) - sum(map(mul, shifted, d[1:j]))
                 if val & 1 == 0:
                     raise IntegrityError(f"d({j}) = {val} is even")
@@ -299,7 +349,11 @@ class SequenceCache:
             raise ValueError(f"unknown sequence {name!r}") from None
 
     def known_s_rows(self) -> list[list[int]]:
-        """Copy of the cached s-table rows (row n at index n-1)."""
+        """The cached s-table rows (row n at index n-1), as true s values."""
+        return [self._unshifted_row(n) for n in range(1, len(self._s_rows) + 1)]
+
+    def stored_s_rows(self) -> list[list[int]]:
+        """Copy of the cached s-table rows as held, s^(n, k) = s(n, k) >> (E(n) - E(k))."""
         return [list(row) for row in self._s_rows]
 
     @classmethod
@@ -310,9 +364,36 @@ class SequenceCache:
         d: list[int] | None = None,
         s_rows: list[list[int]] | None = None,
     ) -> "SequenceCache":
-        """Rebuild a cache from previously stored values, re-checking the
+        """Rebuild a cache from previously computed values, re-checking the
         structural invariants (seeds equal 1, d odd, triangular shape,
-        unit diagonal)."""
+        unit diagonal).  ``s_rows`` holds true s values; each is divided by
+        its known power of two 2^(E(n) - E(k)), and a value that power does
+        not divide raises IntegrityError."""
+        cache = cls.from_stored(u, v, d)
+        if s_rows:
+            _check_triangle(s_rows)
+            cache._extend_e(len(s_rows))
+            e = cache._e
+            for n, row in enumerate(s_rows, 1):
+                stored = []
+                for k, x in enumerate(row, 1):
+                    shift = e[n] - e[k]
+                    if x >> shift << shift != x:
+                        raise IntegrityError(f"s({n},{k}) / 2^{shift} is not an integer")
+                    stored.append(x >> shift)
+                cache._s_rows.append(stored)
+        return cache
+
+    @classmethod
+    def from_stored(
+        cls,
+        u: list[int] | None = None,
+        v: list[int] | None = None,
+        d: list[int] | None = None,
+        s_rows: list[list[int]] | None = None,
+    ) -> "SequenceCache":
+        """As ``from_values``, but ``s_rows`` is in the stored form returned
+        by ``stored_s_rows`` and is taken over without conversion."""
         cache = cls()
         for name, values in (("u", u), ("v", v), ("d", d)):
             if values is None:
@@ -328,12 +409,9 @@ class SequenceCache:
         if d:
             cache._d = list(d)
         if s_rows:
-            for i, row in enumerate(s_rows):
-                if len(row) != i + 1:
-                    raise ValueError(f"s-table row {i + 1} has {len(row)} entries")
-                if row[i] != 1:
-                    raise ValueError(f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
+            _check_triangle(s_rows)
             cache._s_rows = [list(row) for row in s_rows]
+            cache._extend_e(len(s_rows))
         return cache
 
 
@@ -344,6 +422,14 @@ def _binomial_row(n: int) -> list[int]:
     for i in range(n // 2):
         half.append(half[-1] * (n - i) // (i + 1))
     return half + half[: n + 1 - len(half)][::-1]
+
+
+def _check_triangle(s_rows: list[list[int]]) -> None:
+    for i, row in enumerate(s_rows):
+        if len(row) != i + 1:
+            raise ValueError(f"s-table row {i + 1} has {len(row)} entries")
+        if row[i] != 1:
+            raise ValueError(f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
 
 
 def _check_pair(n: int, k: int) -> None:

@@ -55,7 +55,7 @@ class TestRoundTrip:
         store_cache(str(tmp_path), small_cache)
         data = (tmp_path / "d.bin").read_bytes()
         header, rest = data.split(b"\n", 1)
-        assert header == b"ROMIKCACHE v2 seq=d count=9"
+        assert header == b"ROMIKCACHE v3 seq=d count=9"
         lengths = struct.unpack_from("<9I", rest)
         values = rest[4 * 9:]
         assert len(values) == sum(lengths)
@@ -68,29 +68,50 @@ class TestRoundTrip:
         assert load_cache(str(tmp_path)).known_values("d") == [1]
 
 
+# The v2 files of the cache of d(4): the same layout, s.bin in true s values.
+V2_FILES = {
+    "u.bin": b"ROMIKCACHE v2 seq=u count=4\n"
+    + bytes.fromhex("01000000 01000000 02000000 02000000")
+    + bytes.fromhex("01 06 0001 906f"),
+    "v.bin": b"ROMIKCACHE v2 seq=v count=5\n"
+    + bytes.fromhex("01000000 01000000 01000000 02000000 03000000")
+    + bytes.fromhex("01 01 2f e31c b16f25"),
+    "d.bin": b"ROMIKCACHE v2 seq=d count=5\n"
+    + bytes.fromhex("01000000 01000000 01000000 01000000 02000000")
+    + bytes.fromhex("01 01 ff 33 5103"),
+    # s rows [1], [24, 1], [1896, 120, 1], [314496, 24416, 336, 1]
+    "s.bin": b"ROMIKCACHE v2 seq=s count=10\n"
+    + bytes.fromhex(
+        "01000000 01000000 01000000 02000000 01000000"
+        " 01000000 03000000 02000000 02000000 01000000"
+    )
+    + bytes.fromhex("01 18 01 6807 78 01 80cc04 605f 5001 01"),
+}
+
+
 class TestPinnedFormat:
     """Byte-exact files for the cache of d(4); any format drift fails here."""
 
     EXPECTED = {
         # u = 1, 6, 256, 28560
-        "u.bin": b"ROMIKCACHE v2 seq=u count=4\n"
+        "u.bin": b"ROMIKCACHE v3 seq=u count=4\n"
         + bytes.fromhex("01000000 01000000 02000000 02000000")
         + bytes.fromhex("01 06 0001 906f"),
         # v = 1, 1, 47, 7395, 2453425
-        "v.bin": b"ROMIKCACHE v2 seq=v count=5\n"
+        "v.bin": b"ROMIKCACHE v3 seq=v count=5\n"
         + bytes.fromhex("01000000 01000000 01000000 02000000 03000000")
         + bytes.fromhex("01 01 2f e31c b16f25"),
         # d = 1, 1, -1, 51, 849
-        "d.bin": b"ROMIKCACHE v2 seq=d count=5\n"
+        "d.bin": b"ROMIKCACHE v3 seq=d count=5\n"
         + bytes.fromhex("01000000 01000000 01000000 01000000 02000000")
         + bytes.fromhex("01 01 ff 33 5103"),
-        # s rows [1], [24, 1], [1896, 120, 1], [314496, 24416, 336, 1]
-        "s.bin": b"ROMIKCACHE v2 seq=s count=10\n"
+        # stored rows s(n, k) >> (E(n) - E(k)): [1], [6, 1], [237, 60, 1], [4914, 1526, 42, 1]
+        "s.bin": b"ROMIKCACHE v3 seq=s count=10\n"
         + bytes.fromhex(
             "01000000 01000000 01000000 02000000 01000000"
-            " 01000000 03000000 02000000 02000000 01000000"
+            " 01000000 02000000 02000000 01000000 01000000"
         )
-        + bytes.fromhex("01 18 01 6807 78 01 80cc04 605f 5001 01"),
+        + bytes.fromhex("01 06 01 ed00 3c 01 3213 f605 2a 01"),
     }
 
     def test_store_writes_pinned_bytes(self, tmp_path):
@@ -108,7 +129,21 @@ class TestPinnedFormat:
         assert loaded.known_values("u") == [1, 6, 256, 28560]
         assert loaded.known_values("v") == [1, 1, 47, 7395, 2453425]
         assert loaded.known_values("d") == [1, 1, -1, 51, 849]
+        assert loaded.stored_s_rows() == [[1], [6, 1], [237, 60, 1], [4914, 1526, 42, 1]]
         assert loaded.known_s_rows() == [[1], [24, 1], [1896, 120, 1], [314496, 24416, 336, 1]]
+
+    def test_v2_files_are_rejected(self, tmp_path, capsys):
+        for name, data in V2_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(CacheVersionError) as err:
+            load_cache(str(tmp_path))
+        assert "unsupported version 'v2' (supported: v3)" in str(err.value)
+        for name in ("u.bin", "v.bin", "d.bin"):  # s.bin alone is rejected too
+            (tmp_path / name).unlink()
+        with pytest.raises(CacheVersionError):
+            load_cache(str(tmp_path))
+        assert main(["cache", "check", "--dir", str(tmp_path)]) == 2
+        assert "unsupported version" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x", [0, 1, -1, 127, 128, -128, -129, 255, 256, -(1 << 63), 7 ** 900])
     def test_each_value_has_one_encoding(self, tmp_path, x):
@@ -121,7 +156,7 @@ class TestPinnedFormat:
 
 
 def _header(name, count):
-    return f"ROMIKCACHE v2 seq={name} count={count}\n".encode("ascii")
+    return f"ROMIKCACHE v3 seq={name} count={count}\n".encode("ascii")
 
 
 class TestCorruption:
@@ -134,7 +169,7 @@ class TestCorruption:
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(b"SOMETHINGELSE v2 seq=d count=1\n\x01\x00\x00\x00\x01")
+        path.write_bytes(b"SOMETHINGELSE v3 seq=d count=1\n\x01\x00\x00\x00\x01")
         with pytest.raises(CacheFormatError):
             read_sequence(str(path), "d")
 
@@ -162,7 +197,7 @@ class TestCorruption:
         # Only the count store_cache writes is read: no sign, space or leading zero.
         path = tmp_path / "d.bin"
         for count in (b"x", b"-1", b"+4", b"04", b"4 ", b"", b"\xb2"):
-            path.write_bytes(b"ROMIKCACHE v2 seq=d count=" + count + b"\n" + bytes(4 * 4 + 4))
+            path.write_bytes(b"ROMIKCACHE v3 seq=d count=" + count + b"\n" + bytes(4 * 4 + 4))
             with pytest.raises(CacheFormatError) as err:
                 read_sequence(str(path), "d")
             assert "expected header" in str(err.value), count
@@ -206,7 +241,7 @@ class TestCorruption:
 
     def test_missing_header_line(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(b"ROMIKCACHE v2 seq=d count=1" + b"0" * 100)
+        path.write_bytes(b"ROMIKCACHE v3 seq=d count=1" + b"0" * 100)
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
         assert "no header line" in str(err.value)
@@ -344,15 +379,15 @@ class TestFuzzedFiles:
 class TestSTableFile:
     def test_round_trip(self, tmp_path, small_cache):
         path = str(tmp_path / "s.bin")
-        rows = small_cache.known_s_rows()
+        rows = small_cache.stored_s_rows()
         write_s_table(path, rows)
         assert read_s_table(path) == rows
 
     def test_header(self, tmp_path, small_cache):
         path = tmp_path / "s.bin"
-        write_s_table(str(path), small_cache.known_s_rows())
+        write_s_table(str(path), small_cache.stored_s_rows())
         data = path.read_bytes()
         header, rest = data.split(b"\n", 1)
-        assert header == b"ROMIKCACHE v2 seq=s count=36"  # rows 1..8
+        assert header == b"ROMIKCACHE v3 seq=s count=36"  # rows 1..8
         assert struct.unpack_from("<I", rest) == (1,)
         assert rest[4 * 36:4 * 36 + 1] == b"\x01"  # s(1,1) = 1

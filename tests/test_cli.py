@@ -1,9 +1,13 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process, and through
+``python -m`` in a subprocess)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import romik
 from romik import SequenceCache
 from romik.cache_io import read_s_table, write_s_table, write_sequence
 from romik.cli import main
@@ -249,6 +253,20 @@ class TestCacheCommand:
         )
         assert code == 2
         assert "not an integer" in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["romik", "romik.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        src = os.path.dirname(os.path.dirname(romik.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("ROMIK_CACHE_DIR", None)
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--suite", "mod5", "--max", "10"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "SUITE mod5 RANGE 1..10 PRIME 5 RESULT PASS\n"
 
 
 class TestCacheDirFlow:

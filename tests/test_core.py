@@ -182,13 +182,13 @@ class TestSTable:
         grown.build_s_table(20)
         assert all(a is b for a, b in zip(grown._s_rows[:10], held, strict=True))
         assert grown.known_s_rows() == cache.known_s_rows()[:20]
-        assert grown._s_cols == _transposed(grown.known_s_rows())
+        assert grown._s_cols == _transposed(grown.stored_s_rows())
 
         # The column index follows growth through ascending d() too.
         grown = SequenceCache()
         for n in range(1, 18):
             grown.d(n)
-            assert grown._s_cols == _transposed(grown.known_s_rows())
+            assert grown._s_cols == _transposed(grown.stored_s_rows())
         assert grown.known_s_rows() == cache.known_s_rows()[:17]
 
     def test_ascending_d_matches_bulk(self):
@@ -212,16 +212,77 @@ class TestSTable:
         bulk.build_s_table(40)
         bulk.d(40)
         assert reloaded.known_s_rows() == bulk.known_s_rows()
-        assert reloaded._s_cols == _transposed(reloaded.known_s_rows())
+        assert reloaded._s_cols == _transposed(reloaded.stored_s_rows())
         for name in "uvd":
             assert reloaded.known_values(name)[:41] == bulk.known_values(name)[:41]
 
     def test_edited_row_fails_exact_division_on_growth(self, cache):
         rows = cache.known_s_rows()[:10]
-        rows[9][4] += 1  # s(10, 5)
+        rows[9][4] += 1 << 10  # s(10, 5) + 2^(E(10) - E(5)): the stored entry + 1
         edited = SequenceCache.from_values(u=cache.known_values("u")[:10], s_rows=rows)
         with pytest.raises(IntegrityError, match="not an integer"):
             edited.build_s_table(16)
+
+
+def _v2(x):
+    """The exponent of 2 in the nonzero integer x, read off its trailing zero bits."""
+    return (x & -x).bit_length() - 1
+
+
+def _e(n):
+    """E(n) = v2((2n)!)."""
+    return _v2(factorial(2 * n))
+
+
+class TestNormalizedTable:
+    """The s-table is held as s^(n, k) = s(n, k) >> (E(n) - E(k))."""
+
+    def test_stored_entries_shift_back_to_s(self):
+        fresh = SequenceCache()
+        fresh.build_s_table(80)
+        rows = fresh.stored_s_rows()
+        for n in range(1, 81):
+            assert fresh.s_row(n) == [x << (_e(n) - _e(k)) for k, x in enumerate(rows[n - 1], 1)]
+            for k in range(1, n + 1):
+                assert fresh.s(n, k) == fresh._s_rows[n - 1][k - 1] << (_e(n) - _e(k))
+                assert fresh.r(n, k) == fresh.s(n, k) << (n - k)
+
+    def test_shift_is_attained_in_every_column(self):
+        # v2(s(n, k)) = E(n) - E(k) where the stored entry is odd.  The
+        # diagonal s^(k, k) = 1 attains it in every column; below the
+        # diagonal, within n <= 80, all columns k < 80 but six attain it too.
+        fresh = SequenceCache()
+        fresh.build_s_table(80)
+        rows = fresh.stored_s_rows()
+        assert all(rows[k - 1][k - 1] == 1 for k in range(1, 81))
+        unattained = [k for k in range(1, 80) if not any(rows[n - 1][k - 1] & 1 for n in range(k + 1, 81))]
+        assert unattained == [32, 64, 72, 76, 78, 79]
+
+    def test_u_carries_the_factorial_two_power(self):
+        fresh = SequenceCache()
+        fresh.u(300)
+        for j, u in enumerate(fresh.known_values("u")):
+            assert _v2(u) >= _v2(factorial(2 * j + 1)), j
+
+    def test_from_values_rejects_a_short_two_power(self, cache):
+        rows = cache.known_s_rows()[:10]
+        rows[9][4] += 1  # s(10, 5) must be a multiple of 2^(E(10) - E(5)) = 2^10
+        with pytest.raises(IntegrityError, match=r"s\(10,5\) / 2\^10 is not an integer"):
+            SequenceCache.from_values(s_rows=rows)
+
+    def test_edited_u_fails_the_h_two_power_check(self, cache):
+        u = cache.known_values("u")[:4]
+        u[3] += 1  # moves h(4) by 2 * C(8, 1) = 16, short of 2^E(4) = 2^7
+        edited = SequenceCache.from_values(u=u)
+        with pytest.raises(IntegrityError, match=r"h\(4\) / 2\^7 is not an integer"):
+            edited.build_s_table(4)
+
+    def test_from_stored_takes_rows_as_held(self, cache):
+        rows = cache.stored_s_rows()[:12]
+        restored = SequenceCache.from_stored(u=cache.known_values("u"), s_rows=rows)
+        assert restored.stored_s_rows() == rows
+        assert restored.known_s_rows() == cache.known_s_rows()[:12]
+        assert SequenceCache.from_values(s_rows=cache.known_s_rows()[:12]).stored_s_rows() == rows
 
 
 class TestThetaSeries:
