@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--cache-dir", metavar="DIR")
 
     p_verify = sub.add_parser("verify", help="run congruence verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("parity", "mod5", "vanishing", "uv", "sums", "all"))
+    p_verify.add_argument("--suite", default="all", choices=(*verify.suites(), "all"))
     p_verify.add_argument("--prime", type=int,
                           help="prime for the vanishing/uv suites")
     p_verify.add_argument("--max", type=int, metavar="N",
@@ -149,11 +148,6 @@ def _emit(args, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _require_prime_arg(parser, p: int, what: str = "--prime") -> None:
-    if not is_prime(p):
-        parser.error(f"{what} must be prime, got {p}")
-
-
 # -- compute -------------------------------------------------------------
 
 
@@ -162,8 +156,8 @@ def _run_compute(args, parser) -> int:
         parser.error("--max must be >= 0")
     if args.seq in ("s", "r") and args.max < 1:
         parser.error("--max must be >= 1 for the s/r triangle")
-    if args.mod is not None:
-        _require_prime_arg(parser, args.mod, "--mod")
+    if args.mod is not None and not is_prime(args.mod):
+        parser.error(f"--mod must be prime, got {args.mod}")
     cache, before = _open_cache(args)
     reduce = (lambda x: x % args.mod) if args.mod is not None else (lambda x: x)
 
@@ -195,11 +189,8 @@ def _run_compute(args, parser) -> int:
 
 
 def _run_grid(args, parser) -> int:
-    _require_prime_arg(parser, args.prime)
-    if args.max_n < 1:
-        parser.error("--max-n must be >= 1")
-    if args.highlight_n0 and args.prime % 4 != 3:
-        parser.error("--highlight-n0 requires a prime congruent to 3 mod 4")
+    if args.highlight_n0:
+        n0 = VanishingThresholds.for_prime(args.prime).n0
     cache, before = _open_cache(args)
     grid = build_residue_grid(args.prime, args.max_n, cache)
     if args.format == "csv":
@@ -213,7 +204,6 @@ def _run_grid(args, parser) -> int:
         ]
     _emit(args, lines)
     if args.highlight_n0:
-        n0 = VanishingThresholds.for_prime(args.prime).n0
         marker = f"n0={n0}\n"
         if args.output:
             with open(args.output + ".n0", "w", encoding="ascii") as handle:
@@ -228,49 +218,25 @@ def _run_grid(args, parser) -> int:
 
 
 def _run_verify(args, parser) -> int:
-    cache, before = _open_cache(args)
-    reports = []
-    suite = args.suite
-    if suite == "all":
+    table = verify.suites()
+    if args.suite == "all":
         if args.max is not None or args.prime is not None:
             parser.error("--max/--prime apply to a single suite, not --suite all")
-        reports.append(verify.verify_parity(cache))
-        reports.append(verify.verify_mod5(cache))
-        for p in (3, 7, 11):
-            reports.append(verify.verify_mod_p_vanishing(cache, p))
-        for p in (5, 3, 7):
-            max_n = 40 if p == 5 else VanishingThresholds.for_prime(p).n0 + 20
-            reports.append(verify.verify_uv_structure(cache, p, max_n))
-        reports.append(verify.verify_even_odd_sums(cache, 60))
-    elif suite == "parity":
-        max_n = args.max if args.max is not None else verify.DEFAULT_MAX_N
-        reports.append(verify.verify_parity(cache, max_n))
-    elif suite == "mod5":
-        max_n = args.max if args.max is not None else verify.DEFAULT_MAX_N
-        reports.append(verify.verify_mod5(cache, max_n))
-    elif suite == "sums":
-        max_n = args.max if args.max is not None else 60
-        reports.append(verify.verify_even_odd_sums(cache, max_n))
-    elif suite == "vanishing":
-        if args.prime is None:
-            parser.error("--suite vanishing requires --prime")
-        _require_prime_arg(parser, args.prime)
-        if args.prime % 4 != 3:
-            parser.error(f"--suite vanishing requires a prime congruent to 3 mod 4, got {args.prime}")
-        reports.append(verify.verify_mod_p_vanishing(cache, args.prime, args.max))
-    else:  # uv
-        if args.prime is None:
-            parser.error("--suite uv requires --prime")
-        _require_prime_arg(parser, args.prime)
-        if args.prime == 2:
-            parser.error("--suite uv requires an odd prime")
-        if args.max is not None:
-            max_n = args.max
-        elif args.prime % 4 == 3:
-            max_n = VanishingThresholds.for_prime(args.prime).n0 + 20
-        else:
-            max_n = 40
-        reports.append(verify.verify_uv_structure(cache, args.prime, max_n))
+        calls = [
+            (run, prime_args)
+            for run, primes in table.values()
+            for prime_args in ([(p,) for p in primes] or [()])
+        ]
+    else:
+        run, primes = table[args.suite]
+        if primes and args.prime is None:
+            parser.error(f"--suite {args.suite} requires --prime")
+        if not primes and args.prime is not None:
+            parser.error(f"--suite {args.suite} takes no --prime")
+        calls = [(run, (args.prime,) if primes else ())]
+    bound = {} if args.max is None else {"max_n": args.max}
+    cache, before = _open_cache(args)
+    reports = [run(cache, *prime_args, **bound) for run, prime_args in calls]
 
     if args.format == "csv":
         print(verify.REPORT_CSV_HEADER)
@@ -289,11 +255,6 @@ def _run_verify(args, parser) -> int:
 
 
 def _run_scan(args, parser) -> int:
-    _require_prime_arg(parser, args.prime)
-    if args.prime % 4 != 1:
-        parser.error(f"--prime must be congruent to 1 mod 4, got {args.prime}")
-    if args.bound < 4 * args.prime:
-        parser.error(f"--bound must be at least 4p = {4 * args.prime}")
     cache, before = _open_cache(args)
     result = verify.scan_periodicity(cache, args.prime, args.bound)
     if result.conclusive:

@@ -5,6 +5,10 @@ and reports pass/fail together with the minimal counterexample when a check
 fails (smallest n first, then smallest k).  Suites only read the cache, so
 a single cache built to the largest needed bound can serve all of them.
 
+Each suite function holds its own default bound and argument checks: parity
+and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
+(p = 3 mod 4) or 40, sums to 60.  ``suites()`` is the one table of suites.
+
 The periodicity scanner for primes p = 1 (mod 4) is exploratory: it reports
 the shortest (preperiod, period) consistent with the scanned prefix, or
 nothing, and never asserts that the sequence is in fact periodic.
@@ -138,11 +142,9 @@ def verify_mod_p_vanishing(
 ) -> VerificationReport:
     """For p = 3 (mod 4): d(n) = 0 mod p for all n0 < n <= max_n, together
     with the vanishing of the whole r-submatrix 1 <= k <= n0 < n <= max_n
-    that drives it.  Fails if either family has an exception."""
-    if not is_prime(p) or p % 4 != 3:
-        raise ValueError(f"p must be a prime congruent to 3 mod 4, got {p}")
-    thresholds = VanishingThresholds.for_prime(p)
-    n0 = thresholds.n0
+    that drives it.  Fails if either family has an exception.  ``max_n``
+    defaults to ``DEFAULT_VANISHING_MAX`` (n0 + 30 for primes not in it)."""
+    n0 = VanishingThresholds.for_prime(p).n0
     if max_n is None:
         max_n = DEFAULT_VANISHING_MAX.get(p, n0 + 30)
     if max_n <= n0:
@@ -167,9 +169,10 @@ def verify_mod_p_vanishing(
 
 
 def verify_uv_structure(
-    cache: SequenceCache, p: int, max_n: int = DEFAULT_MAX_N
+    cache: SequenceCache, p: int, max_n: int | None = None
 ) -> VerificationReport:
-    """Residue structure of u and v mod an odd prime p.
+    """Residue structure of u and v mod an odd prime p, for 0 <= n <= max_n
+    (default n0 + 20 for p = 3 (mod 4), 40 otherwise).
 
     p = 5: u = (1, 1, 1, 0, 0, ...) and v = (1, 1, 2, 0, 0, ...) mod 5.
     p = 3 (mod 4): u((p-1)/2) = 0, u(n) = 0 for n >= n0, v(n) = 0 for
@@ -179,6 +182,8 @@ def verify_uv_structure(
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
+    if max_n is None:
+        max_n = VanishingThresholds.for_prime(p).n0 + 20 if p % 4 == 3 else 40
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     started = time.perf_counter()
@@ -234,9 +239,9 @@ def _observed_vanishing(cache: SequenceCache, p: int, max_n: int) -> str:
 
 
 def verify_even_odd_sums(
-    cache: SequenceCache, max_n: int = DEFAULT_MAX_N
+    cache: SequenceCache, max_n: int = 60
 ) -> VerificationReport:
-    """For 3 <= n <= max_n the sums of r(n, k) over even k and over odd k,
+    """For 3 <= n <= max_n (default 60) the sums of r(n, k) over even k and over odd k,
     both restricted to n/5 <= k <= n, each vanish mod 5."""
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
@@ -260,6 +265,19 @@ def verify_even_odd_sums(
             ce = Counterexample(n, None, "odd-k sum 0", odd_sum % 5)
             break
     return _report("even_odd_sums", 3, max_n, 5, started, ce)
+
+
+def suites() -> dict:
+    """Suite name -> (function, primes that a full run checks it at); an empty
+    tuple means the suite takes no prime.  Built per call, so a function
+    rebound on this module (by a tracer or a test) is the one returned."""
+    return {
+        "parity": (verify_parity, ()),
+        "mod5": (verify_mod5, ()),
+        "vanishing": (verify_mod_p_vanishing, (3, 7, 11)),
+        "uv": (verify_uv_structure, (5, 3, 7)),
+        "sums": (verify_even_odd_sums, ()),
+    }
 
 
 @dataclass(frozen=True)

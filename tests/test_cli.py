@@ -126,10 +126,12 @@ class TestGrid:
         assert (tmp_path / "grid.csv.n0").read_text() == "n0=24\n"
 
     def test_highlight_n0_needs_three_mod_four(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             ["grid", "--prime", "5", "--max-n", "10", "--highlight-n0"], capsys
         )
         assert code == 2
+        assert out == ""
+        assert err.startswith("romik: error:")
 
     def test_rejects_composite_prime(self, capsys):
         code, _, _ = run_cli(["grid", "--prime", "6", "--max-n", "5"], capsys)
@@ -190,13 +192,39 @@ class TestVerify:
     def test_all_suites_pass(self, capsys):
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
-        lines = [line for line in out.splitlines() if line.startswith("SUITE")]
-        assert len(lines) == 9
-        assert all("RESULT PASS" in line for line in lines)
-        suites = {line.split()[1] for line in lines}
-        assert suites == {
-            "parity", "mod5", "mod_p_vanishing", "uv_structure", "even_odd_sums",
-        }
+        assert out.splitlines() == [
+            f"SUITE {suite} RANGE {lo}..{hi} PRIME {p} RESULT PASS"
+            for suite, lo, hi, p in [
+                ("parity", 0, 150, "-"),
+                ("mod5", 1, 150, 5),
+                ("mod_p_vanishing", 5, 40, 3),
+                ("mod_p_vanishing", 25, 60, 7),
+                ("mod_p_vanishing", 61, 90, 11),
+                ("uv_structure", 0, 40, 5),
+                ("uv_structure", 0, 24, 3),
+                ("uv_structure", 0, 44, 7),
+                ("even_odd_sums", 3, 60, 5),
+            ]
+        ]
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["--suite", "sums"], "SUITE even_odd_sums RANGE 3..60 PRIME 5 RESULT PASS"),
+        (["--suite", "uv", "--prime", "7"], "SUITE uv_structure RANGE 0..44 PRIME 7 RESULT PASS"),
+        (["--suite", "uv", "--prime", "13"], "SUITE uv_structure RANGE 0..40 PRIME 13 RESULT PASS"),
+        (["--suite", "vanishing", "--prime", "19"],
+         "SUITE mod_p_vanishing RANGE 181..210 PRIME 19 RESULT PASS"),
+    ])
+    def test_single_suite_default_bounds(self, argv, first_line, capsys):
+        code, out, _ = run_cli(["verify", *argv], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("suite", ["parity", "mod5", "sums"])
+    def test_prime_less_suite_rejects_prime(self, suite, capsys):
+        code, out, err = run_cli(["verify", "--suite", suite, "--prime", "7"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--suite {suite} takes no --prime" in err
 
 
 class TestScanPeriod:
@@ -253,6 +281,24 @@ class TestCacheCommand:
         )
         assert code == 2
         assert "not an integer" in err
+
+
+class TestLibraryChecks:
+    """Argument errors raised by the library surface as ``romik: error:``
+    with exit 2, before any output and before the cache directory exists."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-period", "--prime", "7", "--bound", "100"],
+        ["grid", "--prime", "6", "--max-n", "5"],
+        ["verify", "--suite", "vanishing", "--prime", "5"],
+    ])
+    def test_rejected_before_any_output(self, argv, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        code, out, err = run_cli([*argv, "--cache-dir", str(directory)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("romik: error:")
+        assert not directory.exists()
 
 
 class TestModuleEntryPoints:

@@ -121,6 +121,10 @@ class TestUvStructure:
         with pytest.raises(ValueError):
             verify_uv_structure(cache, 2, 10)
 
+    @pytest.mark.parametrize("p, hi", [(7, 44), (13, 40)])
+    def test_default_bound(self, p, hi):
+        assert verify_uv_structure(SequenceCache(), p).hi == hi
+
 
 class TestEvenOddSums:
     def test_n3_by_hand(self, cache):
@@ -136,6 +140,9 @@ class TestEvenOddSums:
     def test_rejects_small_bound(self, cache):
         with pytest.raises(ValueError):
             verify_even_odd_sums(cache, 2)
+
+    def test_default_bound(self):
+        assert verify_even_odd_sums(SequenceCache()).hi == 60
 
 
 class TestScanPeriodicity:
