@@ -4,150 +4,257 @@ Binary, one file per sequence inside a cache directory: u.bin, v.bin and
 d.bin hold u(n), v(n), d(n) for n = 0, 1, 2, ...; s.bin holds the s-table
 in the form SequenceCache stores it, s^(n, k) = s(n, k) >> (E(n) - E(k))
 with E(n) = v2((2n)!), flattened row by row, s^(1,1), s^(2,1), s^(2,2),
-s^(3,1), ...  Each file is
+s^(3,1), ...  Each file is an ASCII header line followed by one or more
+self-contained segments:
 
-    header    ASCII line 'ROMIKCACHE v3 seq=<u|v|d|s> count=<N>\\n'
-    lengths   N little-endian uint32 byte lengths
-    values    N integers, x as
-              x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
+    header    'ROMIKCACHE v4 seq=<u|v|d|s>\\n'
+    segment   uint32 N >= 1
+              N uint32 byte lengths
+              N integers, x as
+                x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
+              uint32 zlib.crc32 of the segment's bytes before it
 
-so each value has one encoding.  A load reads each file once, in order,
-and raises CacheFormatError unless the header is exact, the count fits the
-file size before anything is unpacked, the size is exactly header + 4N +
-the sum of the lengths, each value has its own length, and the s count is
-triangular: a torn, extended or re-counted file fails loudly rather than
-yielding a plausible wrong value.  The stored s rows are handed to
-``SequenceCache.from_stored`` as they are, with no per-entry conversion.
+all little-endian, so each value has one encoding.  A segment closes once
+its values reach SEGMENT_BYTES, which bounds what a load holds at once.
 
-v2 files hold the same layout with s.bin in true s values; every v2 file
-is rejected with CacheVersionError, so a v2 cache must be rebuilt.  v1
-text files (*.txt) are not read; a directory holding only them loads as
-empty and is refilled.
+Files only grow.  store_cache opens each file in place, takes an exclusive
+POSIX ``flock``, walks the segment framing (checking every checksum) to
+learn how many values the file holds, and appends only the values past that
+count as new segments; a file it cannot validate is never truncated,
+replaced or extended.  Appends to s.bin are always whole rows.  The values
+are deterministic, so two writers growing one directory leave correct
+prefixes whichever appends first.  There is no fsync: it would cost each
+store more than the append saves, and a crash leaves at worst a short or
+garbled last segment, which the framing and checksum reject loudly.
+
+load_cache reads each file under a shared ``flock``, one segment at a time,
+and raises CacheFormatError unless the header is exact, each segment's
+count fits the bytes left before anything is unpacked, each segment ends
+within the file and matches its checksum, each value has its own length,
+the read ends exactly at the file size and the s count is triangular: a
+torn, extended or garbled file fails loudly rather than yielding a
+plausible wrong value.  (The checksum guards against damage, not against
+an edit that rewrites it too.)  An empty file holds no values; it is what a
+store leaves between creating a file and locking it.  The stored s rows are
+handed to ``SequenceCache.from_stored`` as they are, with no per-entry
+conversion.
+
+Files of earlier versions (v2, v3: one header count, no segments) are
+rejected with CacheVersionError; such a cache directory must be removed and
+built again.  v1 text files (*.txt) are not read; a directory holding only
+them loads as empty and is refilled.
 """
 
 from __future__ import annotations
 
+import fcntl
+import io
 import os
 import struct
+import zlib
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from math import isqrt
 
 from .core import SequenceCache
 
 MAGIC = "ROMIKCACHE"
-VERSION = "v3"
+VERSION = "v4"
 SEQUENCE_FILES = {"u": "u.bin", "v": "v.bin", "d": "d.bin"}
 S_TABLE_FILE = "s.bin"
+SEGMENT_BYTES = 1 << 16  # a segment closes once its values reach this size
 _MAX_HEADER = 80  # bytes searched for the header's newline
+_U32 = struct.Struct("<I")
 
 
 class CacheFormatError(ValueError):
-    """A cache file failed validation (bad header, size, length or shape)."""
+    """A cache file failed validation (bad header, size, length, checksum or shape)."""
 
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.reason = message
 
 
 class CacheVersionError(CacheFormatError):
     """The cache file declares a version other than the supported one."""
 
 
-def write_sequence(path: str, name: str, values: list[int]) -> None:
-    """Write one sequence file (values indexed from 0)."""
-    _write(path, name, [values])
-
-
-def _write(path: str, name: str, chunks: list[list[int]]) -> None:
-    # Streamed chunk by chunk: no file-sized buffer or full length list is built.
+def write_sequence(path: str, name: str, values: Iterable[int]) -> None:
+    """Write one sequence file (values indexed from 0), replacing any file at path."""
     with open(path, "wb") as handle:
-        handle.write(f"{MAGIC} {VERSION} seq={name} count={sum(map(len, chunks))}\n".encode())
-        for chunk in chunks:
-            handle.write(struct.pack(f"<{len(chunk)}I", *[(x.bit_length() + 8) // 8 for x in chunk]))
-        for chunk in chunks:
-            for x in chunk:
-                handle.write(x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True))
+        _write_segments(handle, name, values)
+
+
+def write_s_table(path: str, rows: list[list[int]]) -> None:
+    """Write the triangular s-table in stored form (rows[n-1] holds
+    s^(n, 1..n), as ``SequenceCache.stored_s_rows`` returns it) row by row,
+    replacing any file at path."""
+    write_sequence(path, "s", chain.from_iterable(rows))
+
+
+def _write_segments(handle, name: str, values: Iterable[int]) -> None:
+    # The header goes out with the first segment, so nothing is written
+    # when there are no values.  One segment's bytes are held at a time.
+    header = _header(name) if handle.tell() == 0 else b""
+    lengths: list[int] = []
+    data = bytearray()
+    for x in values:
+        length = (x.bit_length() + 8) // 8
+        lengths.append(length)
+        data += x.to_bytes(length, "little", signed=True)
+        if len(data) >= SEGMENT_BYTES:
+            _write_segment(handle, header, lengths, data)
+            header, lengths, data = b"", [], bytearray()
+    if lengths:
+        _write_segment(handle, header, lengths, data)
+
+
+def _write_segment(handle, header: bytes, lengths: list[int], data: bytearray) -> None:
+    head = struct.pack(f"<{len(lengths) + 1}I", len(lengths), *lengths)
+    handle.write(header)
+    handle.write(head)
+    handle.write(data)
+    handle.write(_U32.pack(zlib.crc32(data, zlib.crc32(head))))
+
+
+def _header(name: str) -> bytes:
+    return f"{MAGIC} {VERSION} seq={name}\n".encode("ascii")
 
 
 def read_sequence(path: str, name: str) -> list[int]:
-    """Read one sequence file back, enforcing header, count and sizes."""
+    """Read one sequence file back, enforcing header, framing, checksums and sizes."""
+    values: list[int] = []
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        line = handle.readline(_MAX_HEADER)
-        if not line.endswith(b"\n"):
-            raise CacheFormatError(path, f"no header line in the first {_MAX_HEADER} bytes")
-        count = _parse_header(path, line[:-1].decode("ascii", "backslashreplace"), name)
-        start = len(line) + 4 * count
-        if count == 0 or start > size:
-            raise CacheFormatError(path, f"count={count} does not fit a file of {size} bytes")
-        # A read cut short (the file shrank after fstat) is padded, then caught by tell().
-        lengths = struct.unpack(f"<{count}I", handle.read(4 * count).ljust(4 * count, b"\0"))
-        declared = start + sum(lengths)
-        if declared != size:
-            raise CacheFormatError(path, f"file has {size} bytes, header and lengths declare {declared}")
-        # Value by value: the file's bytes and all its values are never held at once.
-        values: list[int] = []
-        for length in lengths:
-            x = int.from_bytes(handle.read(length), "little", signed=True)
-            if length != (x.bit_length() + 8) // 8:
-                raise CacheFormatError(path, f"value {len(values)} is not in its {length}-byte form")
-            values.append(x)
-        if handle.tell() != size:
-            raise CacheFormatError(path, f"file changed while being read at byte {handle.tell()}")
+        fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+        for lengths, data in _walk(handle, path, name):
+            read = io.BytesIO(data).read
+            decoded = [int.from_bytes(read(length), "little", signed=True) for length in lengths]
+            own = tuple([(x.bit_length() + 8) >> 3 for x in decoded])
+            if own != lengths:
+                i = next(i for i, pair in enumerate(zip(own, lengths)) if pair[0] != pair[1])
+                message = f"value {len(values) + i} is not in its {lengths[i]}-byte form"
+                raise CacheFormatError(path, message)
+            values += decoded
     return values
 
 
-def _parse_header(path: str, header: str, name: str) -> int:
+def _walk(handle, path: str, name: str) -> Iterator[tuple[tuple[int, ...], bytes]]:
+    """Yield each segment's lengths and value bytes, checked against the
+    file size taken once here and against the segment's checksum.  The
+    handle must be positioned at the start of the file."""
+    size = os.fstat(handle.fileno()).st_size
+    if size == 0:
+        return
+    line = handle.readline(_MAX_HEADER)
+    if not line.endswith(b"\n"):
+        raise CacheFormatError(path, f"no header line in the first {_MAX_HEADER} bytes")
+    _check_header(path, line[:-1].decode("ascii", "backslashreplace"), name)
+    position = len(line)
+    if position == size:
+        raise CacheFormatError(path, "no segment after the header")
+    while position < size:
+        # A read cut short (the file shrank after fstat) is caught by _read.
+        left = size - position
+        if left < 4:
+            message = f"segment at byte {position} is cut inside its count ({left} bytes left)"
+            raise CacheFormatError(path, message)
+        head = _read(handle, path, 4)
+        (count,) = _U32.unpack(head)
+        if count == 0:
+            raise CacheFormatError(path, f"segment at byte {position} holds no values")
+        if 4 * count + 8 > left:
+            message = f"segment at byte {position}: count={count} does not fit the {left} bytes left"
+            raise CacheFormatError(path, message)
+        packed = _read(handle, path, 4 * count)
+        lengths = struct.unpack(f"<{count}I", packed)
+        end = position + 4 * count + 8 + sum(lengths)
+        if end > size:
+            raise CacheFormatError(path, f"file has {size} bytes, header and lengths declare {end}")
+        data = _read(handle, path, end - position - 4 * count - 4)
+        crc = zlib.crc32(memoryview(data)[:-4], zlib.crc32(packed, zlib.crc32(head)))
+        if crc != _U32.unpack_from(data, len(data) - 4)[0]:
+            raise CacheFormatError(path, f"checksum mismatch in the segment at byte {position}")
+        yield lengths, data
+        position = end
+    if handle.tell() != size:
+        raise CacheFormatError(path, f"file changed while being read at byte {handle.tell()}")
+
+
+def _read(handle, path: str, n: int) -> bytes:
+    data = handle.read(n)
+    if len(data) != n:
+        raise CacheFormatError(path, f"file changed while being read at byte {handle.tell()}")
+    return data
+
+
+def _check_header(path: str, header: str, name: str) -> None:
     fields = header.split(" ")
     if fields[0] != MAGIC:
         raise CacheFormatError(path, f"not a {MAGIC} file (header {header!r})")
     if fields[1:2] != [VERSION]:
         found = (fields + [""])[1]
         raise CacheVersionError(path, f"unsupported version {found!r} (supported: {VERSION})")
-    expected = f"{MAGIC} {VERSION} seq={name} count="
-    count = header[len(expected):]
-    if not (count.isascii() and count.isdigit()) or header != f"{expected}{int(count)}":
-        raise CacheFormatError(path, f"expected header '{expected}<N>', found {header!r}")
-    return int(count)
-
-
-def write_s_table(path: str, rows: list[list[int]]) -> None:
-    """Write the triangular s-table in stored form (rows[n-1] holds
-    s^(n, 1..n), as ``SequenceCache.stored_s_rows`` returns it) row by row."""
-    _write(path, "s", rows)
+    expected = _header(name)[:-1].decode("ascii")
+    if header != expected:
+        raise CacheFormatError(path, f"expected header {expected!r}, found {header!r}")
 
 
 def read_s_table(path: str) -> list[list[int]]:
     """Read the triangular s-table back in stored form, enforcing complete
     triangle coverage."""
     values = read_sequence(path, "s")
-    bound = (isqrt(8 * len(values) + 1) - 1) // 2
-    done = bound * (bound + 1) // 2
-    if done != len(values):
-        short = f"row {bound + 1} stops after {len(values) - done} of {bound + 1} entries"
-        raise CacheFormatError(path, f"count={len(values)} is not triangular: {short}")
+    bound = _s_bound(path, len(values))
     return [values[n * (n - 1) // 2:n * (n + 1) // 2] for n in range(1, bound + 1)]
 
 
+def _s_bound(path: str, count: int) -> int:
+    bound = (isqrt(8 * count + 1) - 1) // 2
+    done = bound * (bound + 1) // 2
+    if done != count:
+        short = f"row {bound + 1} stops after {count - done} of {bound + 1} entries"
+        raise CacheFormatError(path, f"count={count} is not triangular: {short}")
+    return bound
+
+
 def store_cache(directory: str, cache: SequenceCache) -> None:
-    """Write every cached sequence (and the s-table, if built) into directory."""
+    """Append to the files in directory every cached value (and s-table row,
+    if built) they do not hold yet; a file holding as many or more is left
+    untouched."""
     os.makedirs(directory, exist_ok=True)
     for name, filename in SEQUENCE_FILES.items():
-        write_sequence(os.path.join(directory, filename), name, cache.known_values(name))
+        _append(os.path.join(directory, filename), name, cache.known_values(name))
     if cache.s_bound:
-        write_s_table(os.path.join(directory, S_TABLE_FILE), cache.stored_s_rows())
+        s_values = chain.from_iterable(cache.stored_s_rows())
+        _append(os.path.join(directory, S_TABLE_FILE), "s", s_values)
+
+
+def _append(path: str, name: str, values: Iterable[int]) -> None:
+    with open(path, "a+b") as handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        handle.seek(0)
+        try:
+            count = sum(len(lengths) for lengths, _ in _walk(handle, path, name))
+            if name == "s":
+                _s_bound(path, count)
+        except CacheFormatError as exc:
+            remedy = "not appended to: remove the cache directory and build it again"
+            raise type(exc)(path, f"{exc.reason}; {remedy}") from None
+        # In append mode every write lands at the end of the file.
+        _write_segments(handle, name, islice(values, count, None))
 
 
 def load_cache(directory: str) -> SequenceCache:
     """Load whichever cache files exist in directory into a fresh cache.
 
-    Missing files leave that sequence at its seed; present files must be
-    valid.  Round trip with store_cache reproduces identical values.
+    Missing or empty files leave that sequence at its seed; present files
+    must be valid.  Round trip with store_cache reproduces identical values.
     """
     kwargs: dict = {}
     for name, filename in SEQUENCE_FILES.items():
         path = os.path.join(directory, filename)
         if os.path.exists(path):
-            kwargs[name] = read_sequence(path, name)
+            kwargs[name] = read_sequence(path, name) or None
     s_path = os.path.join(directory, S_TABLE_FILE)
     if os.path.exists(s_path):
         kwargs["s_rows"] = read_s_table(s_path)

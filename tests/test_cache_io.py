@@ -1,15 +1,19 @@
 """Tests for the on-disk cache format: round trips and corruption handling."""
 
+import fcntl
+import multiprocessing
 import os
 import struct
 import tempfile
+import zlib
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romik import SequenceCache
+from romik import SequenceCache, cache_io
 from romik.cache_io import (
     CacheFormatError,
     CacheVersionError,
@@ -55,12 +59,14 @@ class TestRoundTrip:
         store_cache(str(tmp_path), small_cache)
         data = (tmp_path / "d.bin").read_bytes()
         header, rest = data.split(b"\n", 1)
-        assert header == b"ROMIKCACHE v3 seq=d count=9"
-        lengths = struct.unpack_from("<9I", rest)
-        values = rest[4 * 9:]
+        assert header == b"ROMIKCACHE v4 seq=d"
+        count, *lengths = struct.unpack_from("<10I", rest)
+        assert count == 9
+        values = rest[4 * 10:-4]
         assert len(values) == sum(lengths)
         assert values[:1] == b"\x01"  # d(0) = 1
         assert values[2:3] == b"\xff"  # d(2) = -1
+        assert rest[-4:] == struct.pack("<I", zlib.crc32(rest[:-4]))
         assert not (tmp_path / "d.txt").exists()
 
     def test_v1_text_files_are_not_read(self, tmp_path):
@@ -89,29 +95,57 @@ V2_FILES = {
 }
 
 
+# The v3 files of the cache of d(4): one header count and no segments.
+V3_FILES = {
+    "u.bin": b"ROMIKCACHE v3 seq=u count=4\n"
+    + bytes.fromhex("01000000 01000000 02000000 02000000")
+    + bytes.fromhex("01 06 0001 906f"),
+    "v.bin": b"ROMIKCACHE v3 seq=v count=5\n"
+    + bytes.fromhex("01000000 01000000 01000000 02000000 03000000")
+    + bytes.fromhex("01 01 2f e31c b16f25"),
+    "d.bin": b"ROMIKCACHE v3 seq=d count=5\n"
+    + bytes.fromhex("01000000 01000000 01000000 01000000 02000000")
+    + bytes.fromhex("01 01 ff 33 5103"),
+    "s.bin": b"ROMIKCACHE v3 seq=s count=10\n"
+    + bytes.fromhex(
+        "01000000 01000000 01000000 02000000 01000000"
+        " 01000000 02000000 02000000 01000000 01000000"
+    )
+    + bytes.fromhex("01 06 01 ed00 3c 01 3213 f605 2a 01"),
+}
+
+
 class TestPinnedFormat:
     """Byte-exact files for the cache of d(4); any format drift fails here."""
 
     EXPECTED = {
         # u = 1, 6, 256, 28560
-        "u.bin": b"ROMIKCACHE v3 seq=u count=4\n"
+        "u.bin": b"ROMIKCACHE v4 seq=u\n"
+        + bytes.fromhex("04000000")
         + bytes.fromhex("01000000 01000000 02000000 02000000")
-        + bytes.fromhex("01 06 0001 906f"),
+        + bytes.fromhex("01 06 0001 906f")
+        + bytes.fromhex("bc540b71"),
         # v = 1, 1, 47, 7395, 2453425
-        "v.bin": b"ROMIKCACHE v3 seq=v count=5\n"
+        "v.bin": b"ROMIKCACHE v4 seq=v\n"
+        + bytes.fromhex("05000000")
         + bytes.fromhex("01000000 01000000 01000000 02000000 03000000")
-        + bytes.fromhex("01 01 2f e31c b16f25"),
+        + bytes.fromhex("01 01 2f e31c b16f25")
+        + bytes.fromhex("2bc0f208"),
         # d = 1, 1, -1, 51, 849
-        "d.bin": b"ROMIKCACHE v3 seq=d count=5\n"
+        "d.bin": b"ROMIKCACHE v4 seq=d\n"
+        + bytes.fromhex("05000000")
         + bytes.fromhex("01000000 01000000 01000000 01000000 02000000")
-        + bytes.fromhex("01 01 ff 33 5103"),
+        + bytes.fromhex("01 01 ff 33 5103")
+        + bytes.fromhex("e28ec77f"),
         # stored rows s(n, k) >> (E(n) - E(k)): [1], [6, 1], [237, 60, 1], [4914, 1526, 42, 1]
-        "s.bin": b"ROMIKCACHE v3 seq=s count=10\n"
+        "s.bin": b"ROMIKCACHE v4 seq=s\n"
+        + bytes.fromhex("0a000000")
         + bytes.fromhex(
             "01000000 01000000 01000000 02000000 01000000"
             " 01000000 02000000 02000000 01000000 01000000"
         )
-        + bytes.fromhex("01 06 01 ed00 3c 01 3213 f605 2a 01"),
+        + bytes.fromhex("01 06 01 ed00 3c 01 3213 f605 2a 01")
+        + bytes.fromhex("f576f91e"),
     }
 
     def test_store_writes_pinned_bytes(self, tmp_path):
@@ -133,13 +167,24 @@ class TestPinnedFormat:
         assert loaded.known_s_rows() == [[1], [24, 1], [1896, 120, 1], [314496, 24416, 336, 1]]
 
     def test_v2_files_are_rejected(self, tmp_path, capsys):
-        for name, data in V2_FILES.items():
+        self._assert_rejected(tmp_path, capsys, "v2", V2_FILES)
+
+    def test_v3_files_are_rejected(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, "v3", V3_FILES)
+
+    def _assert_rejected(self, tmp_path, capsys, version, files):
+        for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         with pytest.raises(CacheVersionError) as err:
             load_cache(str(tmp_path))
-        assert "unsupported version 'v2' (supported: v3)" in str(err.value)
+        assert f"unsupported version '{version}' (supported: v4)" in str(err.value)
+        # cache build neither extends nor replaces them; it says what to do.
+        assert main(["cache", "build", "--dir", str(tmp_path), "--max", "6"]) == 2
+        assert "remove the cache directory and build it again" in capsys.readouterr().err
         for name in ("u.bin", "v.bin", "d.bin"):  # s.bin alone is rejected too
+            assert (tmp_path / name).read_bytes() == files[name]
             (tmp_path / name).unlink()
+        assert (tmp_path / "s.bin").read_bytes() == files["s.bin"]
         with pytest.raises(CacheVersionError):
             load_cache(str(tmp_path))
         assert main(["cache", "check", "--dir", str(tmp_path)]) == 2
@@ -150,13 +195,29 @@ class TestPinnedFormat:
         path = str(tmp_path / "s.bin")
         write_sequence(path, "s", [x])
         data = (tmp_path / "s.bin").read_bytes()
-        (length,) = struct.unpack_from("<I", data, data.index(b"\n") + 1)
-        assert length == (x.bit_length() + 8) // 8
+        count, length = struct.unpack_from("<2I", data, data.index(b"\n") + 1)
+        assert (count, length) == (1, (x.bit_length() + 8) // 8)
         assert read_sequence(path, "s") == [x]
 
 
-def _header(name, count):
-    return f"ROMIKCACHE v3 seq={name} count={count}\n".encode("ascii")
+HEADER_D = b"ROMIKCACHE v4 seq=d\n"
+
+
+def _segment(lengths, values):
+    body = struct.pack(f"<{len(lengths) + 1}I", len(lengths), *lengths) + values
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _segment_starts(data):
+    """Offsets of each segment of a v4 file, parsed independently of cache_io."""
+    position, starts = data.index(b"\n") + 1, []
+    while position < len(data):
+        starts.append(position)
+        (count,) = struct.unpack_from("<I", data, position)
+        lengths = struct.unpack_from(f"<{count}I", data, position + 4)
+        position += 4 * count + 8 + sum(lengths)
+    assert position == len(data)
+    return starts
 
 
 class TestCorruption:
@@ -169,7 +230,7 @@ class TestCorruption:
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(b"SOMETHINGELSE v3 seq=d count=1\n\x01\x00\x00\x00\x01")
+        path.write_bytes(b"SOMETHINGELSE v4 seq=d\n" + _segment([1], b"\x01"))
         with pytest.raises(CacheFormatError):
             read_sequence(str(path), "d")
 
@@ -182,11 +243,13 @@ class TestCorruption:
         assert "seq=d" in str(err.value)
 
     def test_gap_is_named(self, tmp_path):
-        # d = 1, 1, -1, 51 with the value d(2) cut out but the count kept.
+        # d = 1, 1, -1, 51 with the value d(2) cut out but the lengths kept.
         path = tmp_path / "d.bin"
         write_sequence(str(path), "d", [1, 1, -1, 51])
         data = path.read_bytes()
-        path.write_bytes(data[:-2] + data[-1:])
+        cut = len(HEADER_D) + 4 + 4 * 4 + 2
+        assert data[cut:cut + 1] == b"\xff"
+        path.write_bytes(data[:cut] + data[cut + 1:])
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
         assert f"file has {len(data) - 1} bytes" in str(err.value)
@@ -194,34 +257,42 @@ class TestCorruption:
         assert err.value.path == str(path)
 
     def test_non_integer_value(self, tmp_path):
-        # Only the count store_cache writes is read: no sign, space or leading zero.
+        # The header carries no count (v3 did); a count of any form, or any
+        # other text after the sequence tag, is rejected.
         path = tmp_path / "d.bin"
-        for count in (b"x", b"-1", b"+4", b"04", b"4 ", b"", b"\xb2"):
-            path.write_bytes(b"ROMIKCACHE v3 seq=d count=" + count + b"\n" + bytes(4 * 4 + 4))
+        body = _segment([1], b"\x01")
+        tails = (b" count=1", b" count=x", b" count=-1", b" count=04", b" ", b"\r", b"d", b"\xb2")
+        for tail in tails:
+            path.write_bytes(HEADER_D[:-1] + tail + b"\n" + body)
             with pytest.raises(CacheFormatError) as err:
                 read_sequence(str(path), "d")
-            assert "expected header" in str(err.value), count
+            assert "expected header" in str(err.value), tail
+        path.write_bytes(HEADER_D + body)
+        assert read_sequence(str(path), "d") == [1]
 
     def test_value_not_in_its_own_length(self, tmp_path):
         # 1 stored in two bytes decodes to 1 but is not the file's encoding.
         path = tmp_path / "d.bin"
-        path.write_bytes(_header("d", 1) + struct.pack("<I", 2) + b"\x01\x00")
+        path.write_bytes(HEADER_D + _segment([1], b"\x01") + _segment([2], b"\x01\x00"))
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
-        assert "value 0" in str(err.value)
+        assert "value 1 is not in its 2-byte form" in str(err.value)
 
     def test_zero_length_value(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(_header("d", 2) + struct.pack("<2I", 1, 0) + b"\x01")
+        path.write_bytes(HEADER_D + _segment([1, 0], b"\x01"))
         with pytest.raises(CacheFormatError):
             read_sequence(str(path), "d")
 
     def test_count_checked_before_unpacking(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(_header("d", 10 ** 40) + b"\x01\x00\x00\x00\x01")
+        # A second segment declaring 2^32 - 1 values in the 9 bytes left.
+        huge = struct.pack("<I", 2 ** 32 - 1) + b"\x01\x00\x00\x00\x01"
+        path.write_bytes(HEADER_D + _segment([1], b"\x01") + huge)
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
-        assert f"count={10 ** 40} does not fit a file of" in str(err.value)
+        at = len(HEADER_D) + 13
+        assert f"segment at byte {at}: count={2 ** 32 - 1} does not fit the 9 bytes left" in str(err.value)
 
     def test_file_shrinking_during_read_is_caught(self, tmp_path, monkeypatch):
         # The size is taken once, before reading; a file cut short after that
@@ -231,27 +302,33 @@ class TestCorruption:
         data = path.read_bytes()
         stat = os.stat_result((0,) * 6 + (len(data),) + (0,) * 3)
         monkeypatch.setattr(os, "fstat", lambda fd: stat)
-        path.write_bytes(data[:-1])  # the last value, d(2), is cut off
-        with pytest.raises(CacheFormatError) as err:
-            read_sequence(str(path), "d")
-        assert "changed while being read" in str(err.value)
-        path.write_bytes(data[:len(_header("d", 3)) + 6])  # cut inside the lengths
-        with pytest.raises(CacheFormatError):
-            read_sequence(str(path), "d")
+        for cut in (1, 5, 9):  # inside the checksum, the value d(2), the lengths
+            path.write_bytes(data[:-cut])
+            with pytest.raises(CacheFormatError) as err:
+                read_sequence(str(path), "d")
+            assert "changed while being read" in str(err.value), cut
 
     def test_missing_header_line(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(b"ROMIKCACHE v3 seq=d count=1" + b"0" * 100)
+        path.write_bytes(b"ROMIKCACHE v4 seq=d" + b"0" * 100)
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
         assert "no header line" in str(err.value)
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "d.bin"
-        path.write_bytes(_header("d", 0))
+        path.write_bytes(HEADER_D)
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
-        assert "count=0 does not fit" in str(err.value)
+        assert "no segment after the header" in str(err.value)
+        path.write_bytes(HEADER_D + _segment([], b""))
+        with pytest.raises(CacheFormatError) as err:
+            read_sequence(str(path), "d")
+        assert f"segment at byte {len(HEADER_D)} holds no values" in str(err.value)
+        # An empty file is what a store leaves between creating and locking it.
+        path.write_bytes(b"")
+        assert read_sequence(str(path), "d") == []
+        assert load_cache(str(tmp_path)).known_values("d") == [1]
 
     def test_s_table_gap(self, tmp_path, small_cache):
         # Rows 1..3 with s(2,2) missing: five entries, so row 3 is short.
@@ -296,38 +373,47 @@ def _drop(n):
 
 def _shift_count(delta):
     def edit(data):
-        header, rest = data.split(b"\n", 1)
-        prefix, count = header.rsplit(b"=", 1)
-        return prefix + b"=" + str(int(count) + delta).encode() + b"\n" + rest
+        last = _segment_starts(data)[-1]
+        (count,) = struct.unpack_from("<I", data, last)
+        return data[:last] + struct.pack("<I", count + delta) + data[last + 4:]
     return edit
 
 
+# Each edit of the last segment and the check that catches it.
 TORN = {
-    "drop-1": _drop(1),
-    "drop-3": _drop(3),
-    "append-1": lambda data: data + b"\x00",
-    "count+1": _shift_count(1),
-    "count-1": _shift_count(-1),
+    "drop-1": (_drop(1), "header and lengths declare"),
+    "drop-3": (_drop(3), "header and lengths declare"),
+    "append-1": (lambda data: data + b"\x00", "is cut inside its count"),
+    "count+1": (_shift_count(1), "header and lengths declare"),
+    "count-1": (_shift_count(-1), "checksum mismatch"),
 }
 
 
-def _stored_files(directory, n):
+def _bulk(n):
     cache = SequenceCache()
     cache.d(n)
     cache.u(n)
     cache.v(n)
-    store_cache(str(directory), cache)
+    return cache
+
+
+def _stored_files(directory, *bounds):
+    """The files of one directory grown by a store at each bound in turn."""
+    for n in bounds:
+        store_cache(str(directory), _bulk(n))
     return {name: (directory / name).read_bytes() for name in os.listdir(directory)}
 
 
 class TestTornWrite:
-    """A file cut short, extended, or with an edited count is rejected; it
-    never loads as a plausible wrong table (v1 text loaded v.txt with its
-    last 3 bytes dropped and returned a wrong v(40))."""
+    """A file cut short, extended, or with an edited count in its last
+    segment is rejected; it never loads as a plausible wrong table (v1 text
+    loaded v.txt with its last 3 bytes dropped and returned a wrong v(40))."""
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
-        return _stored_files(tmp_path_factory.mktemp("torn"), 40)
+        files = _stored_files(tmp_path_factory.mktemp("torn"), 20, 40)
+        assert all(len(_segment_starts(data)) == 2 for data in files.values())
+        return files
 
     @pytest.mark.parametrize("edit", sorted(TORN))
     @pytest.mark.parametrize("name", ["u", "v", "d", "s"])
@@ -335,13 +421,133 @@ class TestTornWrite:
         for filename, data in stored.items():
             (tmp_path / filename).write_bytes(data)
         path = tmp_path / f"{name}.bin"
-        path.write_bytes(TORN[edit](stored[f"{name}.bin"]))
+        change, message = TORN[edit]
+        path.write_bytes(change(stored[f"{name}.bin"]))
         with pytest.raises(CacheFormatError) as err:
             load_cache(str(tmp_path))
         assert err.value.path == str(path)
-        assert "header and lengths declare" in str(err.value)  # caught by the size check
+        assert message in str(err.value)
         assert main(["cache", "check", "--dir", str(tmp_path)]) == 2
         assert f"romik: error: {path}: " in capsys.readouterr().err
+
+
+class TestAppendOnly:
+    """Growth appends segments past what a file holds and rewrites nothing."""
+
+    @pytest.fixture
+    def grown(self, tmp_path):
+        """A directory stored at 20 and grown to 40 by the CLI, with the
+        files as they were at 20."""
+        directory = tmp_path / "cache"
+        assert main(["cache", "build", "--dir", str(directory), "--max", "20"]) == 0
+        first = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        argv = ["verify", "--suite", "sums", "--max", "40", "--cache-dir", str(directory)]
+        assert main(argv) == 0
+        return directory, first
+
+    def test_growth_keeps_the_first_segment(self, grown, capsys):
+        directory, first = grown
+        for name, before in first.items():
+            after = (directory / name).read_bytes()
+            assert after[:len(before)] == before, name
+        s_file = (directory / "s.bin").read_bytes()
+        starts = _segment_starts(s_file)
+        assert len(starts) > 1
+        assert struct.unpack_from("<I", s_file, starts[0]) == (20 * 21 // 2,)  # rows 1..20
+        assert load_cache(str(directory)).known_s_rows() == _bulk(40).known_s_rows()
+        capsys.readouterr()
+        assert main(["cache", "check", "--dir", str(directory)]) == 0
+        assert "SEQ s ROWS 40" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("part, inside", [
+        ("count", lambda start, data: start + 2),
+        ("lengths", lambda start, data: start + 6),
+        ("values", lambda start, data: len(data) - 6),
+        ("checksum", lambda start, data: len(data) - 2),
+    ])
+    def test_cut_last_segment_is_rejected(self, grown, capsys, part, inside):
+        directory, _ = grown
+        path = directory / "s.bin"
+        data = path.read_bytes()
+        cut = data[:inside(_segment_starts(data)[-1], data)]
+        path.write_bytes(cut)
+        with pytest.raises(CacheFormatError) as err:
+            load_cache(str(directory))
+        assert err.value.path == str(path)
+        capsys.readouterr()
+        assert main(["cache", "check", "--dir", str(directory)]) == 2
+        assert f"romik: error: {path}: " in capsys.readouterr().err
+        # A store never extends or repairs a file it cannot validate.
+        with pytest.raises(CacheFormatError) as err:
+            store_cache(str(directory), _bulk(44))
+        assert "remove the cache directory" in str(err.value)
+        assert path.read_bytes() == cut
+
+    def test_flipped_value_byte_fails_checksum(self, grown):
+        directory, _ = grown
+        path = directory / "d.bin"
+        data = bytearray(path.read_bytes())
+        last = _segment_starts(bytes(data))[-1]
+        data[-5] ^= 0x01  # the last byte of the last value, d(40)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CacheFormatError) as err:
+            load_cache(str(directory))
+        assert str(err.value) == f"{path}: checksum mismatch in the segment at byte {last}"
+
+    def test_store_with_nothing_new_writes_nothing(self, grown):
+        # Every write lands at the end of a file, so an unchanged size and
+        # modification time mean no byte was written.
+        directory, _ = grown
+
+        def stats():
+            return {name: (directory / name).stat() for name in sorted(os.listdir(directory))}
+
+        before = {name: (st.st_size, st.st_mtime_ns) for name, st in stats().items()}
+        store_cache(str(directory), load_cache(str(directory)))
+        store_cache(str(directory), SequenceCache())  # nor does a cache holding only seeds
+        assert {name: (st.st_size, st.st_mtime_ns) for name, st in stats().items()} == before
+
+    def test_segments_close_at_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_io, "SEGMENT_BYTES", 64)
+        values = _bulk(60).known_values("d")
+        path = tmp_path / "d.bin"
+        write_sequence(str(path), "d", values)
+        data = path.read_bytes()
+        starts = _segment_starts(data) + [len(data)]
+        for start, end in zip(starts, starts[1:]):
+            (count,) = struct.unpack_from("<I", data, start)
+            lengths = struct.unpack_from(f"<{count}I", data, start + 4)
+            assert sum(lengths[:-1]) < 64 <= sum(lengths) or end == len(data)
+        assert len(starts) > 3
+        assert read_sequence(str(path), "d") == values
+
+    def test_two_processes_grow_one_directory(self, tmp_path):
+        directory = tmp_path / "cache"
+        assert main(["cache", "build", "--dir", str(directory), "--max", "12"]) == 0
+        before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        argvs = [["verify", "--suite", "sums", "--max", str(n), "--cache-dir", str(directory)]
+                 for n in (36, 48)]
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(2) as pool:
+            with ExitStack() as held:
+                for name in before:  # loads may go on; every store must wait
+                    handle = held.enter_context(open(directory / name, "rb"))
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+                result = pool.map_async(main, argvs, chunksize=1)
+                result.wait(timeout=2)
+                assert not result.ready()
+                assert {name: (directory / name).read_bytes() for name in before} == before
+            # Released: both stores now contend for each file's lock.
+            assert result.get(timeout=120) == [0, 0]
+        loaded = load_cache(str(directory))
+        bulk = _bulk(48)
+        assert loaded.s_bound == 48
+        assert loaded.known_s_rows() == bulk.known_s_rows()
+        for name in "uvd":
+            values = loaded.known_values(name)
+            assert values == bulk.known_values(name)[:len(values)], name
+        for name, data in before.items():
+            assert (directory / name).read_bytes().startswith(data), name
 
 
 class TestFuzzedFiles:
@@ -351,7 +557,7 @@ class TestFuzzedFiles:
 
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
-        return _stored_files(tmp_path_factory.mktemp("fuzz"), 8)
+        return _stored_files(tmp_path_factory.mktemp("fuzz"), 4, 8)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -388,6 +594,6 @@ class TestSTableFile:
         write_s_table(str(path), small_cache.stored_s_rows())
         data = path.read_bytes()
         header, rest = data.split(b"\n", 1)
-        assert header == b"ROMIKCACHE v3 seq=s count=36"  # rows 1..8
-        assert struct.unpack_from("<I", rest) == (1,)
-        assert rest[4 * 36:4 * 36 + 1] == b"\x01"  # s(1,1) = 1
+        assert header == b"ROMIKCACHE v4 seq=s"
+        assert struct.unpack_from("<2I", rest) == (36, 1)  # rows 1..8; s(1,1) has 1 byte
+        assert rest[4 * 37:4 * 37 + 1] == b"\x01"  # s(1,1) = 1

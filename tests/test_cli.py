@@ -253,11 +253,12 @@ class TestCacheCommand:
         assert "SEQ s ROWS 6" in out
 
     def test_check_rejects_gap(self, tmp_path, capsys):
-        # d = 1, 1, -1 with the value d(1) cut out but the count kept.
+        # d = 1, 1, -1 with the value d(1) cut out but the lengths kept.
         path = tmp_path / "d.bin"
         write_sequence(str(path), "d", [1, 1, -1])
         data = path.read_bytes()
-        path.write_bytes(data[:-2] + data[-1:])
+        cut = len(data) - 4 - 2  # values end where the 4-byte checksum starts
+        path.write_bytes(data[:cut] + data[cut + 1:])
         code, _, err = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
         assert code == 2
         assert f"file has {len(data) - 1} bytes, header and lengths declare {len(data)}" in err
@@ -267,6 +268,31 @@ class TestCacheCommand:
         code, _, err = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
         assert code == 2
         assert "unsupported version" in err
+
+    def test_build_appends_to_an_existing_directory(self, tmp_path, capsys):
+        directory = tmp_path / "store"
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "10"], capsys)
+        assert code == 0
+        before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "16"], capsys)
+        assert code == 0
+        for name, data in before.items():
+            assert (directory / name).read_bytes().startswith(data), name
+        code, out, _ = run_cli(["cache", "check", "--dir", str(directory)], capsys)
+        assert (code, out.splitlines()[-2:]) == (0, ["SEQ d COUNT 17", "SEQ s ROWS 16"])
+
+    def test_build_refuses_a_corrupt_file(self, tmp_path, capsys):
+        directory = tmp_path / "store"
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "10"], capsys)
+        assert code == 0
+        path = directory / "s.bin"
+        torn = path.read_bytes()[:-1]
+        path.write_bytes(torn)
+        code, _, err = run_cli(["cache", "build", "--dir", str(directory), "--max", "16"], capsys)
+        assert code == 2
+        assert err.startswith(f"romik: error: {path}: ")
+        assert "remove the cache directory and build it again" in err
+        assert path.read_bytes() == torn
 
     def test_growing_an_edited_table_is_an_error(self, tmp_path, capsys):
         directory = str(tmp_path / "store")
