@@ -17,27 +17,28 @@ self-contained segments:
 all little-endian, so each value has one encoding.  A segment closes once
 its values reach SEGMENT_BYTES, which bounds what a load holds at once.
 
-Files only grow.  store_cache opens each file in place, takes an exclusive
-POSIX ``flock``, walks the segment framing (checking every checksum) to
-learn how many values the file holds, and appends only the values past that
+Files only grow.  append_sequence is the one writer; store_cache calls it
+for each file.  It opens the file in place, takes an exclusive POSIX
+``flock``, walks the segment framing (checking every checksum) to learn
+how many values the file holds, and appends only the values past that
 count as new segments; a file it cannot validate is never truncated,
-replaced or extended.  Appends to s.bin are always whole rows.  The values
+replaced or extended.  store_cache appends to s.bin whole rows.  The values
 are deterministic, so two writers growing one directory leave correct
 prefixes whichever appends first.  There is no fsync: it would cost each
 store more than the append saves, and a crash leaves at worst a short or
 garbled last segment, which the framing and checksum reject loudly.
 
-load_cache reads each file under a shared ``flock``, one segment at a time,
-and raises CacheFormatError unless the header is exact, each segment's
-count fits the bytes left before anything is unpacked, each segment ends
-within the file and matches its checksum, each value has its own length,
-the read ends exactly at the file size and the s count is triangular: a
-torn, extended or garbled file fails loudly rather than yielding a
-plausible wrong value.  (The checksum guards against damage, not against
-an edit that rewrites it too.)  An empty file holds no values; it is what a
-store leaves between creating a file and locking it.  The stored s rows are
-handed to ``SequenceCache.from_stored`` as they are, with no per-entry
-conversion.
+load_cache lists the directory, which must exist, and reads each file
+under a shared ``flock``, one segment at a time.  It raises
+CacheFormatError unless the header is exact, each segment's count fits the
+bytes left before anything is unpacked, each segment ends within the file
+and matches its checksum, each value has its own length, the read ends
+exactly at the file size and the s count is triangular: a torn, extended
+or garbled file fails loudly rather than yielding a plausible wrong value.
+(The checksum guards against damage, not against an edit that rewrites it
+too.)  An empty file holds no values; it is what a store leaves between
+creating a file and locking it.  The stored s rows are handed to
+``SequenceCache.from_stored`` as they are, with no per-entry conversion.
 
 Files of earlier versions (v2, v3: one header count, no segments) are
 rejected with CacheVersionError; such a cache directory must be removed and
@@ -75,22 +76,14 @@ class CacheFormatError(ValueError):
         self.path = path
         self.reason = message
 
+    def refusing_store(self) -> "CacheFormatError":
+        """This error, told to a run that would have stored into the file."""
+        remedy = "not appended to: remove the cache directory and build it again"
+        return type(self)(self.path, f"{self.reason}; {remedy}")
+
 
 class CacheVersionError(CacheFormatError):
     """The cache file declares a version other than the supported one."""
-
-
-def write_sequence(path: str, name: str, values: Iterable[int]) -> None:
-    """Write one sequence file (values indexed from 0), replacing any file at path."""
-    with open(path, "wb") as handle:
-        _write_segments(handle, name, values)
-
-
-def write_s_table(path: str, rows: list[list[int]]) -> None:
-    """Write the triangular s-table in stored form (rows[n-1] holds
-    s^(n, 1..n), as ``SequenceCache.stored_s_rows`` returns it) row by row,
-    replacing any file at path."""
-    write_sequence(path, "s", chain.from_iterable(rows))
 
 
 def _write_segments(handle, name: str, values: Iterable[int]) -> None:
@@ -223,13 +216,17 @@ def store_cache(directory: str, cache: SequenceCache) -> None:
     untouched."""
     os.makedirs(directory, exist_ok=True)
     for name, filename in SEQUENCE_FILES.items():
-        _append(os.path.join(directory, filename), name, cache.known_values(name))
+        append_sequence(os.path.join(directory, filename), name, cache.known_values(name))
     if cache.s_bound:
         s_values = chain.from_iterable(cache.stored_s_rows())
-        _append(os.path.join(directory, S_TABLE_FILE), "s", s_values)
+        append_sequence(os.path.join(directory, S_TABLE_FILE), "s", s_values)
 
 
-def _append(path: str, name: str, values: Iterable[int]) -> None:
+def append_sequence(path: str, name: str, values: Iterable[int]) -> None:
+    """Append to the file at path the values (indexed from 0) past those it
+    holds, creating it if missing; for ``s`` the values are the held
+    s-table flattened row by row.  Under an exclusive ``flock`` the file is
+    validated first, and one that fails is left as it is."""
     with open(path, "a+b") as handle:
         fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
         handle.seek(0)
@@ -238,8 +235,7 @@ def _append(path: str, name: str, values: Iterable[int]) -> None:
             if name == "s":
                 _s_bound(path, count)
         except CacheFormatError as exc:
-            remedy = "not appended to: remove the cache directory and build it again"
-            raise type(exc)(path, f"{exc.reason}; {remedy}") from None
+            raise exc.refusing_store() from None
         # In append mode every write lands at the end of the file.
         _write_segments(handle, name, islice(values, count, None))
 
@@ -247,15 +243,15 @@ def _append(path: str, name: str, values: Iterable[int]) -> None:
 def load_cache(directory: str) -> SequenceCache:
     """Load whichever cache files exist in directory into a fresh cache.
 
-    Missing or empty files leave that sequence at its seed; present files
-    must be valid.  Round trip with store_cache reproduces identical values.
+    The directory must exist.  Missing or empty files leave that sequence
+    at its seed; present files must be valid.  Round trip with store_cache
+    reproduces identical values.
     """
+    names = os.listdir(directory)  # a missing directory is an error, not an empty cache
     kwargs: dict = {}
     for name, filename in SEQUENCE_FILES.items():
-        path = os.path.join(directory, filename)
-        if os.path.exists(path):
-            kwargs[name] = read_sequence(path, name) or None
-    s_path = os.path.join(directory, S_TABLE_FILE)
-    if os.path.exists(s_path):
-        kwargs["s_rows"] = read_s_table(s_path)
+        if filename in names:
+            kwargs[name] = read_sequence(os.path.join(directory, filename), name) or None
+    if S_TABLE_FILE in names:
+        kwargs["s_rows"] = read_s_table(os.path.join(directory, S_TABLE_FILE))
     return SequenceCache.from_stored(**kwargs)

@@ -73,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", help="manage the on-disk cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_build = cache_sub.add_parser("build", help="compute values and store them")
-    p_build.add_argument("--dir", required=True)
+    p_build.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
     p_build.add_argument("--max", required=True, type=int, metavar="N")
     p_check = cache_sub.add_parser("check", help="validate stored files and summarize")
-    p_check.add_argument("--dir", required=True)
+    p_check.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
 
     return parser
 
@@ -115,13 +115,14 @@ def _cache_dir(args) -> str | None:
 
 
 def _open_cache(args) -> tuple[SequenceCache, tuple[int, ...]]:
+    """The cache loaded from the cache directory, or a fresh one if there is
+    none yet, and its sizes; a directory still to be made gets sizes () so
+    that _close_cache makes it."""
     directory = _cache_dir(args)
     if directory and os.path.isdir(directory):
         cache = cache_io.load_cache(directory)
-    else:
-        cache = SequenceCache()
-    sizes = _cache_sizes(cache)
-    return cache, sizes
+        return cache, _cache_sizes(cache)
+    return SequenceCache(), ()
 
 
 def _cache_sizes(cache: SequenceCache) -> tuple[int, ...]:
@@ -276,14 +277,18 @@ def _run_cache(args, parser) -> int:
     if args.cache_command == "build":
         if args.max < 0:
             parser.error("--max must be >= 0")
-        cache = SequenceCache()
+        try:
+            cache, before = _open_cache(args)
+        except cache_io.CacheFormatError as exc:
+            raise exc.refusing_store() from None
+        cache.build_s_table(args.max)
         cache.d(args.max)
         cache.u(args.max)
         cache.v(args.max)
-        cache_io.store_cache(args.dir, cache)
-        print(f"stored u, v, d (0..{args.max}) and s-table (bound {cache.s_bound}) in {args.dir}")
+        _close_cache(args, cache, before)
+        print(f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}")
         return 0
-    cache = cache_io.load_cache(args.dir)
+    cache = cache_io.load_cache(args.cache_dir)
     for name in ("u", "v", "d"):
         print(f"SEQ {name} COUNT {cache.known_count(name)}")
     print(f"SEQ s ROWS {cache.s_bound}")

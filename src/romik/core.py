@@ -63,8 +63,8 @@ class IntegrityError(ArithmeticError):
     """An exactness invariant failed: a division left a remainder, a known
     power of two does not divide a value, a value that must be odd came out
     even, or a diagonal entry is not 1.  Any of these indicates a bug or a
-    corrupted value restored by ``SequenceCache.from_values`` or
-    ``from_stored``, never a property of the requested index."""
+    corrupted value restored by ``SequenceCache.from_stored``, never a
+    property of the requested index."""
 
 
 def odd_product_squared(n: int, offset: int) -> int:
@@ -148,16 +148,17 @@ class SequenceCache:
     1..n-1 and h(n) (see the module docstring), so growing the bound,
     whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
     one n at a time, only builds the rows not yet held.  A cache restored
-    by ``from_values`` or ``from_stored`` grows the same way from its
-    loaded rows and u.
+    by ``from_stored`` grows the same way from its loaded rows and u.
 
     ``_s_rows`` is the record of the table and holds it normalized,
     ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
     holds E(0..s_bound) and grows only where rows are appended or
-    restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k), ``s_row``,
+    restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k),
     ``known_s_rows`` and ``d`` shift on read; ``stored_s_rows`` and
-    ``from_stored`` pass the held form to and from ``cache_io``, which
-    writes it as it is.  ``_s_cols`` indexes the same integers by column,
+    ``from_stored`` are the one round trip of the held form, to and from
+    ``cache_io``, which writes it as it is.  A row is never changed once
+    held, so ``stored_s_rows`` hands out the held rows without copying.
+    ``_s_cols`` indexes the same integers by column,
     ``_s_cols[k-1] = [s^(k, k), s^(k+1, k), ...]``, for the row
     recurrence.  ``_index_s_rows`` alone fills the index, after each new
     row and, for restored rows, when the table first grows, so a loaded
@@ -231,7 +232,7 @@ class SequenceCache:
         rows, cols = self._s_rows, self._s_cols
         if max_n <= len(rows):
             return
-        self._index_s_rows()  # rows restored by from_values or from_stored
+        self._index_s_rows()  # rows restored by from_stored
         self.u(max_n - 1)
         self._extend_e(max_n)
         u, e = self._u, self._e
@@ -294,20 +295,6 @@ class SequenceCache:
         e = self._e
         return x << (e[n] - e[k] + n - k)
 
-    def s_row(self, n: int) -> list[int]:
-        """The row [s(n, 1), ..., s(n, n)] as a new list."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if n > len(self._s_rows):
-            self.build_s_table(n)
-        return self._unshifted_row(n)
-
-    def _unshifted_row(self, n: int) -> list[int]:
-        """[s(n, 1), ..., s(n, n)] from the held row n."""
-        e = self._e
-        # list() trims the comprehension's spare capacity, as list(row) would.
-        return list([x << (e[n] - ek) for x, ek in zip(self._s_rows[n - 1], e[1:])])
-
     # -- d ---------------------------------------------------------------
 
     def d(self, n: int) -> int:
@@ -350,39 +337,19 @@ class SequenceCache:
 
     def known_s_rows(self) -> list[list[int]]:
         """The cached s-table rows (row n at index n-1), as true s values."""
-        return [self._unshifted_row(n) for n in range(1, len(self._s_rows) + 1)]
+        e = self._e
+        e_k = e[1:]
+        # list() trims each comprehension's spare capacity, as list(row) would.
+        return [
+            list([x << (e[n] - ek) for x, ek in zip(row, e_k)])
+            for n, row in enumerate(self._s_rows, 1)
+        ]
 
     def stored_s_rows(self) -> list[list[int]]:
-        """Copy of the cached s-table rows as held, s^(n, k) = s(n, k) >> (E(n) - E(k))."""
-        return [list(row) for row in self._s_rows]
-
-    @classmethod
-    def from_values(
-        cls,
-        u: list[int] | None = None,
-        v: list[int] | None = None,
-        d: list[int] | None = None,
-        s_rows: list[list[int]] | None = None,
-    ) -> "SequenceCache":
-        """Rebuild a cache from previously computed values, re-checking the
-        structural invariants (seeds equal 1, d odd, triangular shape,
-        unit diagonal).  ``s_rows`` holds true s values; each is divided by
-        its known power of two 2^(E(n) - E(k)), and a value that power does
-        not divide raises IntegrityError."""
-        cache = cls.from_stored(u, v, d)
-        if s_rows:
-            _check_triangle(s_rows)
-            cache._extend_e(len(s_rows))
-            e = cache._e
-            for n, row in enumerate(s_rows, 1):
-                stored = []
-                for k, x in enumerate(row, 1):
-                    shift = e[n] - e[k]
-                    if x >> shift << shift != x:
-                        raise IntegrityError(f"s({n},{k}) / 2^{shift} is not an integer")
-                    stored.append(x >> shift)
-                cache._s_rows.append(stored)
-        return cache
+        """The cached s-table rows as held, s^(n, k) = s(n, k) >> (E(n) - E(k)),
+        in a new list.  The rows themselves are shared with the cache, not
+        copied: read them, and copy a row before changing it."""
+        return list(self._s_rows)
 
     @classmethod
     def from_stored(
@@ -392,8 +359,10 @@ class SequenceCache:
         d: list[int] | None = None,
         s_rows: list[list[int]] | None = None,
     ) -> "SequenceCache":
-        """As ``from_values``, but ``s_rows`` is in the stored form returned
-        by ``stored_s_rows`` and is taken over without conversion."""
+        """Rebuild a cache from previously computed values, re-checking the
+        structural invariants (seeds equal 1, d odd, triangular shape,
+        unit diagonal).  ``s_rows`` is in the held form returned by
+        ``stored_s_rows`` and is taken over without conversion."""
         cache = cls()
         for name, values in (("u", u), ("v", v), ("d", d)):
             if values is None:

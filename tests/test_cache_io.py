@@ -7,6 +7,7 @@ import struct
 import tempfile
 import zlib
 from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,11 @@ from romik import SequenceCache, cache_io
 from romik.cache_io import (
     CacheFormatError,
     CacheVersionError,
+    append_sequence,
     load_cache,
     read_s_table,
     read_sequence,
     store_cache,
-    write_s_table,
-    write_sequence,
 )
 from romik.cli import main
 
@@ -193,7 +193,7 @@ class TestPinnedFormat:
     @pytest.mark.parametrize("x", [0, 1, -1, 127, 128, -128, -129, 255, 256, -(1 << 63), 7 ** 900])
     def test_each_value_has_one_encoding(self, tmp_path, x):
         path = str(tmp_path / "s.bin")
-        write_sequence(path, "s", [x])
+        append_sequence(path, "s", [x])
         data = (tmp_path / "s.bin").read_bytes()
         count, length = struct.unpack_from("<2I", data, data.index(b"\n") + 1)
         assert (count, length) == (1, (x.bit_length() + 8) // 8)
@@ -236,7 +236,7 @@ class TestCorruption:
 
     def test_wrong_sequence_tag(self, tmp_path):
         path = tmp_path / "d.bin"
-        write_sequence(str(path), "u", [1])
+        append_sequence(str(path), "u", [1])
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
         assert not isinstance(err.value, CacheVersionError)
@@ -245,7 +245,7 @@ class TestCorruption:
     def test_gap_is_named(self, tmp_path):
         # d = 1, 1, -1, 51 with the value d(2) cut out but the lengths kept.
         path = tmp_path / "d.bin"
-        write_sequence(str(path), "d", [1, 1, -1, 51])
+        append_sequence(str(path), "d", [1, 1, -1, 51])
         data = path.read_bytes()
         cut = len(HEADER_D) + 4 + 4 * 4 + 2
         assert data[cut:cut + 1] == b"\xff"
@@ -298,7 +298,7 @@ class TestCorruption:
         # The size is taken once, before reading; a file cut short after that
         # must not load, even where the short read still decodes (b"" -> 0).
         path = tmp_path / "d.bin"
-        write_sequence(str(path), "d", [1, 1, -1])
+        append_sequence(str(path), "d", [1, 1, -1])
         data = path.read_bytes()
         stat = os.stat_result((0,) * 6 + (len(data),) + (0,) * 3)
         monkeypatch.setattr(os, "fstat", lambda fd: stat)
@@ -335,7 +335,7 @@ class TestCorruption:
         flat = [x for row in small_cache.known_s_rows()[:3] for x in row]
         del flat[2]
         path = tmp_path / "s.bin"
-        write_sequence(str(path), "s", flat)
+        append_sequence(str(path), "s", flat)
         with pytest.raises(CacheFormatError) as err:
             read_s_table(str(path))
         assert "count=5 is not triangular: row 3 stops after 2 of 3 entries" in str(err.value)
@@ -343,26 +343,27 @@ class TestCorruption:
     def test_s_table_truncated_row(self, tmp_path, small_cache):
         rows = small_cache.known_s_rows()
         path = tmp_path / "s.bin"
-        write_sequence(str(path), "s", rows[0] + rows[1] + rows[2][:1])
+        append_sequence(str(path), "s", rows[0] + rows[1] + rows[2][:1])
         with pytest.raises(CacheFormatError) as err:
             read_s_table(str(path))
         assert "row 3 stops after 1 of 3 entries" in str(err.value)
 
     def test_even_d_value_rejected_on_load(self, tmp_path):
-        write_sequence(str(tmp_path / "d.bin"), "d", [1, 1, -1])
+        append_sequence(str(tmp_path / "d.bin"), "d", [1, 1, -1])
         ok = load_cache(str(tmp_path))
         assert ok.known_values("d") == [1, 1, -1]
-        write_sequence(str(tmp_path / "d.bin"), "d", [1, 1, -2])
+        (tmp_path / "d.bin").unlink()
+        append_sequence(str(tmp_path / "d.bin"), "d", [1, 1, -2])
         with pytest.raises(ValueError):
             load_cache(str(tmp_path))
 
     def test_bad_seed_rejected_on_load(self, tmp_path):
-        write_sequence(str(tmp_path / "u.bin"), "u", [2, 6])
+        append_sequence(str(tmp_path / "u.bin"), "u", [2, 6])
         with pytest.raises(ValueError):
             load_cache(str(tmp_path))
 
     def test_bad_diagonal_rejected_on_load(self, tmp_path):
-        write_s_table(str(tmp_path / "s.bin"), [[1], [24, 3]])
+        append_sequence(str(tmp_path / "s.bin"), "s", [1, 24, 3])
         with pytest.raises(ValueError):
             load_cache(str(tmp_path))
 
@@ -511,7 +512,7 @@ class TestAppendOnly:
         monkeypatch.setattr(cache_io, "SEGMENT_BYTES", 64)
         values = _bulk(60).known_values("d")
         path = tmp_path / "d.bin"
-        write_sequence(str(path), "d", values)
+        append_sequence(str(path), "d", values)
         data = path.read_bytes()
         starts = _segment_starts(data) + [len(data)]
         for start, end in zip(starts, starts[1:]):
@@ -586,12 +587,12 @@ class TestSTableFile:
     def test_round_trip(self, tmp_path, small_cache):
         path = str(tmp_path / "s.bin")
         rows = small_cache.stored_s_rows()
-        write_s_table(path, rows)
+        append_sequence(path, "s", chain.from_iterable(rows))
         assert read_s_table(path) == rows
 
     def test_header(self, tmp_path, small_cache):
         path = tmp_path / "s.bin"
-        write_s_table(str(path), small_cache.stored_s_rows())
+        append_sequence(str(path), "s", chain.from_iterable(small_cache.stored_s_rows()))
         data = path.read_bytes()
         header, rest = data.split(b"\n", 1)
         assert header == b"ROMIKCACHE v4 seq=s"

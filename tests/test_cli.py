@@ -4,12 +4,13 @@
 import os
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 
 import romik
 from romik import SequenceCache
-from romik.cache_io import read_s_table, write_s_table, write_sequence
+from romik.cache_io import append_sequence, read_s_table
 from romik.cli import main
 
 D_LINE = "1,1,-1,51,849,-26199,1341999,82018251,18703396449"
@@ -173,7 +174,7 @@ class TestVerify:
         cache.d(10)
         values = cache.known_values("d")
         values[6] += 2  # odd but off-pattern mod 5
-        write_sequence(str(tmp_path / "d.bin"), "d", values)
+        append_sequence(str(tmp_path / "d.bin"), "d", values)
         code, out, _ = run_cli(
             [
                 "verify", "--suite", "mod5", "--max", "10",
@@ -255,7 +256,7 @@ class TestCacheCommand:
     def test_check_rejects_gap(self, tmp_path, capsys):
         # d = 1, 1, -1 with the value d(1) cut out but the lengths kept.
         path = tmp_path / "d.bin"
-        write_sequence(str(path), "d", [1, 1, -1])
+        append_sequence(str(path), "d", [1, 1, -1])
         data = path.read_bytes()
         cut = len(data) - 4 - 2  # values end where the 4-byte checksum starts
         path.write_bytes(data[:cut] + data[cut + 1:])
@@ -281,6 +282,33 @@ class TestCacheCommand:
         code, out, _ = run_cli(["cache", "check", "--dir", str(directory)], capsys)
         assert (code, out.splitlines()[-2:]) == (0, ["SEQ d COUNT 17", "SEQ s ROWS 16"])
 
+    def test_rebuild_over_a_full_directory_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        directory = tmp_path / "store"
+        argv = ["cache", "build", "--dir", str(directory), "--max", "20"]
+        code, first, _ = run_cli(argv, capsys)
+        assert code == 0
+        before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+        built = []
+        original = SequenceCache.build_s_table
+
+        def spy(cache, max_n):
+            bound = cache.s_bound
+            original(cache, max_n)
+            built.append(cache.s_bound - bound)
+
+        monkeypatch.setattr(SequenceCache, "build_s_table", spy)
+        code, again, _ = run_cli(argv, capsys)
+        assert (code, again) == (0, first)
+        assert sum(built) == 0
+        assert {name: (directory / name).read_bytes() for name in os.listdir(directory)} == before
+
+    def test_check_of_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        directory = tmp_path / "none"
+        code, out, err = run_cli(["cache", "check", "--dir", str(directory)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {directory}: ")
+        assert not directory.exists()
+
     def test_build_refuses_a_corrupt_file(self, tmp_path, capsys):
         directory = tmp_path / "store"
         code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "10"], capsys)
@@ -301,7 +329,8 @@ class TestCacheCommand:
         s_path = os.path.join(directory, "s.bin")
         rows = read_s_table(s_path)
         rows[9][4] += 1  # s(10, 5)
-        write_s_table(s_path, rows)
+        os.unlink(s_path)
+        append_sequence(s_path, "s", chain.from_iterable(rows))
         code, _, err = run_cli(
             ["compute", "--seq", "d", "--max", "16", "--cache-dir", directory], capsys
         )

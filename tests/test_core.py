@@ -217,9 +217,9 @@ class TestSTable:
             assert reloaded.known_values(name)[:41] == bulk.known_values(name)[:41]
 
     def test_edited_row_fails_exact_division_on_growth(self, cache):
-        rows = cache.known_s_rows()[:10]
-        rows[9][4] += 1 << 10  # s(10, 5) + 2^(E(10) - E(5)): the stored entry + 1
-        edited = SequenceCache.from_values(u=cache.known_values("u")[:10], s_rows=rows)
+        rows = [list(row) for row in cache.stored_s_rows()[:10]]
+        rows[9][4] += 1  # the held entry s^(10, 5) + 1, i.e. s(10, 5) + 2^(E(10) - E(5))
+        edited = SequenceCache.from_stored(u=cache.known_values("u")[:10], s_rows=rows)
         with pytest.raises(IntegrityError, match="not an integer"):
             edited.build_s_table(16)
 
@@ -241,8 +241,9 @@ class TestNormalizedTable:
         fresh = SequenceCache()
         fresh.build_s_table(80)
         rows = fresh.stored_s_rows()
+        known = fresh.known_s_rows()
         for n in range(1, 81):
-            assert fresh.s_row(n) == [x << (_e(n) - _e(k)) for k, x in enumerate(rows[n - 1], 1)]
+            assert known[n - 1] == [x << (_e(n) - _e(k)) for k, x in enumerate(rows[n - 1], 1)]
             for k in range(1, n + 1):
                 assert fresh.s(n, k) == fresh._s_rows[n - 1][k - 1] << (_e(n) - _e(k))
                 assert fresh.r(n, k) == fresh.s(n, k) << (n - k)
@@ -264,25 +265,23 @@ class TestNormalizedTable:
         for j, u in enumerate(fresh.known_values("u")):
             assert _v2(u) >= _v2(factorial(2 * j + 1)), j
 
-    def test_from_values_rejects_a_short_two_power(self, cache):
-        rows = cache.known_s_rows()[:10]
-        rows[9][4] += 1  # s(10, 5) must be a multiple of 2^(E(10) - E(5)) = 2^10
-        with pytest.raises(IntegrityError, match=r"s\(10,5\) / 2\^10 is not an integer"):
-            SequenceCache.from_values(s_rows=rows)
-
     def test_edited_u_fails_the_h_two_power_check(self, cache):
         u = cache.known_values("u")[:4]
         u[3] += 1  # moves h(4) by 2 * C(8, 1) = 16, short of 2^E(4) = 2^7
-        edited = SequenceCache.from_values(u=u)
+        edited = SequenceCache.from_stored(u=u)
         with pytest.raises(IntegrityError, match=r"h\(4\) / 2\^7 is not an integer"):
             edited.build_s_table(4)
+
+    def test_stored_rows_are_the_held_rows(self, cache):
+        rows = cache.stored_s_rows()
+        assert rows is not cache._s_rows
+        assert all(a is b for a, b in zip(rows, cache._s_rows, strict=True))
 
     def test_from_stored_takes_rows_as_held(self, cache):
         rows = cache.stored_s_rows()[:12]
         restored = SequenceCache.from_stored(u=cache.known_values("u"), s_rows=rows)
         assert restored.stored_s_rows() == rows
         assert restored.known_s_rows() == cache.known_s_rows()[:12]
-        assert SequenceCache.from_values(s_rows=cache.known_s_rows()[:12]).stored_s_rows() == rows
 
 
 class TestThetaSeries:

@@ -89,11 +89,11 @@ class TestModPVanishing:
         good.d(10)
         values = good.known_values("d")
         values[7] += 2  # stays odd, breaks the mod-3 vanishing at n=7
-        bad = SequenceCache.from_values(
+        bad = SequenceCache.from_stored(
             u=good.known_values("u"),
             v=good.known_values("v"),
             d=values,
-            s_rows=good.known_s_rows(),
+            s_rows=good.stored_s_rows(),
         )
         report = verify_mod_p_vanishing(bad, 3, 10)
         assert not report.passed
