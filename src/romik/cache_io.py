@@ -38,7 +38,9 @@ or garbled file fails loudly rather than yielding a plausible wrong value.
 (The checksum guards against damage, not against an edit that rewrites it
 too.)  An empty file holds no values; it is what a store leaves between
 creating a file and locking it.  The stored s rows are handed to
-``SequenceCache.from_stored`` as they are, with no per-entry conversion.
+``SequenceCache.from_stored`` as they are, neither converted nor copied;
+values that fail its checks (seeds, d odd, unit diagonal) raise
+CacheFormatError naming their file.
 
 Files of earlier versions (v2, v3: one header count, no segments) are
 rejected with CacheVersionError; such a cache directory must be removed and
@@ -57,7 +59,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from math import isqrt
 
-from .core import SequenceCache
+from .core import SequenceCache, StoredValueError
 
 MAGIC = "ROMIKCACHE"
 VERSION = "v4"
@@ -118,11 +120,12 @@ def _header(name: str) -> bytes:
 def read_sequence(path: str, name: str) -> list[int]:
     """Read one sequence file back, enforcing header, framing, checksums and sizes."""
     values: list[int] = []
+    from_bytes = int.from_bytes
     with open(path, "rb") as handle:
         fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
         for lengths, data in _walk(handle, path, name):
             read = io.BytesIO(data).read
-            decoded = [int.from_bytes(read(length), "little", signed=True) for length in lengths]
+            decoded = [from_bytes(read(length), "little", signed=True) for length in lengths]
             own = tuple([(x.bit_length() + 8) >> 3 for x in decoded])
             if own != lengths:
                 i = next(i for i, pair in enumerate(zip(own, lengths)) if pair[0] != pair[1])
@@ -244,8 +247,10 @@ def load_cache(directory: str) -> SequenceCache:
     """Load whichever cache files exist in directory into a fresh cache.
 
     The directory must exist.  Missing or empty files leave that sequence
-    at its seed; present files must be valid.  Round trip with store_cache
-    reproduces identical values.
+    at its seed; present files must be valid, and a file whose values fail
+    the checks of ``SequenceCache.from_stored`` (a seed other than 1, an
+    even d, a diagonal s entry other than 1) raises CacheFormatError naming
+    it.  Round trip with store_cache reproduces identical values.
     """
     names = os.listdir(directory)  # a missing directory is an error, not an empty cache
     kwargs: dict = {}
@@ -254,4 +259,8 @@ def load_cache(directory: str) -> SequenceCache:
             kwargs[name] = read_sequence(os.path.join(directory, filename), name) or None
     if S_TABLE_FILE in names:
         kwargs["s_rows"] = read_s_table(os.path.join(directory, S_TABLE_FILE))
-    return SequenceCache.from_stored(**kwargs)
+    try:
+        return SequenceCache.from_stored(**kwargs)
+    except StoredValueError as exc:
+        filename = SEQUENCE_FILES.get(exc.table, S_TABLE_FILE)
+        raise CacheFormatError(os.path.join(directory, filename), str(exc)) from None

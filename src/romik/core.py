@@ -45,6 +45,12 @@ carried from one index to the next, and the s-table keeps a column index
 next to its rows, so the sum for s^(n, k) is one dot product of a slice of
 the row's terms, in descending m, with the stored column k-1.
 
+Residues of r are read without forming r: ``SequenceCache.r_residues(p,
+max_n)`` returns the rows of r(n, k) mod p, each entry the held s^(n, k)
+mod p times 2^(E(n) - E(k) + n - k) mod p from one table of powers of two
+per call.  The congruence suites and residue grids read through it; ``r``
+stays the exact single-entry read.
+
 The Fraction-based path in
 ``s_table_by_series`` computes the same table directly from
 ``RationalSeries`` powers and serves as the reference the recurrence is
@@ -65,6 +71,16 @@ class IntegrityError(ArithmeticError):
     even, or a diagonal entry is not 1.  Any of these indicates a bug or a
     corrupted value restored by ``SequenceCache.from_stored``, never a
     property of the requested index."""
+
+
+class StoredValueError(ValueError):
+    """A table handed to ``SequenceCache.from_stored`` breaks a structural
+    invariant (seed, parity, shape or diagonal); ``table`` names it: 'u',
+    'v', 'd' or 's'."""
+
+    def __init__(self, table: str, message: str) -> None:
+        super().__init__(message)
+        self.table = table
 
 
 def odd_product_squared(n: int, offset: int) -> int:
@@ -154,7 +170,8 @@ class SequenceCache:
     ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
     holds E(0..s_bound) and grows only where rows are appended or
     restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k),
-    ``known_s_rows`` and ``d`` shift on read; ``stored_s_rows`` and
+    ``known_s_rows`` and ``d`` shift on read, and ``r_residues`` reduces
+    mod p on read without shifting; ``stored_s_rows`` and
     ``from_stored`` are the one round trip of the held form, to and from
     ``cache_io``, which writes it as it is.  A row is never changed once
     held, so ``stored_s_rows`` hands out the held rows without copying.
@@ -295,6 +312,29 @@ class SequenceCache:
         e = self._e
         return x << (e[n] - e[k] + n - k)
 
+    def r_residues(self, p: int, max_n: int) -> list[list[int]]:
+        """Rows [r(n, 1) % p, ..., r(n, n) % p] for n = 1..max_n, growing the
+        table to max_n if needed.  Each entry is s^(n, k) % p times
+        2^(E(n) - E(k) + n - k) % p, read from one table of powers of two,
+        so r is never formed; where that power is 0 mod p (p = 2, k < n)
+        the held entry is not reduced at all."""
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
+        if max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
+        self.build_s_table(max_n)
+        e = self._e
+        pow2 = [1]
+        for _ in range(e[max_n] + max_n):
+            pow2.append(pow2[-1] * 2 % p)
+        ek = [e[k] + k for k in range(1, max_n + 1)]
+        out = []
+        for n, row in enumerate(self._s_rows[:max_n], 1):
+            top = e[n] + n
+            powers = [pow2[top - c] for c in ek[:n]]
+            out.append([t and x % p * t % p for x, t in zip(row, powers)])
+        return out
+
     # -- d ---------------------------------------------------------------
 
     def d(self, n: int) -> int:
@@ -361,16 +401,18 @@ class SequenceCache:
     ) -> "SequenceCache":
         """Rebuild a cache from previously computed values, re-checking the
         structural invariants (seeds equal 1, d odd, triangular shape,
-        unit diagonal).  ``s_rows`` is in the held form returned by
-        ``stored_s_rows`` and is taken over without conversion."""
+        unit diagonal); a failure raises StoredValueError naming the table.
+        ``s_rows`` is in the held form returned by ``stored_s_rows``; its
+        rows are taken over as they are, neither converted nor copied, so a
+        caller copies a row before changing it."""
         cache = cls()
         for name, values in (("u", u), ("v", v), ("d", d)):
             if values is None:
                 continue
             if not values or values[0] != 1:
-                raise ValueError(f"sequence {name} must start with value 1")
+                raise StoredValueError(name, f"sequence {name} must start with value 1")
             if name == "d" and any(x & 1 == 0 for x in values):
-                raise ValueError("sequence d contains an even value")
+                raise StoredValueError(name, "sequence d contains an even value")
         if u:
             cache._u = list(u)
         if v:
@@ -379,7 +421,7 @@ class SequenceCache:
             cache._d = list(d)
         if s_rows:
             _check_triangle(s_rows)
-            cache._s_rows = [list(row) for row in s_rows]
+            cache._s_rows = list(s_rows)
             cache._extend_e(len(s_rows))
         return cache
 
@@ -396,9 +438,9 @@ def _binomial_row(n: int) -> list[int]:
 def _check_triangle(s_rows: list[list[int]]) -> None:
     for i, row in enumerate(s_rows):
         if len(row) != i + 1:
-            raise ValueError(f"s-table row {i + 1} has {len(row)} entries")
+            raise StoredValueError("s", f"s-table row {i + 1} has {len(row)} entries")
         if row[i] != 1:
-            raise ValueError(f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
+            raise StoredValueError("s", f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
 
 
 def _check_pair(n: int, k: int) -> None:

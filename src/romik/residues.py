@@ -311,12 +311,9 @@ class ResidueGrid:
 
 
 def build_residue_grid(p: int, max_n: int, cache: SequenceCache) -> ResidueGrid:
-    """Grid of r(n, k) mod p reduced from the exact table."""
+    """Grid of r(n, k) mod p, read by ``SequenceCache.r_residues``."""
     _require_prime(p)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    cache.build_s_table(max_n)
-    rows = tuple(
-        tuple(cache.r(n, k) % p for k in range(1, n + 1)) for n in range(1, max_n + 1)
-    )
+    rows = tuple(map(tuple, cache.r_residues(p, max_n)))
     return ResidueGrid(modulus=p, max_n=max_n, rows=rows)

@@ -4,6 +4,9 @@ Each suite walks one family of congruences from the smallest index upward
 and reports pass/fail together with the minimal counterexample when a check
 fails (smallest n first, then smallest k).  Suites only read the cache, so
 a single cache built to the largest needed bound can serve all of them.
+The parity, vanishing and sums suites read r(n, k) mod p from
+``SequenceCache.r_residues``, which never forms r; the exact r(n, k) is
+formed only to print a parity counterexample.
 
 Each suite function holds its own default bound and argument checks: parity
 and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
@@ -102,6 +105,7 @@ def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificat
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     started = time.perf_counter()
     cache.d(max_n)
+    residues = cache.r_residues(2, max_n)
     ce = None
     for n in range(max_n + 1):
         if cache.d(n) & 1 == 0:
@@ -110,13 +114,9 @@ def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificat
         if cache.v(n) & 1 == 0:
             ce = Counterexample(n, None, "odd v", f"v({n})={cache.v(n)}")
             break
-        found = False
-        for k in range(1, n):
-            if cache.r(n, k) & 1:
-                ce = Counterexample(n, k, "even r", f"r({n},{k})={cache.r(n, k)}")
-                found = True
-                break
-        if found:
+        if n > 1 and any(residues[n - 1][: n - 1]):
+            k = residues[n - 1].index(1) + 1
+            ce = Counterexample(n, k, "even r", f"r({n},{k})={cache.r(n, k)}")
             break
     return _report("parity", 0, max_n, None, started, ce)
 
@@ -151,19 +151,16 @@ def verify_mod_p_vanishing(
         raise ValueError(f"max_n must exceed n0={n0}, got {max_n}")
     started = time.perf_counter()
     cache.d(max_n)
+    residues = cache.r_residues(p, max_n)
     ce = None
     for n in range(n0 + 1, max_n + 1):
         if cache.d(n) % p != 0:
             ce = Counterexample(n, None, 0, cache.d(n) % p)
             break
-        found = False
-        for k in range(1, n0 + 1):
-            residue = cache.r(n, k) % p
-            if residue != 0:
-                ce = Counterexample(n, k, 0, residue)
-                found = True
-                break
-        if found:
+        low = residues[n - 1][:n0]  # r(n, k) mod p for k = 1..n0
+        if any(low):
+            k = next(k for k, residue in enumerate(low, 1) if residue)
+            ce = Counterexample(n, k, 0, low[k - 1])
             break
     return _report("mod_p_vanishing", n0 + 1, max_n, p, started, ce)
 
@@ -246,18 +243,13 @@ def verify_even_odd_sums(
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     started = time.perf_counter()
-    cache.build_s_table(max_n)
+    residues = cache.r_residues(5, max_n)
     ce = None
     for n in range(3, max_n + 1):
         lo = -(-n // 5)  # smallest integer k with 5k >= n
-        even_sum = 0
-        odd_sum = 0
-        for k in range(lo, n + 1):
-            residue = cache.r(n, k) % 5
-            if k & 1:
-                odd_sum += residue
-            else:
-                even_sum += residue
+        tail = residues[n - 1][lo - 1 :]  # r(n, k) mod 5 for k = lo..n
+        from_lo, after_lo = sum(tail[::2]), sum(tail[1::2])
+        odd_sum, even_sum = (from_lo, after_lo) if lo & 1 else (after_lo, from_lo)
         if even_sum % 5 != 0:
             ce = Counterexample(n, None, "even-k sum 0", even_sum % 5)
             break

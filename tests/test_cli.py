@@ -322,6 +322,23 @@ class TestCacheCommand:
         assert "remove the cache directory and build it again" in err
         assert path.read_bytes() == torn
 
+    @pytest.mark.parametrize("filename, values, reason", [
+        ("d.bin", [1, 1, -2], "sequence d contains an even value"),
+        ("u.bin", [2, 6], "sequence u must start with value 1"),
+        ("s.bin", [1, 24, 3], "s(2,2) = 3, expected 1"),
+    ])
+    def test_build_names_a_file_that_fails_restore(self, tmp_path, capsys, filename, values, reason):
+        # The file frames correctly; its values break an invariant of from_stored.
+        path = tmp_path / filename
+        append_sequence(str(path), filename[0], values)
+        before = path.read_bytes()
+        code, out, err = run_cli(["cache", "build", "--dir", str(tmp_path), "--max", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {path}: {reason}; ")
+        assert "remove the cache directory and build it again" in err
+        assert os.listdir(tmp_path) == [filename]
+        assert path.read_bytes() == before
+
     def test_growing_an_edited_table_is_an_error(self, tmp_path, capsys):
         directory = str(tmp_path / "store")
         code, _, _ = run_cli(["cache", "build", "--dir", directory, "--max", "10"], capsys)

@@ -283,6 +283,42 @@ class TestNormalizedTable:
         assert restored.stored_s_rows() == rows
         assert restored.known_s_rows() == cache.known_s_rows()[:12]
 
+    def test_from_stored_keeps_the_given_rows(self, cache):
+        rows = cache.stored_s_rows()[:12]
+        restored = SequenceCache.from_stored(s_rows=rows)
+        assert restored._s_rows is not rows
+        assert all(a is b for a, b in zip(restored._s_rows, rows, strict=True))
+
+
+class TestResidueReader:
+    """r_residues reads r(n, k) mod p from the held table, never forming r."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        fresh = SequenceCache()
+        fresh.build_s_table(150)
+        return fresh
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 19, 2**61 - 1])
+    def test_equals_exact_r_reduced(self, table, p):
+        expected = [[table.r(n, k) % p for k in range(1, n + 1)] for n in range(1, 151)]
+        assert table.r_residues(p, 150) == expected
+
+    def test_grows_a_restored_cache(self, table):
+        restored = SequenceCache.from_stored(
+            u=table.known_values("u")[:20], s_rows=table.stored_s_rows()[:20]
+        )
+        assert restored.r_residues(7, 40) == table.r_residues(7, 40)
+        assert restored.stored_s_rows() == table.stored_s_rows()[:40]
+
+    def test_empty_bound_and_bad_modulus(self):
+        fresh = SequenceCache()
+        assert fresh.r_residues(5, 0) == []
+        assert fresh.s_bound == 0
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match="p must be >= 2"):
+                fresh.r_residues(p, 3)
+
 
 class TestThetaSeries:
     def test_order_one(self, cache):

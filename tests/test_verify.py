@@ -4,6 +4,7 @@ import pytest
 
 from romik import (
     SequenceCache,
+    build_residue_grid,
     scan_periodicity,
     verify_even_odd_sums,
     verify_mod5,
@@ -99,6 +100,22 @@ class TestModPVanishing:
         assert not report.passed
         assert report.counterexample.n == 7
         assert "FAIL" in report.line()
+
+    def test_reads_the_held_entries(self, cache):
+        rows = [list(row) for row in cache.stored_s_rows()]
+        rows[9][2] += 1  # the held s^(10, 3): r(10, 3) moves by a power of two, a unit mod 3
+        bad = SequenceCache.from_stored(
+            u=cache.known_values("u"),
+            v=cache.known_values("v"),
+            d=cache.known_values("d"),
+            s_rows=rows,
+        )
+        report = verify_mod_p_vanishing(bad, 3, 10)
+        assert (report.counterexample.n, report.counterexample.k) == (10, 3)
+        assert report.counterexample.actual == bad.r(10, 3) % 3 != 0
+        grid = build_residue_grid(3, 10, bad)
+        assert grid.entry(10, 3) == report.counterexample.actual
+        assert build_residue_grid(3, 10, cache).entry(10, 3) == 0
 
 
 class TestUvStructure:
