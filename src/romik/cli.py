@@ -164,6 +164,7 @@ def _run_compute(args, parser) -> int:
 
     if args.seq in ("u", "v", "d"):
         value = getattr(cache, args.seq)
+        value(args.max)  # grows the s-table for d in one call, not one per index
         values = [reduce(value(n)) for n in range(args.max + 1)]
         if args.format == "csv":
             lines = ["n,value"] + [f"{n},{x}" for n, x in enumerate(values)]

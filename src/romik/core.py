@@ -41,9 +41,9 @@ tight (s^(k, k) = 1), so no larger power is known in general.
 The inner loops hold only the big-integer multiply-adds.  Each index reads
 its binomial coefficients from one row [C(N, 0), ..., C(N, N)] built
 multiplicatively (``_binomial_row``), the odd products in u and v are
-carried from one index to the next, and the s-table keeps a column index
-next to its rows, so the sum for s^(n, k) is one dot product of a slice of
-the row's terms, in descending m, with the stored column k-1.
+carried from one index to the next, and a call that grows the s-table
+first indexes the held rows by column, so the sum for s^(n, k) is one dot
+product of a slice of the row's terms, in descending m, with column k-1.
 
 Residues of r are read without forming r: ``SequenceCache.r_residues(p,
 max_n)`` returns the rows of r(n, k) mod p, each entry the held s^(n, k)
@@ -175,11 +175,9 @@ class SequenceCache:
     ``from_stored`` are the one round trip of the held form, to and from
     ``cache_io``, which writes it as it is.  A row is never changed once
     held, so ``stored_s_rows`` hands out the held rows without copying.
-    ``_s_cols`` indexes the same integers by column,
-    ``_s_cols[k-1] = [s^(k, k), s^(k+1, k), ...]``, for the row
-    recurrence.  ``_index_s_rows`` alone fills the index, after each new
-    row and, for restored rows, when the table first grows, so a loaded
-    cache that is only read never builds it.
+    The cache holds nothing else: the column index the row recurrence
+    reads is built by each ``build_s_table`` call that grows the table and
+    dropped when it returns.
 
     After a build phase the cache is only read, so it is safe to share
     across threads that no longer mutate it.
@@ -191,7 +189,6 @@ class SequenceCache:
         self._d: list[int] = [1]
         self._e: list[int] = [0]  # _e[n] = E(n) for n <= s_bound
         self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k) >> (E(n) - E(k))
-        self._s_cols: list[list[int]] = []  # _s_cols[k-1][n-k] = _s_rows[n-1][k-1]
 
     # -- u, v ----------------------------------------------------------
 
@@ -246,13 +243,15 @@ class SequenceCache:
     def build_s_table(self, max_n: int) -> None:
         """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
         rows past ``s_bound`` (no-op if already built)."""
-        rows, cols = self._s_rows, self._s_cols
+        rows = self._s_rows
         if max_n <= len(rows):
             return
-        self._index_s_rows()  # rows restored by from_stored
         self.u(max_n - 1)
         self._extend_e(max_n)
         u, e = self._u, self._e
+        # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
+        # kept for this call only.
+        cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
         for n in range(len(rows) + 1, max_n + 1):
             binomials = _binomial_row(2 * n)
             # f has m! [z^m] f = u((m-1)/2) for odd m, so h(n) is the binomial
@@ -277,12 +276,6 @@ class SequenceCache:
             if row[-1] != 1:
                 raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
             rows.append(row)
-            self._index_s_rows()
-
-    def _index_s_rows(self) -> None:
-        """Append the entries of the rows not yet in the column index to it."""
-        cols = self._s_cols
-        for row in self._s_rows[len(cols) :]:
             cols.append([])
             for col, x in zip(cols, row, strict=True):
                 col.append(x)

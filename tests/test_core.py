@@ -30,11 +30,6 @@ D_150_SHA256 = "8ce8eab94666689ea20b7f293dcdbd6decafafeb5f372d72db400b61115bbd92
 S_150_SHA256 = "5d93860d78cde1a1218584e852c54e930b21cbab09f6d5ce6360fd3b091e21fc"
 
 
-def _transposed(rows):
-    """Columns [s(k, k), s(k+1, k), ...] of a triangular table of rows."""
-    return [[row[k] for row in rows[k:]] for k in range(len(rows))]
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -182,13 +177,11 @@ class TestSTable:
         grown.build_s_table(20)
         assert all(a is b for a, b in zip(grown._s_rows[:10], held, strict=True))
         assert grown.known_s_rows() == cache.known_s_rows()[:20]
-        assert grown._s_cols == _transposed(grown.stored_s_rows())
 
-        # The column index follows growth through ascending d() too.
+        # Growth one row at a time, through ascending d(), gives the same rows.
         grown = SequenceCache()
         for n in range(1, 18):
             grown.d(n)
-            assert grown._s_cols == _transposed(grown.stored_s_rows())
         assert grown.known_s_rows() == cache.known_s_rows()[:17]
 
     def test_ascending_d_matches_bulk(self):
@@ -206,13 +199,15 @@ class TestSTable:
         store_cache(str(tmp_path), stored)
         reloaded = load_cache(str(tmp_path))
         assert reloaded.s_bound == 20
-        assert reloaded._s_cols == []  # indexed on first growth, not on load
+        # Each growth indexes the rows it finds held: restored, then restored
+        # and appended.
+        reloaded.d(30)
+        assert reloaded.s_bound == 30
         reloaded.d(40)
         bulk = SequenceCache()
         bulk.build_s_table(40)
         bulk.d(40)
         assert reloaded.known_s_rows() == bulk.known_s_rows()
-        assert reloaded._s_cols == _transposed(reloaded.stored_s_rows())
         for name in "uvd":
             assert reloaded.known_values(name)[:41] == bulk.known_values(name)[:41]
 

@@ -17,31 +17,31 @@ from romik.verify import Counterexample, REPORT_CSV_HEADER, VerificationReport
 
 class TestReports:
     def test_line_format_pass(self):
-        report = VerificationReport("parity", 0, 40, None, True, elapsed=0.1)
+        report = VerificationReport("parity", 0, 40, None, elapsed=0.1)
         assert report.line() == "SUITE parity RANGE 0..40 PRIME - RESULT PASS"
 
     def test_line_format_fail(self):
         ce = Counterexample(7, 2, 0, 3)
-        report = VerificationReport("mod5", 1, 40, 5, False, counterexample=ce)
+        report = VerificationReport("mod5", 1, 40, 5, counterexample=ce)
         assert report.line() == (
             "SUITE mod5 RANGE 1..40 PRIME 5 RESULT FAIL CE n=7 k=2 expected=0 actual=3"
         )
 
     def test_line_format_no_k(self):
         ce = Counterexample(9, None, 1, 4)
-        report = VerificationReport("mod5", 1, 40, 5, False, counterexample=ce)
+        report = VerificationReport("mod5", 1, 40, 5, counterexample=ce)
         assert "CE n=9 k=- expected=1 actual=4" in report.line()
 
     def test_csv_row(self):
-        report = VerificationReport("parity", 0, 40, None, True)
+        report = VerificationReport("parity", 0, 40, None)
         assert REPORT_CSV_HEADER.count(",") == report.csv_row().count(",")
         ce = Counterexample(9, 1, 0, 2)
-        failing = VerificationReport("even_odd_sums", 3, 40, 5, False, counterexample=ce)
+        failing = VerificationReport("even_odd_sums", 3, 40, 5, counterexample=ce)
         assert failing.csv_row() == "even_odd_sums,3,40,5,FAIL,9,1,0,2"
 
     def test_passed_must_match_counterexample(self):
-        with pytest.raises(ValueError):
-            VerificationReport("parity", 0, 10, None, True, Counterexample(1, None, 0, 1))
+        assert VerificationReport("parity", 0, 10, None).passed
+        assert not VerificationReport("parity", 0, 10, None, Counterexample(1, None, 0, 1)).passed
 
 
 class TestParity:
@@ -55,6 +55,15 @@ class TestParity:
 
     def test_moderate(self, cache):
         assert verify_parity(cache, 25).passed
+
+    def test_reports_an_even_v(self, cache):
+        v = cache.known_values("v")
+        v[12] += 1
+        bad = SequenceCache.from_stored(
+            u=cache.known_values("u"), v=v, d=cache.known_values("d"), s_rows=cache.stored_s_rows()
+        )
+        report = verify_parity(bad, 20)
+        assert f"CE n=12 k=- expected=odd v actual=v(12)={v[12]}" in report.line()
 
 
 class TestMod5:
@@ -182,6 +191,16 @@ class TestScanPeriodicity:
             residues = [cache.d(n) % 13 for n in range(61)]
             for n in range(result.preperiod, 61 - result.period):
                 assert residues[n] == residues[n + result.period]
+
+    def test_answer_does_not_depend_on_the_bound(self):
+        # At p = 13 the last two residues agree at every bound that is a
+        # multiple of 3 from 54; the smallest period alone would read 1 there.
+        cache = SequenceCache()
+        cache.d(150)
+        for p, expected in ((5, (1, 2)), (13, (1, 18)), (17, (1, 32))):
+            for bound in range(4 * p, 151):
+                result = scan_periodicity(cache, p, bound)
+                assert (result.preperiod, result.period) == expected, bound
 
     def test_rejects_three_mod_four(self, cache):
         with pytest.raises(ValueError):
