@@ -12,6 +12,12 @@ Exit status: 0 on success (all suites passing), 1 when a verification suite
 fails, 2 for usage errors and unreadable/corrupt files.  The default cache
 directory may be set through the ROMIK_CACHE_DIR environment variable and
 overridden per run with --cache-dir.
+
+``main`` holds the one cache session: for every command but ``cache check``
+it loads the cache directory once if it exists (a corrupt file is refused
+with the remedy, since the command would append to it), hands the cache to
+the command's handler, stores once if a table grew, and only then writes the
+lines the handler returned.  Handlers compute and never print.
 """
 
 from __future__ import annotations
@@ -92,7 +98,23 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _run_cache,
     }[args.command]
     try:
-        return handler(args, parser)
+        directory = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+        # A directory still to be made gets sizes (), so that the store makes it.
+        cache, before = SequenceCache(), ()
+        if getattr(args, "cache_command", None) == "check":
+            # Outside the session: a missing directory is an error, and nothing is stored.
+            cache, directory = cache_io.load_cache(directory), None
+        elif directory and os.path.isdir(directory):
+            try:
+                cache = cache_io.load_cache(directory)
+            except cache_io.CacheFormatError as exc:
+                raise exc.refusing_store() from None
+            before = _cache_sizes(cache)
+        code, lines = handler(args, parser, cache)
+        if directory and _cache_sizes(cache) != before:
+            cache_io.store_cache(directory, cache)
+        _emit(args, lines)
+        return code
     except (cache_io.CacheFormatError, ValueError, IntegrityError) as exc:
         print(f"romik: error: {exc}", file=sys.stderr)
         return 2
@@ -110,56 +132,49 @@ def entry_point() -> None:
 # -- shared helpers ------------------------------------------------------
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
-
-
-def _open_cache(args) -> tuple[SequenceCache, tuple[int, ...]]:
-    """The cache loaded from the cache directory, or a fresh one if there is
-    none yet, and its sizes; a directory still to be made gets sizes () so
-    that _close_cache makes it."""
-    directory = _cache_dir(args)
-    if directory and os.path.isdir(directory):
-        cache = cache_io.load_cache(directory)
-        return cache, _cache_sizes(cache)
-    return SequenceCache(), ()
-
-
 def _cache_sizes(cache: SequenceCache) -> tuple[int, ...]:
-    return (
-        cache.known_count("u"),
-        cache.known_count("v"),
-        cache.known_count("d"),
-        cache.s_bound,
-    )
-
-
-def _close_cache(args, cache: SequenceCache, sizes_before: tuple[int, ...]) -> None:
-    directory = _cache_dir(args)
-    if directory and _cache_sizes(cache) != sizes_before:
-        cache_io.store_cache(directory, cache)
+    return (*map(cache.known_count, "uvd"), cache.s_bound)
 
 
 def _emit(args, lines: list[str]) -> None:
+    """Write the lines to --output or stdout, and grid's --highlight-n0
+    marker to <output>.n0 or stderr."""
+    output = getattr(args, "output", None)
+    _write(output, lines, sys.stdout)
+    if getattr(args, "highlight_n0", False):
+        n0 = VanishingThresholds.for_prime(args.prime).n0
+        _write(output and output + ".n0", [f"n0={n0}"], sys.stderr)
+
+
+def _write(path: str | None, lines: list[str], stream) -> None:
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
+    if path:
+        with open(path, "w", encoding="ascii") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        stream.write(text)
+
+
+def _triangle_lines(rows, fmt: str, name: str) -> list[str]:
+    """Rows n = 1, 2, ... of a triangle as 'n: x ...' table lines, or as
+    'n,k,<name>' CSV."""
+    if fmt == "csv":
+        return [f"n,k,{name}"] + [
+            f"{n},{k},{x}" for n, row in enumerate(rows, 1) for k, x in enumerate(row, 1)
+        ]
+    return [f"{n}: " + " ".join(map(str, row)) for n, row in enumerate(rows, 1)]
 
 
 # -- compute -------------------------------------------------------------
 
 
-def _run_compute(args, parser) -> int:
+def _run_compute(args, parser, cache) -> tuple[int, list[str]]:
     if args.max < 0:
         parser.error("--max must be >= 0")
     if args.seq in ("s", "r") and args.max < 1:
         parser.error("--max must be >= 1 for the s/r triangle")
     if args.mod is not None and not is_prime(args.mod):
         parser.error(f"--mod must be prime, got {args.mod}")
-    cache, before = _open_cache(args)
     reduce = (lambda x: x % args.mod) if args.mod is not None else (lambda x: x)
 
     if args.seq in ("u", "v", "d"):
@@ -167,59 +182,30 @@ def _run_compute(args, parser) -> int:
         value(args.max)  # grows the s-table for d in one call, not one per index
         values = [reduce(value(n)) for n in range(args.max + 1)]
         if args.format == "csv":
-            lines = ["n,value"] + [f"{n},{x}" for n, x in enumerate(values)]
-        else:
-            lines = [",".join(str(x) for x in values)]
-    else:
-        cache.build_s_table(args.max)
-        entry = cache.s if args.seq == "s" else cache.r
-        if args.format == "csv":
-            lines = ["n,k,value"]
-            for n in range(1, args.max + 1):
-                lines.extend(f"{n},{k},{reduce(entry(n, k))}" for k in range(1, n + 1))
-        else:
-            lines = [
-                f"{n}: " + " ".join(str(reduce(entry(n, k))) for k in range(1, n + 1))
-                for n in range(1, args.max + 1)
-            ]
-    _emit(args, lines)
-    _close_cache(args, cache, before)
-    return 0
+            return 0, ["n,value"] + [f"{n},{x}" for n, x in enumerate(values)]
+        return 0, [",".join(str(x) for x in values)]
+    cache.build_s_table(args.max)
+    entry = cache.s if args.seq == "s" else cache.r
+    rows = [[reduce(entry(n, k)) for k in range(1, n + 1)] for n in range(1, args.max + 1)]
+    return 0, _triangle_lines(rows, args.format, "value")
 
 
 # -- grid ----------------------------------------------------------------
 
 
-def _run_grid(args, parser) -> int:
+def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
     if args.highlight_n0:
-        n0 = VanishingThresholds.for_prime(args.prime).n0
-    cache, before = _open_cache(args)
+        VanishingThresholds.for_prime(args.prime)  # rejects p = 1 (mod 4) before any work
     grid = build_residue_grid(args.prime, args.max_n, cache)
-    if args.format == "csv":
-        lines = grid.csv_lines()
-    elif args.format == "pgm":
-        lines = grid.pgm_lines()
-    else:
-        lines = [
-            f"{n}: " + " ".join(str(grid.entry(n, k)) for k in range(1, n + 1))
-            for n in range(1, args.max_n + 1)
-        ]
-    _emit(args, lines)
-    if args.highlight_n0:
-        marker = f"n0={n0}\n"
-        if args.output:
-            with open(args.output + ".n0", "w", encoding="ascii") as handle:
-                handle.write(marker)
-        else:
-            sys.stderr.write(marker)
-    _close_cache(args, cache, before)
-    return 0
+    if args.format == "pgm":
+        return 0, grid.pgm_lines()
+    return 0, _triangle_lines(grid.rows, args.format, "residue")
 
 
 # -- verify --------------------------------------------------------------
 
 
-def _run_verify(args, parser) -> int:
+def _run_verify(args, parser, cache) -> tuple[int, list[str]]:
     table = verify.suites()
     if args.suite == "all":
         if args.max is not None or args.prime is not None:
@@ -237,63 +223,47 @@ def _run_verify(args, parser) -> int:
             parser.error(f"--suite {args.suite} takes no --prime")
         calls = [(run, (args.prime,) if primes else ())]
     bound = {} if args.max is None else {"max_n": args.max}
-    cache, before = _open_cache(args)
     reports = [run(cache, *prime_args, **bound) for run, prime_args in calls]
 
     if args.format == "csv":
-        print(verify.REPORT_CSV_HEADER)
-        for report in reports:
-            print(report.csv_row())
+        lines = [verify.REPORT_CSV_HEADER] + [report.csv_row() for report in reports]
     else:
+        lines = []
         for report in reports:
-            print(report.line())
+            lines.append(report.line())
             if report.details:
-                print(f"  note: {report.details}")
-    _close_cache(args, cache, before)
-    return 0 if all(r.passed for r in reports) else 1
+                lines.append(f"  note: {report.details}")
+    return (0 if all(r.passed for r in reports) else 1), lines
 
 
 # -- scan-period ---------------------------------------------------------
 
 
-def _run_scan(args, parser) -> int:
-    cache, before = _open_cache(args)
+def _run_scan(args, parser, cache) -> tuple[int, list[str]]:
     result = verify.scan_periodicity(cache, args.prime, args.bound)
-    if result.conclusive:
-        cycle = ",".join(str(x) for x in result.residue_cycle)
-        print(
-            f"PRIME {result.prime} BOUND {result.scan_bound} "
-            f"PREPERIOD {result.preperiod} PERIOD {result.period} CYCLE {cycle}"
-        )
-    else:
-        print(f"PRIME {result.prime} BOUND {result.scan_bound} INCONCLUSIVE")
-    _close_cache(args, cache, before)
-    return 0
+    head = f"PRIME {result.prime} BOUND {result.scan_bound}"
+    if not result.conclusive:
+        return 0, [f"{head} INCONCLUSIVE"]
+    cycle = ",".join(str(x) for x in result.residue_cycle)
+    return 0, [f"{head} PREPERIOD {result.preperiod} PERIOD {result.period} CYCLE {cycle}"]
 
 
 # -- cache ---------------------------------------------------------------
 
 
-def _run_cache(args, parser) -> int:
-    if args.cache_command == "build":
-        if args.max < 0:
-            parser.error("--max must be >= 0")
-        try:
-            cache, before = _open_cache(args)
-        except cache_io.CacheFormatError as exc:
-            raise exc.refusing_store() from None
-        cache.build_s_table(args.max)
-        cache.d(args.max)
-        cache.u(args.max)
-        cache.v(args.max)
-        _close_cache(args, cache, before)
-        print(f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}")
-        return 0
-    cache = cache_io.load_cache(args.cache_dir)
-    for name in ("u", "v", "d"):
-        print(f"SEQ {name} COUNT {cache.known_count(name)}")
-    print(f"SEQ s ROWS {cache.s_bound}")
-    return 0
+def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
+    if args.cache_command == "check":
+        counts = [f"SEQ {name} COUNT {cache.known_count(name)}" for name in ("u", "v", "d")]
+        return 0, counts + [f"SEQ s ROWS {cache.s_bound}"]
+    if args.max < 0:
+        parser.error("--max must be >= 0")
+    # d(max) returns at once when d.bin already holds 0..max, so a directory
+    # whose s.bin or v.bin fell behind it is topped up by these two calls.
+    cache.build_s_table(args.max)
+    cache.v(args.max)
+    cache.d(args.max)
+    cache.u(args.max)
+    return 0, [f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}"]
 
 
 if __name__ == "__main__":

@@ -287,14 +287,6 @@ class ResidueGrid:
             raise ValueError(f"need 1 <= k <= n <= {self.max_n}, got n={n}, k={k}")
         return self.rows[n - 1][k - 1]
 
-    def csv_lines(self) -> list[str]:
-        """Rows 'n,k,residue' preceded by that header, in (n, k) order."""
-        lines = ["n,k,residue"]
-        for n in range(1, self.max_n + 1):
-            row = self.rows[n - 1]
-            lines.extend(f"{n},{k},{row[k - 1]}" for k in range(1, n + 1))
-        return lines
-
     def pgm_lines(self) -> list[str]:
         """Plain (P2) PGM: width = height = max_n, maxval = p - 1.
 

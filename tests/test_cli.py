@@ -107,6 +107,32 @@ class TestGrid:
             n, k, value = (int(x) for x in line.split(","))
             assert int(pgm_rows[n - 1][k - 1]) == value
 
+    def test_csv_layout(self, capsys):
+        code, out, _ = run_cli(
+            ["grid", "--prime", "7", "--max-n", "3", "--format", "csv"], capsys
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "n,k,residue",
+            "1,1,1",
+            "2,1,6",
+            "2,2,1",
+            "3,1,3",
+            "3,2,2",
+            "3,3,1",
+        ]
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_table_matches_compute_mod_p(self, p, capsys):
+        code, grid, _ = run_cli(
+            ["grid", "--prime", str(p), "--max-n", "30", "--format", "table"], capsys
+        )
+        assert code == 0
+        code, computed, _ = run_cli(
+            ["compute", "--seq", "r", "--max", "30", "--mod", str(p)], capsys
+        )
+        assert (code, grid) == (0, computed)
+
     def test_pgm_header(self, capsys):
         code, out, _ = run_cli(
             ["grid", "--prime", "7", "--max-n", "9", "--format", "pgm"], capsys
@@ -185,6 +211,31 @@ class TestVerify:
         assert code == 1
         assert "RESULT FAIL" in out
         assert "CE n=6" in out
+
+    def test_torn_cache_file_is_refused_before_any_output(self, tmp_path, capsys):
+        directory = tmp_path / "store"
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "10"], capsys)
+        assert code == 0
+        path = directory / "s.bin"
+        torn = path.read_bytes()[:-1]
+        path.write_bytes(torn)
+        code, out, err = run_cli(
+            ["verify", "--suite", "sums", "--cache-dir", str(directory)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {path}: ")
+        assert "remove the cache directory and build it again" in err
+        assert path.read_bytes() == torn
+
+    def test_failed_store_prints_no_result(self, tmp_path, capsys):
+        target = tmp_path / "regular-file"
+        target.write_text("")
+        code, out, err = run_cli(
+            ["verify", "--suite", "sums", "--max", "5", "--cache-dir", str(target)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {target}: ")
+        assert target.read_text() == ""
 
     def test_all_rejects_max_override(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "all", "--max", "10"], capsys)
@@ -302,6 +353,19 @@ class TestCacheCommand:
         assert sum(built) == 0
         assert {name: (directory / name).read_bytes() for name in os.listdir(directory)} == before
 
+    def test_build_tops_up_tables_behind_d(self, tmp_path, capsys):
+        # d.bin holds d(0..12) but v.bin and s.bin are missing, as after a
+        # store that stopped once d.bin was written.
+        cache = SequenceCache()
+        cache.d(12)
+        append_sequence(str(tmp_path / "d.bin"), "d", cache.known_values("d"))
+        code, _, _ = run_cli(["cache", "build", "--dir", str(tmp_path), "--max", "12"], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
+        assert (code, out.splitlines()) == (
+            0, ["SEQ u COUNT 13", "SEQ v COUNT 13", "SEQ d COUNT 13", "SEQ s ROWS 12"]
+        )
+
     def test_check_of_a_missing_directory_is_an_error(self, tmp_path, capsys):
         directory = tmp_path / "none"
         code, out, err = run_cli(["cache", "check", "--dir", str(directory)], capsys)
@@ -400,6 +464,18 @@ class TestCacheDirFlow:
         )
         assert code == 0
         assert first == second
+
+    def test_store_comes_before_the_output(self, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        target = tmp_path / "missing" / "d.txt"
+        code, out, err = run_cli(
+            ["compute", "--seq", "d", "--max", "8", "--cache-dir", str(directory),
+             "--output", str(target)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {target}: ")
+        assert (directory / "d.bin").exists()
 
     def test_env_variable_is_honored(self, tmp_path, capsys, monkeypatch):
         directory = str(tmp_path / "envcache")

@@ -252,18 +252,6 @@ class TestResidueGrid:
                 if n > 5 * k:
                     assert grid.entry(n, k) == 0
 
-    def test_csv_layout(self, cache):
-        grid = build_residue_grid(7, 3, cache)
-        assert grid.csv_lines() == [
-            "n,k,residue",
-            "1,1,1",
-            "2,1,6",
-            "2,2,1",
-            "3,1,3",
-            "3,2,2",
-            "3,3,1",
-        ]
-
     def test_pgm_layout(self, cache):
         grid = build_residue_grid(7, 3, cache)
         lines = grid.pgm_lines()
@@ -271,16 +259,6 @@ class TestResidueGrid:
         assert lines[3] == "1 6 6"  # background = maxval fills k > n
         assert lines[4] == "6 1 6"
         assert lines[5] == "3 2 1"
-
-    def test_csv_and_pgm_agree(self, cache):
-        grid = build_residue_grid(5, 8, cache)
-        from_csv = {}
-        for line in grid.csv_lines()[1:]:
-            n, k, value = (int(x) for x in line.split(","))
-            from_csv[(n, k)] = value
-        pgm_rows = [line.split() for line in grid.pgm_lines()[3:]]
-        for (n, k), value in from_csv.items():
-            assert int(pgm_rows[n - 1][k - 1]) == value
 
     def test_out_of_range_entry(self, cache):
         grid = build_residue_grid(5, 5, cache)
