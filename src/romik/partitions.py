@@ -5,6 +5,9 @@ s(n, k) by a route completely independent of the power-series definition,
 which makes it the oracle the series path is checked against.  Restricted
 part sets (parts in {1, 3, 5}; parts below p^2 with no part equal to p)
 support the per-prime reductions.
+
+Partitions are enumerated by a walk over (part, count) pairs, one level per
+distinct part rather than one per part.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class OddPartition:
     @classmethod
     def _trusted(cls, total: int, num_parts: int, multiplicities: tuple) -> "OddPartition":
         """Build without __post_init__'s checks, for partitions that
-        _descend makes valid by construction."""
+        enumerate_partitions makes valid by construction."""
         partition = object.__new__(cls)
         object.__setattr__(partition, "total", total)
         object.__setattr__(partition, "num_parts", num_parts)
@@ -115,9 +118,9 @@ def enumerate_partitions(
     """Yield every partition of ``total`` into ``num_parts`` odd parts that
     the filter admits, each exactly once.
 
-    Parts are chosen largest-first, so the stream is ordered
-    lexicographically decreasing on the sorted-descending part tuples.  An
-    empty stream signals an empty partition set.
+    The walk takes the largest part first, then its count from largest to
+    smallest, so the stream runs in decreasing lexicographic order on the
+    sorted-descending part tuples.  An empty stream signals no partitions.
     """
     if total < 1 or num_parts < 1:
         raise ValueError(f"total and num_parts must be >= 1, got {total}, {num_parts}")
@@ -126,49 +129,33 @@ def enumerate_partitions(
     # A sum of num_parts odd numbers has the parity of num_parts.
     if total % 2 != num_parts % 2:
         return
-    yield from _descend(total, num_parts, total, part_filter, [])
+    top = total if part_filter.max_part is None else part_filter.max_part
+    top -= 1 - top % 2  # largest admissible odd value
+    forbidden = part_filter.forbidden_part
 
+    def walk(remaining: int, parts_left: int, hi: int, chosen: tuple) -> Iterator[OddPartition]:
+        # Complete chosen, the pairs above hi, with parts_left odd parts <= hi.
+        # A part leaves room for parts_left-1 further parts >= 1.
+        for part in range(min(hi, remaining - parts_left + 1), 0, -2):
+            if part * parts_left < remaining:
+                return  # descending: no smaller part can reach the remaining total
+            if part == forbidden:
+                continue
+            if part == 1:
+                # Here parts_left == remaining, so only ones fit.
+                yield OddPartition._trusted(total, num_parts, ((1, parts_left),) + chosen)
+                return
+            # Leave the parts below at least 1 and at most part - 2 each.
+            most = min(parts_left, (remaining - parts_left) // (part - 1))
+            least = max(1, (remaining - (part - 2) * parts_left + 1) // 2)
+            for count in range(most, least - 1, -1):
+                pairs = ((part, count),) + chosen
+                if count == parts_left:
+                    yield OddPartition._trusted(total, num_parts, pairs)
+                else:
+                    yield from walk(remaining - part * count, parts_left - count, part - 2, pairs)
 
-def _descend(
-    remaining: int,
-    parts_left: int,
-    cap: int,
-    part_filter: PartitionFilter,
-    prefix: list[int],
-) -> Iterator[OddPartition]:
-    if parts_left == 0:
-        if remaining == 0:
-            yield _from_descending_parts(prefix)
-        return
-    if remaining == parts_left and part_filter.forbidden_part != 1:
-        # Only ones fit; this is what the loop below would reach part by part.
-        if part_filter.max_part is None or part_filter.max_part >= 1:
-            yield _from_descending_parts(prefix + [1] * parts_left)
-        return
-    # Largest usable value: leave room for parts_left-1 further parts >= 1.
-    hi = min(cap, remaining - (parts_left - 1))
-    if part_filter.max_part is not None:
-        hi = min(hi, part_filter.max_part)
-    if hi % 2 == 0:
-        hi -= 1
-    for part in range(hi, 0, -2):
-        if part * parts_left < remaining:
-            break  # descending: no smaller part can reach the remaining total
-        if part == part_filter.forbidden_part:
-            continue
-        prefix.append(part)
-        yield from _descend(remaining - part, parts_left - 1, part, part_filter, prefix)
-        prefix.pop()
-
-
-def _from_descending_parts(parts: list[int]) -> OddPartition:
-    mults: list[tuple[int, int]] = []
-    for part in reversed(parts):
-        if mults and mults[-1][0] == part:
-            mults[-1] = (part, mults[-1][1] + 1)
-        else:
-            mults.append((part, 1))
-    return OddPartition._trusted(sum(parts), len(parts), tuple(mults))
+    yield from walk(total, num_parts, top, ())
 
 
 def multinomial_count(partition: OddPartition) -> int:
@@ -197,12 +184,23 @@ def s_by_partitions(n: int, k: int, cache: SequenceCache) -> int:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     # Parts are at most 2n - 2k + 1, so u is needed up to index n - k.
     us = [cache.u(j) for j in range(n - k + 1)]
+    fact = factorials(2 * n)
+    powers = {}  # (part, count) -> (part!^count * count!, u((part-1)/2)^count)
     total = 0
     for lam in enumerate_partitions(2 * n, 2 * k):
-        term = multinomial_count(lam)
-        for part, count in lam.multiplicities:
-            term *= us[(part - 1) // 2] ** count
-        total += term
+        den = weight = 1
+        for pair in lam.multiplicities:
+            entry = powers.get(pair)
+            if entry is None:
+                part, count = pair
+                entry = powers[pair] = (fact[part] ** count * fact[count],
+                                        us[(part - 1) // 2] ** count)
+            den *= entry[0]
+            weight *= entry[1]
+        multinomial, rem = divmod(fact[2 * n], den)
+        if rem:
+            raise IntegrityError(f"multinomial for {lam.dump()} is not an integer")
+        total += multinomial * weight
     return total
 
 
@@ -226,10 +224,11 @@ def s_mod_p_by_partitions(
         raise ValueError(f"p must be prime, got {p}")
     if part_filter is not None and part_filter.is_restrictive and p == 2:
         raise ValueError("restricted part families are only meaningful for odd p")
+    us = [cache.u(j) % p for j in range(n - k + 1)]
     result = 0
     for lam in enumerate_partitions(2 * n, 2 * k, part_filter):
         term = multinomial_count(lam) % p
         for part, count in lam.multiplicities:
-            term = term * pow(cache.u((part - 1) // 2) % p, count, p) % p
+            term = term * pow(us[(part - 1) // 2], count, p) % p
         result = (result + term) % p
     return result

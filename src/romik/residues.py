@@ -5,7 +5,10 @@ groups, and triangular residue grids.
 Negative inputs to reductions use mathematical mod, so residues always land
 in [0, p-1].  Closed-form quotients are evaluated as exact big integers
 (divide, assert exactness) rather than through modular inverses: the
-integrality of each quotient is itself part of what gets witnessed.
+integrality of each quotient is itself part of what gets witnessed.  In the
+single-index sum the first summand is one exact big quotient, and each later
+summand is the one before it times a small integer, divided exactly by
+another small integer.
 """
 
 from __future__ import annotations
@@ -158,22 +161,29 @@ def s_mod5_single_index(n: int, k: int) -> int:
     sum_c (-1)^c (2n)! / ((3k-n+c)! (n-k-2c)! c! 5^c), c running from
     max(0, n-3k) to floor((n-k)/2); zero when n > 5k.
 
-    Every summand is an exact integer and is reduced individually.
+    The first summand is computed as one exact quotient of factorials.  With
+    a = 3k-n+c and b = n-k-2c at index c, the next one is this summand times
+    b(b-1), divided exactly by (a+1)(c+1)*5.  Every summand is thus an exact
+    integer, and a remainder at any step raises IntegrityError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     if n > 5 * k:
         return 0
+    c = max(0, n - 3 * k)
+    a, b = 3 * k - n + c, n - k - 2 * c
     fact = factorials(2 * n)
-    num = fact[2 * n]
-    total = 0
-    for c in range(max(0, n - 3 * k), (n - k) // 2 + 1):
-        den = fact[3 * k - n + c] * fact[n - k - 2 * c] * fact[c] * 5**c
-        term = _exact_quotient(num, den, "s(%d,%d) summand c=%d", n, k, c) % 5
-        if c & 1:
-            term = -term
-        total = (total + term) % 5
-    return total
+    den = fact[a] * fact[b] * fact[c] * 5**c
+    term = _exact_quotient(fact[2 * n], den, "s(%d,%d) summand c=%d", n, k, c)
+    total = -term if c & 1 else term
+    while b > 1:
+        c += 1
+        term = _exact_quotient(
+            term * b * (b - 1), (a + 1) * c * 5, "s(%d,%d) summand c=%d", n, k, c
+        )
+        total += -term if c & 1 else term
+        a, b = a + 1, b - 2
+    return total % 5
 
 
 def binomial_vanishes(a: int, b: int, p: int) -> bool:

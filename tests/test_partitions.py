@@ -1,5 +1,6 @@
 """Tests for constrained partition enumeration and the partition-sum oracle."""
 
+import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
@@ -71,6 +72,33 @@ class TestEnumerate:
                 assert streamed, (part_filter, total, num_parts)
                 assert streamed == sorted(streamed, reverse=True)
                 assert len(set(streamed)) == len(streamed)
+
+    @pytest.mark.parametrize(
+        "part_filter, count, digest",
+        [
+            (None, 7885, "7626cb94294b206dff61e41f3a22c13689d6d3768af0ee9031ad458c53b471d4"),
+            (PartitionFilter.first_three_odds(), 670,
+             "04dced4c636be38b3060a4c1f1610fa42aabd3a7a9949bc4d66fdce329be2f3b"),
+            (PartitionFilter.avoiding_prime(3), 322,
+             "c9230dccbddad5f23e0b3a5fdcb49260109e28c4895eab013476094d6e49882b"),
+            (PartitionFilter.avoiding_prime(7), 4814,
+             "efb0b6a051acf80f4c4c014c3871d3c3e7e358836b9ab357f6924d2b69a13732"),
+            (PartitionFilter(max_part=15, forbidden_part=1), 605,
+             "5dedafd566b7b53ade8376fb28a4a74aebe1507bdbeda74f0af1f0a4e843cf33"),
+        ],
+    )
+    def test_stream_is_pinned(self, part_filter, count, digest):
+        # SHA-256 over the multiplicities of every partition, in stream
+        # order, for 1 <= k <= n <= 22, so a change of order, not only of
+        # the set, fails.
+        h = hashlib.sha256()
+        seen = 0
+        for n in range(1, 23):
+            for k in range(1, n + 1):
+                for p in enumerate_partitions(2 * n, 2 * k, part_filter):
+                    h.update(repr(p.multiplicities).encode() + b"\n")
+                    seen += 1
+        assert (seen, h.hexdigest()) == (count, digest)
 
     def test_nonempty_for_valid_pairs(self):
         for n in range(1, 13):

@@ -140,9 +140,28 @@ class TestMod5Forms:
                 assert r_mod5_closed_form(n, k) == expected, (n, k)
 
     def test_against_exact_table(self, cache):
-        for n in range(1, 26):
+        for n in range(1, 61):
             for k in range(1, n + 1):
                 assert r_mod5_closed_form(n, k) == cache.r(n, k) % 5, (n, k)
+                assert s_mod5_single_index(n, k) == cache.s(n, k) % 5, (n, k)
+
+    def test_single_index_matches_per_summand_quotients(self):
+        # Reference: each summand as its own big quotient of factorials,
+        # with no stepping from one summand to the next.
+        def reference(n, k):
+            if n > 5 * k:
+                return 0
+            total = 0
+            for c in range(max(0, n - 3 * k), (n - k) // 2 + 1):
+                den = factorial(3 * k - n + c) * factorial(n - k - 2 * c) * factorial(c) * 5**c
+                term, rem = divmod(factorial(2 * n), den)
+                assert rem == 0, (n, k, c)
+                total += (-1) ** c * term
+            return total % 5
+
+        for n in range(1, 81):
+            for k in range(1, n + 1):
+                assert s_mod5_single_index(n, k) == reference(n, k), (n, k)
 
     def test_diagonal(self):
         assert all(r_mod5_closed_form(n, n) == 1 for n in range(1, 40))
