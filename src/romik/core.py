@@ -51,17 +51,18 @@ mod p times 2^(E(n) - E(k) + n - k) mod p from one table of powers of two
 per call.  The congruence suites and residue grids read through it; ``r``
 stays the exact single-entry read.
 
-The Fraction-based path in
-``s_table_by_series`` computes the same table directly from
-``RationalSeries`` powers and serves as the reference the recurrence is
-tested against.
+``s_table_by_series`` is the reference the recurrence is tested against:
+it reads only u and shares no code with the builder, carrying the powers
+of f^2 as ``RationalSeries`` (integer numerators over one denominator) in
+w = z^2 to the powers still needed, each entry one exact division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from itertools import accumulate
+from math import factorial, gcd, lcm, prod
 from operator import lshift, mul
 
 
@@ -99,61 +100,63 @@ def odd_product_squared(n: int, offset: int) -> int:
     return prod * prod
 
 
-@dataclass
+@dataclass(init=False)
 class RationalSeries:
-    """Truncated power series with exact Fraction coefficients.
-
-    ``coefficients[m]`` is the coefficient of z^m; the list always has
-    exactly ``truncation_order + 1`` entries.  Multiplication truncates at
-    the smaller operand order and pairs only nonzero coefficients: the
-    products landing on each power are summed as integers over the lcm of
-    their denominators and reduced once, into one Fraction per coefficient.
-    Comparison is exact.
+    """Truncated power series with exact rational coefficients: z^m has the
+    coefficient ``numerators[m] / denominator``, held in lowest terms
+    (denominator > 0, gcd(denominator, *numerators) == 1), so equal series
+    hold equal values.  ``coefficients`` and ``coefficient(m)`` give Fractions.
+    A product truncates at the smaller operand order, skips the operands'
+    leading zeros, forms each coefficient as one integer dot product over
+    the product of the denominators and is reduced by one gcd.
     """
 
-    coefficients: list[Fraction]
+    numerators: list[int]
+    denominator: int
     truncation_order: int
 
-    def __post_init__(self) -> None:
-        if self.truncation_order < 0:
+    def __init__(self, coefficients: list[Fraction], truncation_order: int) -> None:
+        if truncation_order < 0:
             raise ValueError("truncation_order must be >= 0")
-        if len(self.coefficients) != self.truncation_order + 1:
-            raise ValueError(
-                f"expected {self.truncation_order + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-        self.coefficients = [Fraction(c) for c in self.coefficients]
+        if len(coefficients) != truncation_order + 1:
+            raise ValueError(f"expected {truncation_order + 1} coefficients, got {len(coefficients)}")
+        fractions = [Fraction(c) for c in coefficients]
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        self.denominator = den = lcm(*(c.denominator for c in fractions))
+        self.numerators = [c.numerator * (den // c.denominator) for c in fractions]
+        self.truncation_order = truncation_order
+
+    @classmethod
+    def _reduced(cls, numerators: list[int], denominator: int, order: int) -> "RationalSeries":
+        """The series numerators / denominator, brought to lowest terms."""
+        g = gcd(denominator, *numerators)
+        series = cls.__new__(cls)
+        series.numerators = [x // g for x in numerators] if g > 1 else numerators
+        series.denominator = denominator // g
+        series.truncation_order = order
+        return series
+
+    @property
+    def coefficients(self) -> list[Fraction]:
+        return [Fraction(x, self.denominator) for x in self.numerators]
 
     def coefficient(self, m: int) -> Fraction:
         if not 0 <= m <= self.truncation_order:
             raise IndexError(f"power {m} outside truncation order {self.truncation_order}")
-        return self.coefficients[m]
+        return Fraction(self.numerators[m], self.denominator)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         order = min(self.truncation_order, other.truncation_order)
-        a = _nonzero_terms(self.coefficients, order)
-        b = _nonzero_terms(other.coefficients, order)
-        # products[m]: the unreduced (numerator, denominator) of each a_i * b_(m-i)
-        products: list[list[tuple[int, int]]] = [[] for _ in range(order + 1)]
-        for i, na, da in a:
-            for j, nb, db in b:
-                if i + j > order:
-                    break
-                products[i + j].append((na * nb, da * db))
-        coeffs = []
-        for terms in products:
-            den = lcm(*(d for _, d in terms))
-            coeffs.append(Fraction(sum(n * (den // d) for n, d in terms), den))
-        return RationalSeries(coeffs, order)
-
-
-def _nonzero_terms(coefficients: list[Fraction], order: int) -> list[tuple[int, int, int]]:
-    """(index, numerator, denominator) of each nonzero coefficient up to order."""
-    return [
-        (i, c.numerator, c.denominator)
-        for i, c in enumerate(coefficients[: order + 1])
-        if c
-    ]
+        a, b = self.numerators[: order + 1], other.numerators[: order + 1]
+        lo_a, lo_b = (next((i for i, x in enumerate(c) if x), order + 1) for c in (a, b))
+        lo = min(lo_a + lo_b, order + 1)
+        # rb[order - j] = b[j]: the slice from order - m + lo_a runs b[m - lo_a], b[m - lo_a - 1], ...
+        rb = b[::-1]
+        nums = [0] * lo + [
+            sum(map(mul, a[lo_a : m - lo_b + 1], rb[order - m + lo_a :]))
+            for m in range(lo, order + 1)
+        ]
+        return self._reduced(nums, self.denominator * other.denominator, order)
 
 
 class SequenceCache:
@@ -305,24 +308,28 @@ class SequenceCache:
         e = self._e
         return x << (e[n] - e[k] + n - k)
 
-    def r_residues(self, p: int, max_n: int) -> list[list[int]]:
-        """Rows [r(n, 1) % p, ..., r(n, n) % p] for n = 1..max_n, growing the
-        table to max_n if needed.  Each entry is s^(n, k) % p times
-        2^(E(n) - E(k) + n - k) % p, read from one table of powers of two,
-        so r is never formed; where that power is 0 mod p (p = 2, k < n)
-        the held entry is not reduced at all."""
+    def r_residues(
+        self, p: int, max_n: int, lo: int = 1, max_k: int | None = None
+    ) -> list[list[int]]:
+        """Rows [r(n, 1) % p, ..., r(n, min(n, max_k)) % p] for n = lo..max_n
+        (every column if max_k is None), growing the table to max_n if
+        needed.  Each entry is s^(n, k) % p times 2^(E(n) - E(k) + n - k) % p,
+        read from one table of powers of two, so r is never formed; where
+        that power is 0 mod p (p = 2, k < n) the held entry is not reduced
+        at all, and entries outside the window are not read."""
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
+        if max_n < 0 or lo < 1:
+            raise ValueError(f"need max_n >= 0 and lo >= 1, got max_n={max_n}, lo={lo}")
         self.build_s_table(max_n)
         e = self._e
         pow2 = [1]
         for _ in range(e[max_n] + max_n):
             pow2.append(pow2[-1] * 2 % p)
-        ek = [e[k] + k for k in range(1, max_n + 1)]
+        width = max_n if max_k is None else min(max_k, max_n)
+        ek = [e[k] + k for k in range(1, width + 1)]
         out = []
-        for n, row in enumerate(self._s_rows[:max_n], 1):
+        for n, row in enumerate(self._s_rows[lo - 1 : max_n], lo):
             top = e[n] + n
             powers = [pow2[top - c] for c in ek[:n]]
             out.append([t and x % p * t % p for x, t in zip(row, powers)])
@@ -457,26 +464,29 @@ def theta_series(truncation_order: int, cache: SequenceCache) -> RationalSeries:
 
 
 def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
-    """Triangular s-table computed through Fraction series arithmetic.
+    """Triangular s-table computed through exact rational series arithmetic.
 
-    This is the reference path: s(n, k) = (2n)!/(2k)! [z^(2n)] f^(2k) with
-    all coefficients as exact rationals.  The row recurrence used by
+    This is the reference path: s(n, k) = (2n)!/(2k)! [z^(2n)] f^(2k).  f is
+    odd, f = z g(w) with w = z^2, so that coefficient is [w^(n-k)] (g^2)^k,
+    and power k is carried only to w^(max_n-k).  The row recurrence used by
     SequenceCache.build_s_table must reproduce it bit for bit.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    order = 2 * max_n
-    f = theta_series(order, cache)
-    f2 = f * f
+    f = theta_series(2 * max_n - 1, cache)
+    g = RationalSeries._reduced(f.numerators[1::2], f.denominator, max_n - 1)
+    g2 = g * g
+    fact = list(accumulate(range(1, 2 * max_n + 1), mul, initial=1))  # fact[m] = m!
     rows = [[0] * n for n in range(1, max_n + 1)]
-    power = f2
+    power = g2
     for k in range(1, max_n + 1):
-        if k > 1:
-            power = power * f2
-        fact_2k = factorial(2 * k)
-        for n in range(k, max_n + 1):
-            value = power.coefficient(2 * n) * factorial(2 * n) / fact_2k
-            if value.denominator != 1:
-                raise IntegrityError(f"s({n},{k}) is not an integer: {value}")
-            rows[n - 1][k - 1] = value.numerator
+        den = power.denominator * fact[2 * k]
+        for n, num in enumerate(power.numerators, k):
+            value, rem = divmod(num * fact[2 * n], den)
+            if rem:
+                raise IntegrityError(f"s({n},{k}) is not an integer")
+            rows[n - 1][k - 1] = value
+        cut = max_n - k - 1  # power k + 1 is read only to w^cut
+        if cut >= 0:
+            power = RationalSeries._reduced(power.numerators[: cut + 1], power.denominator, cut) * g2
     return rows

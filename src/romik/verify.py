@@ -148,13 +148,13 @@ def verify_mod_p_vanishing(
         raise ValueError(f"max_n must exceed n0={n0}, got {max_n}")
     started = time.perf_counter()
     cache.d(max_n)
-    residues = cache.r_residues(p, max_n)
+    residues = cache.r_residues(p, max_n, n0 + 1, n0)
     ce = None
     for n in range(n0 + 1, max_n + 1):
         if cache.d(n) % p != 0:
             ce = Counterexample(n, None, 0, cache.d(n) % p)
             break
-        low = residues[n - 1][:n0]  # r(n, k) mod p for k = 1..n0
+        low = residues[n - n0 - 1]  # r(n, k) mod p for k = 1..n0
         if any(low):
             k = next(k for k, residue in enumerate(low, 1) if residue)
             ce = Counterexample(n, k, 0, low[k - 1])

@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -164,6 +164,10 @@ class TestSTable:
         fresh.build_s_table(80)
         assert s_table_by_series(80, fresh) == fresh.known_s_rows()
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_small_bounds_match_rational_reference_path(self, cache, n):
+        assert s_table_by_series(n, cache) == cache.known_s_rows()[:n]
+
     def test_incremental_growth_matches_bulk(self, cache):
         grown = SequenceCache()
         for n in (3, 9, 17):
@@ -306,6 +310,15 @@ class TestResidueReader:
         assert restored.r_residues(7, 40) == table.r_residues(7, 40)
         assert restored.stored_s_rows() == table.stored_s_rows()[:40]
 
+    @pytest.mark.parametrize(
+        "p, lo, max_n, max_k",
+        [(3, 5, 40, 4), (7, 25, 60, 24), (5, 1, 30, None), (2, 10, 30, 40), (11, 30, 30, 1)],
+    )
+    def test_window_is_a_slice_of_the_full_rows(self, table, p, lo, max_n, max_k):
+        full = table.r_residues(p, max_n)
+        expected = [row[:max_k] for row in full[lo - 1 :]]
+        assert table.r_residues(p, max_n, lo, max_k) == expected
+
     def test_empty_bound_and_bad_modulus(self):
         fresh = SequenceCache()
         assert fresh.r_residues(5, 0) == []
@@ -313,6 +326,8 @@ class TestResidueReader:
         for p in (1, 0, -3):
             with pytest.raises(ValueError, match="p must be >= 2"):
                 fresh.r_residues(p, 3)
+        with pytest.raises(ValueError, match="lo >= 1"):
+            fresh.r_residues(5, 3, 0)
 
 
 class TestThetaSeries:
@@ -370,6 +385,49 @@ class TestRationalSeries:
         assert prod.truncation_order == order
         assert prod.coefficients == expected
         assert all(type(c) is Fraction for c in prod.coefficients)
+
+    @staticmethod
+    def _assert_lowest_terms(series):
+        assert series.denominator > 0
+        assert gcd(series.denominator, *series.numerators) == 1
+        assert len(series.numerators) == series.truncation_order + 1
+
+    @given(
+        a=st.lists(RATIONALS, min_size=1, max_size=12),
+        b=st.lists(RATIONALS, min_size=1, max_size=12),
+    )
+    def test_held_in_lowest_terms(self, a, b):
+        x, y = RationalSeries(a, len(a) - 1), RationalSeries(b, len(b) - 1)
+        for series in (x, y, x * y):
+            self._assert_lowest_terms(series)
+
+    def test_zero_series_product(self):
+        zero = RationalSeries([Fraction(0)] * 4, 3)
+        other = RationalSeries([Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(1, 2)], 3)
+        for prod in (zero * other, other * zero, zero * zero):
+            assert prod.coefficients == [0, 0, 0, 0]
+            assert (prod.numerators, prod.denominator) == ([0, 0, 0, 0], 1)
+
+    def test_leading_zeros_past_the_truncation_order(self):
+        # z^3 * z^2 lands on z^5, beyond order 4: nothing survives
+        a = RationalSeries([0, 0, 0, Fraction(2, 3), 1], 4)
+        b = RationalSeries([0, 0, Fraction(5, 7), 0, 0, 1], 5)
+        prod = a * b
+        assert prod.truncation_order == 4
+        assert (prod.numerators, prod.denominator) == ([0] * 5, 1)
+        # z^1 * z^2 lands on z^3 and z^4, the last powers kept
+        c = RationalSeries([0, Fraction(1, 2), Fraction(1, 3), 0, 0], 4)
+        assert (c * b).coefficients == [0, 0, 0, Fraction(5, 14), Fraction(5, 21)]
+
+    def test_negative_coefficients(self):
+        a = RationalSeries([Fraction(-1, 2), Fraction(3, 4), Fraction(-5, 6)], 2)
+        b = RationalSeries([Fraction(-2, 3), Fraction(-1, 9), Fraction(4)], 2)
+        assert (a * b).coefficients == [
+            Fraction(1, 3),
+            Fraction(1, 18) - Fraction(1, 2),
+            Fraction(-2) - Fraction(1, 12) + Fraction(5, 9),
+        ]
+        self._assert_lowest_terms(a * b)
 
     def test_exact_equality(self):
         a = RationalSeries([Fraction(2, 4)], 0)
