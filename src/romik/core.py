@@ -55,15 +55,24 @@ stays the exact single-entry read.
 it reads only u and shares no code with the builder, carrying the powers
 of f^2 as ``RationalSeries`` (integer numerators over one denominator) in
 w = z^2 to the powers still needed, each entry one exact division.
+
+Three primitives here are shared by the whole package: ``factorial`` (n!,
+memoized), ``_exact_quotient`` (divide, or raise IntegrityError on a
+remainder) and ``_check_pair`` (the 1 <= k <= n guard).  The builder alone
+divides inline, so that the reference above shares no code with it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import lshift, mul
+
+
+factorial = functools.cache(math.factorial)
 
 
 class IntegrityError(ArithmeticError):
@@ -272,6 +281,8 @@ class SequenceCache:
             row = [first]
             for k in range(2, n + 1):
                 odd_k = k // (k & -k)
+                # Divided here, not by _exact_quotient, which the reference
+                # s_table_by_series uses: the two routes share no code.
                 q, rem = divmod(sum(map(mul, terms[k - 2 :], cols[k - 2])), (2 * k - 1) * odd_k)
                 if rem:
                     raise IntegrityError(f"s({n},{k}) is not an integer")
@@ -448,6 +459,15 @@ def _check_pair(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _exact_quotient(num: int, den: int, what: str, *args: object) -> int:
+    """num / den, which must divide exactly; ``what % args`` names the
+    quotient in the error and is formatted only when raising."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise IntegrityError(f"{what % args} is not an integer")
+    return q
+
+
 def theta_series(truncation_order: int, cache: SequenceCache) -> RationalSeries:
     """The series sum_j u(j)/(2j+1)! z^(2j+1), truncated after z^truncation_order.
 
@@ -476,16 +496,12 @@ def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     f = theta_series(2 * max_n - 1, cache)
     g = RationalSeries._reduced(f.numerators[1::2], f.denominator, max_n - 1)
     g2 = g * g
-    fact = list(accumulate(range(1, 2 * max_n + 1), mul, initial=1))  # fact[m] = m!
     rows = [[0] * n for n in range(1, max_n + 1)]
     power = g2
     for k in range(1, max_n + 1):
-        den = power.denominator * fact[2 * k]
+        den = power.denominator * factorial(2 * k)
         for n, num in enumerate(power.numerators, k):
-            value, rem = divmod(num * fact[2 * n], den)
-            if rem:
-                raise IntegrityError(f"s({n},{k}) is not an integer")
-            rows[n - 1][k - 1] = value
+            rows[n - 1][k - 1] = _exact_quotient(num * factorial(2 * n), den, "s(%d,%d)", n, k)
         cut = max_n - k - 1  # power k + 1 is read only to w^cut
         if cut >= 0:
             power = RationalSeries._reduced(power.numerators[: cut + 1], power.denominator, cut) * g2

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import IntegrityError, SequenceCache
-from .residues import factorials, is_prime
+from .core import SequenceCache, _check_pair, _exact_quotient, factorial
+from .residues import _require_prime
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,11 @@ def multinomial_count(partition: OddPartition) -> int:
     This counts set partitions of a total-element set into blocks whose
     sizes realize the partition; integrality is asserted, not assumed.
     """
-    fact = factorials(partition.total)
+    pairs = partition.multiplicities
     den = 1
-    for part, count in partition.multiplicities:
-        den *= fact[part] ** count * fact[count]
-    q, rem = divmod(fact[partition.total], den)
-    if rem:
-        raise IntegrityError(f"multinomial for {partition.dump()} is not an integer")
-    return q
+    for part, count in pairs:
+        den *= factorial(part) ** count * factorial(count)
+    return _exact_quotient(factorial(partition.total), den, "multinomial for %s", pairs)
 
 
 def s_by_partitions(n: int, k: int, cache: SequenceCache) -> int:
@@ -180,11 +177,10 @@ def s_by_partitions(n: int, k: int, cache: SequenceCache) -> int:
 
     Independent oracle for SequenceCache.s; the two must agree exactly.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_pair(n, k)
     # Parts are at most 2n - 2k + 1, so u is needed up to index n - k.
     us = [cache.u(j) for j in range(n - k + 1)]
-    fact = factorials(2 * n)
+    top = factorial(2 * n)
     powers = {}  # (part, count) -> (part!^count * count!, u((part-1)/2)^count)
     total = 0
     for lam in enumerate_partitions(2 * n, 2 * k):
@@ -193,14 +189,11 @@ def s_by_partitions(n: int, k: int, cache: SequenceCache) -> int:
             entry = powers.get(pair)
             if entry is None:
                 part, count = pair
-                entry = powers[pair] = (fact[part] ** count * fact[count],
+                entry = powers[pair] = (factorial(part) ** count * factorial(count),
                                         us[(part - 1) // 2] ** count)
             den *= entry[0]
             weight *= entry[1]
-        multinomial, rem = divmod(fact[2 * n], den)
-        if rem:
-            raise IntegrityError(f"multinomial for {lam.dump()} is not an integer")
-        total += multinomial * weight
+        total += _exact_quotient(top, den, "multinomial for %s", lam.multiplicities) * weight
     return total
 
 
@@ -218,10 +211,8 @@ def s_mod_p_by_partitions(
     no-part-p family is the p = 3 (mod 4) reduction, both valid only for odd
     p.  An empty family yields 0.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_pair(n, k)
+    _require_prime(p)
     if part_filter is not None and part_filter.is_restrictive and p == 2:
         raise ValueError("restricted part families are only meaningful for odd p")
     us = [cache.u(j) % p for j in range(n - k + 1)]

@@ -13,12 +13,11 @@ another small integer.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import isqrt
 
-from .core import IntegrityError, SequenceCache
+from .core import SequenceCache, _check_pair, _exact_quotient, factorial
 
 
 def is_prime(n: int) -> bool:
@@ -39,7 +38,7 @@ def _require_prime(p: int, odd: bool = False) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if odd and p == 2:
-        raise ValueError("p must be an odd prime")
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -60,10 +59,8 @@ def factorial_valuation(n: int, p: int) -> int:
     _require_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    q, rem = divmod(n - digit_sum(n, p), p - 1)
-    if rem:
-        raise IntegrityError(f"(n - s_p(n)) not divisible by p-1 for n={n}, p={p}")
-    return q
+    what = "(n - s_p(n))/(p-1) for n=%d, p=%d"
+    return _exact_quotient(n - digit_sum(n, p), p - 1, what, n, p)
 
 
 def factorial_valuation_by_floor_sum(n: int, p: int) -> int:
@@ -104,35 +101,6 @@ def single_index_term_valuation(n: int, k: int, c: int, p: int = 5) -> int:
     )
 
 
-# _FACTORIALS[i] = i!, grown on demand by factorials(); shared by the closed
-# forms here and by partitions.multinomial_count.  Growth holds the lock so
-# that concurrent callers cannot append out of order; entries never change.
-_FACTORIALS = [1]
-_FACTORIALS_LOCK = threading.Lock()
-
-
-def factorials(n: int) -> list[int]:
-    """The table [0!, 1!, ..., m!] for some m >= n, extended as needed.
-
-    The list is the module's own table: callers index it and never mutate it.
-    """
-    table = _FACTORIALS
-    if len(table) <= n:
-        with _FACTORIALS_LOCK:
-            while len(table) <= n:
-                table.append(table[-1] * len(table))
-    return table
-
-
-def _exact_quotient(num: int, den: int, what: str, *args: int) -> int:
-    """num / den, which must divide exactly; ``what % args`` names the
-    quotient in the error and is formatted only when raising."""
-    q, rem = divmod(num, den)
-    if rem:
-        raise IntegrityError(f"{what % args} is not an integer")
-    return q
-
-
 def r_mod5_closed_form(n: int, k: int) -> int:
     """Residue of r(n, k) mod 5 straight from the closed form.
 
@@ -141,8 +109,7 @@ def r_mod5_closed_form(n: int, k: int) -> int:
     place of (n-k)/2 (and (5k-n-1)/2 up top) when n-k is odd.  Each quotient
     is an exact integer and is evaluated as one.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_pair(n, k)
     if n > 5 * k:
         return 0
     if (n - k) % 2 == 0:
@@ -151,9 +118,8 @@ def r_mod5_closed_form(n: int, k: int) -> int:
     else:
         a, b = (5 * k - n - 1) // 2, (n - k - 1) // 2
         lead = 2
-    fact = factorials(2 * n)
-    q = _exact_quotient(fact[2 * n], fact[a] * fact[b] * 5**b, "r(%d,%d) quotient", n, k)
-    return lead * q % 5
+    den = factorial(a) * factorial(b) * 5**b
+    return lead * _exact_quotient(factorial(2 * n), den, "r(%d,%d) quotient", n, k) % 5
 
 
 def s_mod5_single_index(n: int, k: int) -> int:
@@ -166,15 +132,13 @@ def s_mod5_single_index(n: int, k: int) -> int:
     b(b-1), divided exactly by (a+1)(c+1)*5.  Every summand is thus an exact
     integer, and a remainder at any step raises IntegrityError.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_pair(n, k)
     if n > 5 * k:
         return 0
     c = max(0, n - 3 * k)
     a, b = 3 * k - n + c, n - k - 2 * c
-    fact = factorials(2 * n)
-    den = fact[a] * fact[b] * fact[c] * 5**c
-    term = _exact_quotient(fact[2 * n], den, "s(%d,%d) summand c=%d", n, k, c)
+    den = factorial(a) * factorial(b) * factorial(c) * 5**c
+    term = _exact_quotient(factorial(2 * n), den, "s(%d,%d) summand c=%d", n, k, c)
     total = -term if c & 1 else term
     while b > 1:
         c += 1
@@ -203,9 +167,8 @@ def five_cycle_class_size(n: int, k: int) -> int:
     and n - 5k fixed points: n! / ((n-5k)! k! 5^k)."""
     if k < 0 or 5 * k > n:
         raise ValueError(f"need 0 <= 5k <= n, got n={n}, k={k}")
-    fact = factorials(n)
     return _exact_quotient(
-        fact[n], fact[n - 5 * k] * fact[k] * 5**k, "class size (%d,%d)", n, k
+        factorial(n), factorial(n - 5 * k) * factorial(k) * 5**k, "class size (%d,%d)", n, k
     )
 
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .core import SequenceCache
-from .residues import VanishingThresholds, is_prime
+from .residues import VanishingThresholds, _require_prime, is_prime
 
 # Desk-scale default bounds; every suite accepts an explicit override.
 DEFAULT_MAX_N = 150
@@ -100,7 +100,10 @@ def _report(suite, lo, hi, prime, started, ce, details=""):
 def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     """d(n) and v(n) odd for 0 <= n <= max_n.
 
-    r(n, k) even for k < n is not checked: no table can break it, since
+    d(n) is derived here up to max_n, and its oddness is checked where it is
+    made: ``SequenceCache.d`` raises IntegrityError on an even value, and
+    ``SequenceCache.from_stored`` refuses a stored even d.  r(n, k) even for
+    k < n is not checked: no table can break it, since
     r(n, k) = s^(n, k) 2^(E(n) - E(k) + n - k) with the exponent >= n - k >= 1.
     So d(n) = v(n) mod 2, and the content of the suite is that v(n) is odd."""
     if max_n < 0:
@@ -109,9 +112,6 @@ def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificat
     cache.d(max_n)
     ce = None
     for n in range(max_n + 1):
-        if cache.d(n) & 1 == 0:
-            ce = Counterexample(n, None, "odd d", f"d({n})={cache.d(n)}")
-            break
         if cache.v(n) & 1 == 0:
             ce = Counterexample(n, None, "odd v", f"v({n})={cache.v(n)}")
             break
@@ -174,8 +174,7 @@ def verify_uv_structure(
     Other p (= 1 mod 4, p != 5): exploratory; the observed vanishing onset
     is reported in ``details`` and nothing is asserted.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _require_prime(p, odd=True)
     if max_n is None:
         max_n = VanishingThresholds.for_prime(p).n0 + 20 if p % 4 == 3 else 40
     if max_n < 1:

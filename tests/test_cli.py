@@ -285,6 +285,18 @@ class TestScanPeriod:
         assert code == 0
         assert out.strip() == "PRIME 5 BOUND 30 PREPERIOD 1 PERIOD 2 CYCLE 4,1"
 
+    def test_inconclusive_from_a_stored_cache(self, tmp_path, capsys):
+        cache = SequenceCache()
+        cache.d(20)
+        values = cache.known_values("d")
+        values[20] += 4  # odd, but breaks the period-2 cycle at the last index
+        append_sequence(str(tmp_path / "d.bin"), "d", values)
+        code, out, _ = run_cli(
+            ["scan-period", "--prime", "5", "--bound", "20", "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        assert (code, out) == (0, "PRIME 5 BOUND 20 INCONCLUSIVE\n")
+
     def test_rejects_three_mod_four(self, capsys):
         code, _, _ = run_cli(["scan-period", "--prime", "7", "--bound", "100"], capsys)
         assert code == 2
@@ -434,6 +446,24 @@ class TestLibraryChecks:
         assert code == 2
         assert out == ""
         assert err.startswith("romik: error:")
+        assert not directory.exists()
+
+
+class TestParserChecks:
+    """Bounds the CLI itself rejects exit 2 with a usage error, before any
+    output and before the cache directory exists."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--seq", "d", "--max", "-1", "--cache-dir"],
+        ["compute", "--seq", "s", "--max", "0", "--cache-dir"],
+        ["cache", "build", "--max", "-1", "--dir"],
+    ])
+    def test_rejected_before_any_output(self, argv, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        code, out, err = run_cli([*argv, str(directory)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: --max must be >= " in err
         assert not directory.exists()
 
 

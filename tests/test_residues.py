@@ -21,10 +21,12 @@ from romik import (
     five_cycle_class_size,
     is_prime,
     r_mod5_closed_form,
+    s_by_partitions,
     s_mod5_single_index,
+    s_mod_p_by_partitions,
     single_index_term_valuation,
 )
-from romik.residues import _exact_quotient, factorials
+from romik.core import _exact_quotient, factorial as cached_factorial
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -75,18 +77,18 @@ class TestFactorialValuation:
 
 class TestFactorialTable:
     def test_values(self):
-        table = factorials(60)
-        assert len(table) > 60
-        assert table[:61] == [factorial(i) for i in range(61)]
+        assert [cached_factorial(n) for n in range(251)] == [factorial(n) for n in range(251)]
 
-    def test_grows_in_place(self):
-        assert factorials(250) is factorials(3)
-        assert factorials(250)[250] == factorial(250)
+    def test_memoized(self):
+        assert cached_factorial(250) is cached_factorial(250)
 
     def test_exact_quotient(self):
         assert _exact_quotient(factorial(10), factorial(7), "10!/7!") == 720
         with pytest.raises(IntegrityError, match=r"^s\(7,2\) summand c=1 is not an integer$"):
             _exact_quotient(10, 3, "s(%d,%d) summand c=%d", 7, 2, 1)
+        pairs = ((1, 3), (5, 1))
+        with pytest.raises(IntegrityError, match=r"^multinomial for \(\(1, 3\), \(5, 1\)\) is not"):
+            _exact_quotient(10, 3, "multinomial for %s", pairs)
 
 
 class TestSingleIndexTermValuation:
@@ -297,3 +299,16 @@ class TestIsPrime:
         assert not is_prime(-7)
         assert is_prime(7919)
         assert not is_prime(7917)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n, k, cache: cache.s(n, k),
+    lambda n, k, cache: r_mod5_closed_form(n, k),
+    lambda n, k, cache: s_mod5_single_index(n, k),
+    s_by_partitions,
+    lambda n, k, cache: s_mod_p_by_partitions(n, k, 5, cache),
+], ids=["s", "r_mod5_closed_form", "s_mod5_single_index", "s_by_partitions",
+        "s_mod_p_by_partitions"])
+def test_index_guard(entry, cache):
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got n=3, k=4$"):
+        entry(3, 4, cache)

@@ -15,6 +15,19 @@ from romik import (
 from romik.verify import Counterexample, REPORT_CSV_HEADER, VerificationReport
 
 
+def planted(cache, name, index, delta):
+    """A cache restored by from_stored from the tables of ``cache``, with one
+    held value moved by delta: u, v or d at index n, or s^(n, k) at (n, k)."""
+    tables = {seq: cache.known_values(seq) for seq in "uvd"}
+    tables["s_rows"] = [list(row) for row in cache.stored_s_rows()]
+    if name == "s":
+        n, k = index
+        tables["s_rows"][n - 1][k - 1] += delta
+    else:
+        tables[name][index] += delta
+    return SequenceCache.from_stored(**tables)
+
+
 class TestReports:
     def test_line_format_pass(self):
         report = VerificationReport("parity", 0, 40, None, elapsed=0.1)
@@ -147,6 +160,17 @@ class TestUvStructure:
         with pytest.raises(ValueError):
             verify_uv_structure(cache, 2, 10)
 
+    @pytest.mark.parametrize("p, name, n, fragment", [
+        (5, "u", 4, "CE n=4 k=- expected=u%5=0 actual=1"),
+        (5, "v", 3, "CE n=3 k=- expected=v%5=0 actual=1"),
+        (3, "u", 1, "CE n=1 k=- expected=u%p=0 actual=1"),
+        (3, "u", 4, "CE n=4 k=- expected=u%p=0 actual=1"),
+        (3, "v", 5, "CE n=5 k=- expected=v%p=0 actual=1"),
+    ])
+    def test_reports_a_planted_residue(self, cache, p, name, n, fragment):
+        report = verify_uv_structure(planted(cache, name, n, 1), p, 20)
+        assert report.line().endswith(fragment)
+
     @pytest.mark.parametrize("p, hi", [(7, 44), (13, 40)])
     def test_default_bound(self, p, hi):
         assert verify_uv_structure(SequenceCache(), p).hi == hi
@@ -169,6 +193,14 @@ class TestEvenOddSums:
 
     def test_default_bound(self):
         assert verify_even_odd_sums(SequenceCache()).hi == 60
+
+    @pytest.mark.parametrize("k, fragment", [
+        (2, "CE n=10 k=- expected=even-k sum 0 actual=3"),
+        (3, "CE n=10 k=- expected=odd-k sum 0 actual=2"),
+    ])
+    def test_reports_a_planted_entry(self, cache, k, fragment):
+        report = verify_even_odd_sums(planted(cache, "s", (10, k), 1), 12)
+        assert report.line().endswith(fragment)
 
 
 class TestScanPeriodicity:
@@ -201,6 +233,10 @@ class TestScanPeriodicity:
             for bound in range(4 * p, 151):
                 result = scan_periodicity(cache, p, bound)
                 assert (result.preperiod, result.period) == expected, bound
+
+    def test_planted_d_is_inconclusive(self, cache):
+        # d(20) + 4 stays odd and breaks the last residue of the cycle.
+        assert not scan_periodicity(planted(cache, "d", 20, 4), 5, 20).conclusive
 
     def test_rejects_three_mod_four(self, cache):
         with pytest.raises(ValueError):
