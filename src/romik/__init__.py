@@ -11,17 +11,14 @@ from .core import (
     IntegrityError,
     RationalSeries,
     SequenceCache,
-    odd_product_squared,
     s_table_by_series,
     theta_series,
 )
 from .partitions import (
-    OddPartition,
     PartitionFilter,
     enumerate_partitions,
     multinomial_count,
     s_by_partitions,
-    s_mod_p_by_partitions,
 )
 from .residues import (
     ResidueGrid,
@@ -30,7 +27,6 @@ from .residues import (
     build_residue_grid,
     count_fifth_roots,
     digit_sum,
-    digit_sum_facts_hold,
     factorial_valuation,
     factorial_valuation_by_floor_sum,
     five_cycle_class_size,
@@ -57,22 +53,18 @@ __all__ = [
     "IntegrityError",
     "RationalSeries",
     "SequenceCache",
-    "odd_product_squared",
     "s_table_by_series",
     "theta_series",
-    "OddPartition",
     "PartitionFilter",
     "enumerate_partitions",
     "multinomial_count",
     "s_by_partitions",
-    "s_mod_p_by_partitions",
     "ResidueGrid",
     "VanishingThresholds",
     "binomial_vanishes",
     "build_residue_grid",
     "count_fifth_roots",
     "digit_sum",
-    "digit_sum_facts_hold",
     "factorial_valuation",
     "factorial_valuation_by_floor_sum",
     "five_cycle_class_size",

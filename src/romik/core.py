@@ -93,22 +93,6 @@ class StoredValueError(ValueError):
         self.table = table
 
 
-def odd_product_squared(n: int, offset: int) -> int:
-    """Square of the product offset * (offset+4) * ... * (4n - (4-offset)).
-
-    offset=3 gives (3*7*...*(4n-1))^2, offset=1 gives (1*5*...*(4n-3))^2.
-    The empty product (n=0) is 1.
-    """
-    if offset not in (1, 3):
-        raise ValueError(f"offset must be 1 or 3, got {offset}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= 4 * i - (4 - offset)
-    return prod * prod
-
-
 @dataclass(init=False)
 class RationalSeries:
     """Truncated power series with exact rational coefficients: z^m has the

@@ -14,7 +14,6 @@ another small integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import isqrt
 
 from .core import SequenceCache, _check_pair, _exact_quotient, factorial
@@ -179,52 +178,12 @@ def count_fifth_roots(n: int) -> int:
     return sum(five_cycle_class_size(n, k) for k in range(n // 5 + 1))
 
 
-def digit_sum_facts_hold(r: int, s: int, p: int) -> bool:
-    """Check the base-p digit-sum facts for the pair (r, s):
-
-    subadditivity s_p(r+s) <= s_p(r) + s_p(s), with equality exactly when
-    no column of the base-p addition carries; the mixed-digit bound
-    s_p(r) + s_p(s) >= s_p(s_p(r) + p*s_p(s)); and s_p(mp) = s_p(m) with
-    s_p(m) = m exactly for single-digit m, for m in {r, s}.
-
-    Property-test driver, not new mathematics.
-    """
-    if r < 1 or s < 1:
-        raise ValueError(f"r and s must be >= 1, got {r}, {s}")
-    _require_prime(p)
-    sr, ss = digit_sum(r, p), digit_sum(s, p)
-    if digit_sum(r + s, p) > sr + ss:
-        return False
-    no_carries = all(
-        dr + ds <= p - 1
-        for dr, ds in zip_longest(_digits(r, p), _digits(s, p), fillvalue=0)
-    )
-    if (digit_sum(r + s, p) == sr + ss) != no_carries:
-        return False
-    if sr + ss < digit_sum(sr + p * ss, p):
-        return False
-    for m in (r, s):
-        if digit_sum(m * p, p) != digit_sum(m, p):
-            return False
-        if (digit_sum(m, p) == m) != (m <= p - 1):
-            return False
-    return True
-
-
-def _digits(n: int, p: int) -> list[int]:
-    out = []
-    while n:
-        n, digit = divmod(n, p)
-        out.append(digit)
-    return out
-
-
 @dataclass(frozen=True)
 class VanishingThresholds:
     """The two index thresholds attached to a prime p = 3 (mod 4):
     n0 = (p^2 - 1)/2, past which d(n) and the low-k part of the r-table
-    vanish mod p, and the smaller n1 = 3(p+1)/4 used when truncating the
-    u-recurrence."""
+    vanish mod p, and the smaller n1 = 3(p+1)/4, the paper's threshold for
+    truncating the u-recurrence (romik truncates nothing; kept for tests)."""
 
     prime: int
     n0: int

@@ -2,20 +2,14 @@
 
 import hashlib
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from romik import (
-    IntegrityError,
-    RationalSeries,
-    SequenceCache,
-    odd_product_squared,
-    s_table_by_series,
-    theta_series,
-)
+import romik
+from romik import IntegrityError, RationalSeries, SequenceCache, s_table_by_series, theta_series
 from romik.cache_io import load_cache, store_cache
 from romik.core import _binomial_row
 
@@ -32,6 +26,21 @@ S_150_SHA256 = "5d93860d78cde1a1218584e852c54e930b21cbab09f6d5ce6360fd3b091e21fc
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def odd_product_squared(n, offset):
+    """Square of offset * (offset+4) * ... * (4n - (4-offset)), offset 1 or 3;
+    1 for n = 0.  The u and v recurrences carry these products themselves."""
+    if offset not in (1, 3):
+        raise ValueError(f"offset must be 1 or 3, got {offset}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return prod(range(offset, 4 * n, 4)) ** 2
+
+
+def test_public_names_resolve():
+    assert len(set(romik.__all__)) == len(romik.__all__)
+    assert [name for name in romik.__all__ if not hasattr(romik, name)] == []
 
 
 class TestBinomialRow:

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from romik import (
-    OddPartition,
-    PartitionFilter,
-    enumerate_partitions,
-    multinomial_count,
-    s_by_partitions,
-    s_mod_p_by_partitions,
-)
+from romik import PartitionFilter, enumerate_partitions, multinomial_count, s_by_partitions
+
+
+def parts(pairs):
+    """All parts in increasing order, with repetition."""
+    return tuple(part for part, count in pairs for _ in range(count))
 
 
 def parts_set(total, num_parts, part_filter=None):
-    return {p.parts() for p in enumerate_partitions(total, num_parts, part_filter)}
+    return {parts(p) for p in enumerate_partitions(total, num_parts, part_filter)}
 
 
 class TestEnumerate:
@@ -48,7 +46,7 @@ class TestEnumerate:
     def test_forbidden_part_excluded(self):
         flt = PartitionFilter.avoiding_prime(3)
         assert parts_set(6, 2, flt) == {(1, 5)}  # (3,3) dropped
-        assert all(3 not in p.parts() for p in enumerate_partitions(12, 4, flt))
+        assert all(3 not in parts(p) for p in enumerate_partitions(12, 4, flt))
 
     def test_avoiding_prime_allows_other_multiples(self):
         # 15 = 3*5 stays admissible for p = 5 (only the part 5 itself is barred)
@@ -59,14 +57,14 @@ class TestEnumerate:
 
     def test_max_part_below_prime_square(self):
         flt = PartitionFilter.avoiding_prime(3)
-        assert all(max(p.parts()) < 9 for p in enumerate_partitions(16, 4, flt))
+        assert all(max(parts(p)) < 9 for p in enumerate_partitions(16, 4, flt))
 
     def test_largest_part_first_ordering(self):
         filters = [None, PartitionFilter.first_three_odds(), PartitionFilter.avoiding_prime(7)]
         for part_filter in filters:
             for total, num_parts in ((12, 4), (30, 8)):
                 streamed = [
-                    tuple(sorted(p.parts(), reverse=True))
+                    tuple(sorted(parts(p), reverse=True))
                     for p in enumerate_partitions(total, num_parts, part_filter)
                 ]
                 assert streamed, (part_filter, total, num_parts)
@@ -88,7 +86,7 @@ class TestEnumerate:
         ],
     )
     def test_stream_is_pinned(self, part_filter, count, digest):
-        # SHA-256 over the multiplicities of every partition, in stream
+        # SHA-256 over the (part, count) pairs of every partition, in stream
         # order, for 1 <= k <= n <= 22, so a change of order, not only of
         # the set, fails.
         h = hashlib.sha256()
@@ -96,7 +94,7 @@ class TestEnumerate:
         for n in range(1, 23):
             for k in range(1, n + 1):
                 for p in enumerate_partitions(2 * n, 2 * k, part_filter):
-                    h.update(repr(p.multiplicities).encode() + b"\n")
+                    h.update(repr(p).encode() + b"\n")
                     seen += 1
         assert (seen, h.hexdigest()) == (count, digest)
 
@@ -130,7 +128,7 @@ class TestEnumerate:
             if sum(combo) == total
         }
         flt = PartitionFilter(max_part=max_part, forbidden_part=forbidden)
-        mine = {p.parts() for p in enumerate_partitions(total, num_parts, flt)}
+        mine = {parts(p) for p in enumerate_partitions(total, num_parts, flt)}
         assert mine == expected
 
     @given(
@@ -142,48 +140,26 @@ class TestEnumerate:
         flt = PartitionFilter(max_part=max_part)
         seen = set()
         for p in enumerate_partitions(2 * n, 2 * k, flt):
-            # The walk builds partitions unchecked; the checked constructor
-            # must accept each one and give an equal object.
-            checked = OddPartition(p.total, p.num_parts, p.multiplicities)
-            assert p == checked and hash(p) == hash(checked)
-            vec = p.multiplicity_vector()
-            assert sum((i + 1) * c for i, c in enumerate(vec)) == 2 * n
-            assert sum(vec) == 2 * k
-            assert all(c == 0 for i, c in enumerate(vec) if (i + 1) % 2 == 0)
+            assert all(part % 2 == 1 and count >= 1 for part, count in p)
+            assert all(a[0] < b[0] for a, b in zip(p, p[1:]))  # strictly increasing
+            assert sum(part * count for part, count in p) == 2 * n
+            assert sum(count for _, count in p) == 2 * k
             if max_part is not None:
-                assert max(p.parts()) <= max_part
+                assert p[-1][0] <= max_part
             assert p not in seen
             seen.add(p)
 
 
-class TestOddPartition:
-    def test_roundtrip_views(self):
-        p = OddPartition(10, 4, ((1, 3), (7, 1)))
-        assert p.parts() == (1, 1, 1, 7)
-        assert p.multiplicity_vector() == [3, 0, 0, 0, 0, 0, 1, 0, 0, 0]
-        assert p.dump() == "1:3,7:1"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OddPartition(4, 2, ((2, 2),))  # even part
-        with pytest.raises(ValueError):
-            OddPartition(4, 2, ((1, 3),))  # wrong total
-        with pytest.raises(ValueError):
-            OddPartition(4, 3, ((1, 1), (3, 1)))  # wrong part count
-        with pytest.raises(ValueError):
-            OddPartition(4, 2, ((3, 1), (1, 1)))  # parts out of order
-
-
 class TestMultinomialCount:
     def test_one_and_three(self):
-        assert multinomial_count(OddPartition(4, 2, ((1, 1), (3, 1)))) == 4
+        assert multinomial_count(((1, 1), (3, 1))) == 4
 
     def test_all_ones(self):
         for k2 in (2, 4, 8):
-            assert multinomial_count(OddPartition(k2, k2, ((1, k2),))) == 1
+            assert multinomial_count(((1, k2),)) == 1
 
     def test_two_threes(self):
-        assert multinomial_count(OddPartition(6, 2, ((3, 2),))) == 10
+        assert multinomial_count(((3, 2),)) == 10
 
     def test_always_integral(self):
         for n in range(1, 11):
@@ -211,47 +187,31 @@ class TestPartitionSumOracle:
 class TestModularPartitionSum:
     def test_restricted_value(self, cache):
         flt = PartitionFilter.first_three_odds()
-        assert s_mod_p_by_partitions(3, 1, 5, cache, flt) == 1
+        assert s_by_partitions(3, 1, cache, flt) % 5 == 1
 
     def test_empty_family_gives_zero(self, cache):
         # 5k < n leaves no partition with parts among {1,3,5}
         flt = PartitionFilter.first_three_odds()
-        assert s_mod_p_by_partitions(6, 1, 5, cache, flt) == 0
+        assert s_by_partitions(6, 1, cache, flt) == 0
 
     def test_unrestricted_value(self, cache):
-        assert s_mod_p_by_partitions(2, 1, 5, cache) == 24 % 5
-
-    def test_matches_exact_reduction(self, cache):
-        for p in (3, 5, 7):
-            for n in range(1, 13):
-                for k in range(1, n + 1):
-                    assert s_mod_p_by_partitions(n, k, p, cache) == cache.s(n, k) % p
-
-    def test_filter_soundness_mod5(self, cache):
-        flt = PartitionFilter.first_three_odds()
-        for n in range(1, 13):
+        # The empty filter admits every odd part, as no filter does.
+        for n in range(1, 9):
             for k in range(1, n + 1):
-                assert (
-                    s_mod_p_by_partitions(n, k, 5, cache, flt)
-                    == cache.s(n, k) % 5
-                ), (n, k)
+                assert s_by_partitions(n, k, cache, PartitionFilter()) == cache.s(n, k)
 
-    def test_filter_soundness_mod3(self, cache):
-        flt = PartitionFilter.avoiding_prime(3)
-        for n in range(1, 13):
+    @pytest.mark.parametrize("p, part_filter", [
+        (5, PartitionFilter.first_three_odds()),
+        (3, PartitionFilter.avoiding_prime(3)),
+        (7, PartitionFilter.avoiding_prime(7)),
+        (11, PartitionFilter.avoiding_prime(11)),
+    ], ids=["first_three_odds-5", "avoiding_prime-3", "avoiding_prime-7", "avoiding_prime-11"])
+    def test_filter_soundness(self, cache, p, part_filter):
+        # The restricted family's sum is s(n, k) mod p, not s(n, k) itself.
+        differs = 0
+        for n in range(1, 15):
             for k in range(1, n + 1):
-                assert (
-                    s_mod_p_by_partitions(n, k, 3, cache, flt)
-                    == cache.s(n, k) % 3
-                ), (n, k)
-
-    def test_rejects_two_with_restriction(self, cache):
-        with pytest.raises(ValueError):
-            s_mod_p_by_partitions(2, 1, 2, cache, PartitionFilter.first_three_odds())
-
-    def test_two_allowed_unrestricted(self, cache):
-        assert s_mod_p_by_partitions(2, 1, 2, cache) == 0  # s(2,1) = 24
-
-    def test_rejects_composite_modulus(self, cache):
-        with pytest.raises(ValueError):
-            s_mod_p_by_partitions(2, 1, 6, cache)
+                restricted = s_by_partitions(n, k, cache, part_filter)
+                assert restricted % p == cache.s(n, k) % p, (n, k)
+                differs += restricted != cache.s(n, k)
+        assert differs  # the filter was applied

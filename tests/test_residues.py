@@ -1,7 +1,7 @@
 """Tests for digit sums, factorial valuations, closed-form residues,
 five-cycle counts and residue grids."""
 
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import comb, factorial
 
 import pytest
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from romik import (
     IntegrityError,
+    PartitionFilter,
     VanishingThresholds,
     binomial_vanishes,
     build_residue_grid,
     count_fifth_roots,
     digit_sum,
-    digit_sum_facts_hold,
     factorial_valuation,
     factorial_valuation_by_floor_sum,
     five_cycle_class_size,
@@ -23,12 +23,44 @@ from romik import (
     r_mod5_closed_form,
     s_by_partitions,
     s_mod5_single_index,
-    s_mod_p_by_partitions,
     single_index_term_valuation,
 )
 from romik.core import _exact_quotient, factorial as cached_factorial
 
 PRIMES = (3, 5, 7, 11, 13)
+
+
+def digit_sum_facts_hold(r, s, p):
+    """The base-p digit-sum facts for r, s >= 1 and prime p: subadditivity
+    s_p(r+s) <= s_p(r) + s_p(s), with equality exactly when no column of the
+    base-p addition carries; the mixed-digit bound
+    s_p(r) + s_p(s) >= s_p(s_p(r) + p*s_p(s)); and s_p(mp) = s_p(m) with
+    s_p(m) = m exactly for single-digit m, for m in {r, s}."""
+    sr, ss = digit_sum(r, p), digit_sum(s, p)
+    if digit_sum(r + s, p) > sr + ss:
+        return False
+    no_carries = all(
+        dr + ds <= p - 1
+        for dr, ds in zip_longest(_digits(r, p), _digits(s, p), fillvalue=0)
+    )
+    if (digit_sum(r + s, p) == sr + ss) != no_carries:
+        return False
+    if sr + ss < digit_sum(sr + p * ss, p):
+        return False
+    for m in (r, s):
+        if digit_sum(m * p, p) != digit_sum(m, p):
+            return False
+        if (digit_sum(m, p) == m) != (m <= p - 1):
+            return False
+    return True
+
+
+def _digits(n, p):
+    out = []
+    while n:
+        n, digit = divmod(n, p)
+        out.append(digit)
+    return out
 
 
 class TestDigitSum:
@@ -306,9 +338,9 @@ class TestIsPrime:
     lambda n, k, cache: r_mod5_closed_form(n, k),
     lambda n, k, cache: s_mod5_single_index(n, k),
     s_by_partitions,
-    lambda n, k, cache: s_mod_p_by_partitions(n, k, 5, cache),
+    lambda n, k, cache: s_by_partitions(n, k, cache, PartitionFilter.first_three_odds()),
 ], ids=["s", "r_mod5_closed_form", "s_mod5_single_index", "s_by_partitions",
-        "s_mod_p_by_partitions"])
+        "s_by_partitions_filtered"])
 def test_index_guard(entry, cache):
     with pytest.raises(ValueError, match=r"^need 1 <= k <= n, got n=3, k=4$"):
         entry(3, 4, cache)
