@@ -15,7 +15,19 @@ self-contained segments:
               uint32 zlib.crc32 of the segment's bytes before it
 
 all little-endian, so each value has one encoding.  A segment closes once
-its values reach SEGMENT_BYTES, which bounds what a load holds at once.
+its values reach SEGMENT_BYTES.
+
+Segments are encoded and decoded in bulk passes, not value by value.  A
+store lists the new values, computes all their lengths in one pass and
+finds where each segment closes by bisecting the lengths' cumulative sums;
+it then holds references to the new values, their lengths and sums, and
+one segment's bytes.  A segment with no negative value is joined in one
+unsigned pass, any other is encoded value by value in the signed form.  A
+load decodes a segment's values unsigned in one pass and compares their
+own lengths with the stored ones in another; only the values that differ,
+the negatives and any value not in its own encoding, take a per-value
+path that makes them negative or raises.  It holds the values read so far
+and one segment's bytes.
 
 Files only grow.  append_sequence is the one writer; store_cache calls it
 for each file.  It opens the file in place, takes an exclusive POSIX
@@ -55,9 +67,11 @@ import io
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import isqrt
+from operator import ne
 
 from .core import SequenceCache, StoredValueError
 
@@ -89,23 +103,30 @@ class CacheVersionError(CacheFormatError):
 
 
 def _write_segments(handle, name: str, values: Iterable[int]) -> None:
-    # The header goes out with the first segment, so nothing is written
-    # when there are no values.  One segment's bytes are held at a time.
+    # A segment closes at the first value whose cumulative length reaches
+    # SEGMENT_BYTES past the segment's start; bisecting the cumulative sums
+    # finds it.  Held at once: references to the new values, their lengths
+    # and sums, and one segment's bytes.  A segment holding a negative value
+    # is encoded value by value, as int.to_bytes takes ``signed`` only by
+    # keyword.  The header goes out with the first segment, so nothing is
+    # written when there are no values.
+    values = list(values)
+    lengths = [(x.bit_length() + 8) >> 3 for x in values]
+    ends = list(accumulate(lengths, initial=0))
     header = _header(name) if handle.tell() == 0 else b""
-    lengths: list[int] = []
-    data = bytearray()
-    for x in values:
-        length = (x.bit_length() + 8) // 8
-        lengths.append(length)
-        data += x.to_bytes(length, "little", signed=True)
-        if len(data) >= SEGMENT_BYTES:
-            _write_segment(handle, header, lengths, data)
-            header, lengths, data = b"", [], bytearray()
-    if lengths:
-        _write_segment(handle, header, lengths, data)
+    start = 0
+    while start < len(values):
+        stop = min(bisect_left(ends, ends[start] + SEGMENT_BYTES, start + 1), len(values))
+        chunk, sizes = values[start:stop], lengths[start:stop]
+        if min(chunk) >= 0:
+            data = b"".join(map(int.to_bytes, chunk, sizes, repeat("little")))
+        else:
+            data = b"".join([x.to_bytes(n, "little", signed=True) for x, n in zip(chunk, sizes)])
+        _write_segment(handle, header, sizes, data)
+        header, start = b"", stop
 
 
-def _write_segment(handle, header: bytes, lengths: list[int], data: bytearray) -> None:
+def _write_segment(handle, header: bytes, lengths: list[int], data: bytes) -> None:
     head = struct.pack(f"<{len(lengths) + 1}I", len(lengths), *lengths)
     handle.write(header)
     handle.write(head)
@@ -120,19 +141,34 @@ def _header(name: str) -> bytes:
 def read_sequence(path: str, name: str) -> list[int]:
     """Read one sequence file back, enforcing header, framing, checksums and sizes."""
     values: list[int] = []
-    from_bytes = int.from_bytes
     with open(path, "rb") as handle:
         fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
         for lengths, data in _walk(handle, path, name):
-            read = io.BytesIO(data).read
-            decoded = [from_bytes(read(length), "little", signed=True) for length in lengths]
-            own = tuple([(x.bit_length() + 8) >> 3 for x in decoded])
-            if own != lengths:
-                i = next(i for i, pair in enumerate(zip(own, lengths)) if pair[0] != pair[1])
-                message = f"value {len(values) + i} is not in its {lengths[i]}-byte form"
-                raise CacheFormatError(path, message)
+            decoded = list(map(int.from_bytes, map(io.BytesIO(data).read, lengths), repeat("little")))
+            own = [(x.bit_length() + 8) >> 3 for x in decoded]
+            if own != list(lengths):
+                _signed(path, decoded, lengths, own, len(values))
             values += decoded
     return values
+
+
+def _signed(
+    path: str, decoded: list[int], lengths: tuple[int, ...], own: list[int], first: int
+) -> None:
+    """Make negative in place each value decoded unsigned whose length
+    differs from the one stored for it and whose top bit is set; raise for
+    any value that is then still not in its own length.  Every negative
+    value takes this path: unsigned, its top bit makes it one byte longer.
+    first is the index, across segments, of the segment's first value."""
+    for i in compress(count(), map(ne, own, lengths)):
+        length = lengths[i]
+        x = decoded[i]
+        if length and x >> (8 * length - 1):
+            x -= 1 << (8 * length)
+            if (x.bit_length() + 8) >> 3 == length:
+                decoded[i] = x
+                continue
+        raise CacheFormatError(path, f"value {first + i} is not in its {length}-byte form")
 
 
 def _walk(handle, path: str, name: str) -> Iterator[tuple[tuple[int, ...], bytes]]:

@@ -1,6 +1,7 @@
 """Tests for the on-disk cache format: round trips and corruption handling."""
 
 import fcntl
+import hashlib
 import multiprocessing
 import os
 import struct
@@ -9,6 +10,7 @@ import zlib
 from contextlib import ExitStack
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,38 @@ class TestPinnedFormat:
         assert read_sequence(path, "s") == [x]
 
 
+class TestPinnedSegments:
+    """Byte-exact files of ``cache build --max 90``, where s.bin spans four
+    segments (it is one segment up to 60 rows), and the same bytes from a
+    round trip through load_cache and store_cache: where segments close
+    depends on the values alone."""
+
+    SHA256 = {
+        "u.bin": "e92af45fd7ada9798182097123afc14a9ff2ddefc861cd44c944196aa8eeb787",
+        "v.bin": "25d4761ae1bfc2f6ddcfe95cb560c871fbbe43ac82651838d1ad95f91b7a95f5",
+        "d.bin": "6d203177336d700a10040acca01ab14d2b66eae6be587afe707ec6134ca9ccfc",
+        "s.bin": "0201cd6afe62920da037fd0f238aaaf2b28cd2e2ab988e01c6e67fd9a448577c",
+    }
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("pin90") / "cache"
+        assert main(["cache", "build", "--dir", str(directory), "--max", "90"]) == 0
+        return directory
+
+    def test_build_writes_pinned_bytes(self, built):
+        assert sorted(os.listdir(built)) == sorted(self.SHA256)
+        for name, digest in self.SHA256.items():
+            data = (built / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+            assert len(_segment_starts(data)) == (4 if name == "s.bin" else 1), name
+
+    def test_round_trip_writes_the_same_bytes(self, built, tmp_path):
+        store_cache(str(tmp_path), load_cache(str(built)))
+        for name in self.SHA256:
+            assert (tmp_path / name).read_bytes() == (built / name).read_bytes(), name
+
+
 HEADER_D = b"ROMIKCACHE v4 seq=d\n"
 
 
@@ -218,6 +252,18 @@ def _segment_starts(data):
         position += 4 * count + 8 + sum(lengths)
     assert position == len(data)
     return starts
+
+
+def _segment_counts(lengths, cap):
+    """Value counts of the segments that lengths fill, each closing once its
+    values reach cap bytes."""
+    counts, n, size = [], 0, 0
+    for length in lengths:
+        n, size = n + 1, size + length
+        if size >= cap:
+            counts.append(n)
+            n, size = 0, 0
+    return counts + [n] if n else counts
 
 
 class TestCorruption:
@@ -270,19 +316,34 @@ class TestCorruption:
         path.write_bytes(HEADER_D + body)
         assert read_sequence(str(path), "d") == [1]
 
-    def test_value_not_in_its_own_length(self, tmp_path):
-        # 1 stored in two bytes decodes to 1 but is not the file's encoding.
+    @pytest.mark.parametrize("encoding", [
+        b"\x01\x00",  # 1 in two bytes
+        b"\xff\xff",  # -1 in two bytes
+        b"\x80",  # -128, whose own length is two bytes, in one
+        b"\x00\x80",  # -32768, whose own length is three bytes, in two
+    ], ids=bytes.hex)
+    def test_value_not_in_its_own_length(self, tmp_path, encoding):
+        # Each decodes to its value but is not the file's encoding of it.
+        # The canonical -1 before it must not shift the index.
         path = tmp_path / "d.bin"
-        path.write_bytes(HEADER_D + _segment([1], b"\x01") + _segment([2], b"\x01\x00"))
+        second = _segment([1, len(encoding)], b"\xff" + encoding)
+        path.write_bytes(HEADER_D + _segment([1], b"\x01") + second)
         with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
-        assert "value 1 is not in its 2-byte form" in str(err.value)
+        assert f"value 2 is not in its {len(encoding)}-byte form" in str(err.value)
+
+    def test_canonical_negatives_load_exactly(self, tmp_path):
+        path = tmp_path / "d.bin"
+        values = b"\x01" + b"\xff" + b"\x7f" + b"\x80\xff" + b"\x00\x01" + b"\x00"
+        path.write_bytes(HEADER_D + _segment([1, 1, 1, 2, 2, 1], values))
+        assert read_sequence(str(path), "d") == [1, -1, 127, -128, 256, 0]
 
     def test_zero_length_value(self, tmp_path):
         path = tmp_path / "d.bin"
         path.write_bytes(HEADER_D + _segment([1, 0], b"\x01"))
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError) as err:
             read_sequence(str(path), "d")
+        assert "value 1 is not in its 0-byte form" in str(err.value)
 
     def test_count_checked_before_unpacking(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -521,6 +582,38 @@ class TestAppendOnly:
             assert sum(lengths[:-1]) < 64 <= sum(lengths) or end == len(data)
         assert len(starts) > 3
         assert read_sequence(str(path), "d") == values
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.one_of(
+            st.sampled_from([0, 1, -1]),
+            # the edges +-2^(8L-1) of each length, and their neighbours
+            st.builds(lambda bits, sign, step: sign * (1 << bits) + step,
+                      st.integers(0, 249).map(lambda length: 8 * length + 7),
+                      st.sampled_from([1, -1]), st.integers(-1, 1)),
+            st.integers(1 - (1 << 2000), (1 << 2000) - 1),
+        ), min_size=1, max_size=40),
+        split=st.integers(min_value=0),
+        cap=st.integers(1, 600),
+    )
+    def test_round_trip_over_signs_and_sizes(self, values, split, cap):
+        # Two appends, so that the second starts past a file's last segment.
+        split %= len(values) + 1
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(cache_io, "SEGMENT_BYTES", cap):
+            path = os.path.join(directory, "d.bin")
+            append_sequence(path, "d", values[:split])
+            append_sequence(path, "d", values)
+            assert read_sequence(path, "d") == values
+            data = Path(path).read_bytes()
+        counts, lengths = [], []
+        for start in _segment_starts(data):
+            (n,) = struct.unpack_from("<I", data, start)
+            counts.append(n)
+            lengths += struct.unpack_from(f"<{n}I", data, start + 4)
+        assert lengths == [(x.bit_length() + 8) >> 3 for x in values]
+        expected = _segment_counts(lengths[:split], cap) + _segment_counts(lengths[split:], cap)
+        assert counts == expected
 
     def test_two_processes_grow_one_directory(self, tmp_path):
         directory = tmp_path / "cache"
