@@ -9,7 +9,6 @@ grids behind those patterns.
 
 from .core import (
     IntegrityError,
-    RationalSeries,
     SequenceCache,
     s_table_by_series,
     theta_series,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntegrityError",
-    "RationalSeries",
     "SequenceCache",
     "s_table_by_series",
     "theta_series",

@@ -52,9 +52,10 @@ per call.  The congruence suites and residue grids read through it; ``r``
 stays the exact single-entry read.
 
 ``s_table_by_series`` is the reference the recurrence is tested against:
-it reads only u and shares no code with the builder, carrying the powers
-of f^2 as ``RationalSeries`` (integer numerators over one denominator) in
-w = z^2 to the powers still needed, each entry one exact division.
+it reads only u, through ``theta_series``, and shares no code with the
+builder.  It carries the powers of f^2 in w = z^2 as integer numerators
+over one denominator, each formed in lowest terms by ``_truncated_product``
+(the package's one series product); each entry is one exact division.
 
 Three primitives here are shared by the whole package: ``factorial`` (n!,
 memoized), ``_exact_quotient`` (divide, or raise IntegrityError on a
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import lshift, mul
@@ -91,65 +91,6 @@ class StoredValueError(ValueError):
     def __init__(self, table: str, message: str) -> None:
         super().__init__(message)
         self.table = table
-
-
-@dataclass(init=False)
-class RationalSeries:
-    """Truncated power series with exact rational coefficients: z^m has the
-    coefficient ``numerators[m] / denominator``, held in lowest terms
-    (denominator > 0, gcd(denominator, *numerators) == 1), so equal series
-    hold equal values.  ``coefficients`` and ``coefficient(m)`` give Fractions.
-    A product truncates at the smaller operand order, skips the operands'
-    leading zeros, forms each coefficient as one integer dot product over
-    the product of the denominators and is reduced by one gcd.
-    """
-
-    numerators: list[int]
-    denominator: int
-    truncation_order: int
-
-    def __init__(self, coefficients: list[Fraction], truncation_order: int) -> None:
-        if truncation_order < 0:
-            raise ValueError("truncation_order must be >= 0")
-        if len(coefficients) != truncation_order + 1:
-            raise ValueError(f"expected {truncation_order + 1} coefficients, got {len(coefficients)}")
-        fractions = [Fraction(c) for c in coefficients]
-        # Over the lcm of reduced denominators the numerators share no factor with it.
-        self.denominator = den = lcm(*(c.denominator for c in fractions))
-        self.numerators = [c.numerator * (den // c.denominator) for c in fractions]
-        self.truncation_order = truncation_order
-
-    @classmethod
-    def _reduced(cls, numerators: list[int], denominator: int, order: int) -> "RationalSeries":
-        """The series numerators / denominator, brought to lowest terms."""
-        g = gcd(denominator, *numerators)
-        series = cls.__new__(cls)
-        series.numerators = [x // g for x in numerators] if g > 1 else numerators
-        series.denominator = denominator // g
-        series.truncation_order = order
-        return series
-
-    @property
-    def coefficients(self) -> list[Fraction]:
-        return [Fraction(x, self.denominator) for x in self.numerators]
-
-    def coefficient(self, m: int) -> Fraction:
-        if not 0 <= m <= self.truncation_order:
-            raise IndexError(f"power {m} outside truncation order {self.truncation_order}")
-        return Fraction(self.numerators[m], self.denominator)
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        a, b = self.numerators[: order + 1], other.numerators[: order + 1]
-        lo_a, lo_b = (next((i for i, x in enumerate(c) if x), order + 1) for c in (a, b))
-        lo = min(lo_a + lo_b, order + 1)
-        # rb[order - j] = b[j]: the slice from order - m + lo_a runs b[m - lo_a], b[m - lo_a - 1], ...
-        rb = b[::-1]
-        nums = [0] * lo + [
-            sum(map(mul, a[lo_a : m - lo_b + 1], rb[order - m + lo_a :]))
-            for m in range(lo, order + 1)
-        ]
-        return self._reduced(nums, self.denominator * other.denominator, order)
 
 
 class SequenceCache:
@@ -212,7 +153,8 @@ class SequenceCache:
     def v(self, n: int) -> int:
         """v(n) = 2^(n-1) (1*5*...*(4n-3))^2 - (1/2) sum_{0<m<n} C(2n, 2m) v(m) v(n-m).
 
-        The halved sum is verified to be even before dividing.
+        The sum is symmetric under m <-> n-m, so its half is the terms
+        m < n/2 plus, for even n, C(2n, n)/2 v(n/2)^2 (C(2n, n) is even).
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -222,11 +164,12 @@ class SequenceCache:
             while len(v) <= n:
                 j = len(v)
                 odd1 *= 4 * j - 3
-                weighted = map(mul, _binomial_row(2 * j)[2 : 2 * j : 2], v[1:j])
-                acc = sum(map(mul, weighted, v[j - 1 : 0 : -1]))
-                if acc & 1:
-                    raise IntegrityError(f"intermediate sum for v({j}) is odd")
-                v.append((odd1 * odd1 << (j - 1)) - acc // 2)
+                binomials = _binomial_row(2 * j)
+                weighted = map(mul, binomials[2:j:2], v[1:j])
+                half = sum(map(mul, weighted, v[j - 1 : 0 : -1]))
+                if j & 1 == 0:
+                    half += (binomials[j] >> 1) * v[j // 2] ** 2
+                v.append((odd1 * odd1 << (j - 1)) - half)
         return v[n]
 
     # -- s, r ----------------------------------------------------------
@@ -452,8 +395,9 @@ def _exact_quotient(num: int, den: int, what: str, *args: object) -> int:
     return q
 
 
-def theta_series(truncation_order: int, cache: SequenceCache) -> RationalSeries:
-    """The series sum_j u(j)/(2j+1)! z^(2j+1), truncated after z^truncation_order.
+def theta_series(truncation_order: int, cache: SequenceCache) -> list[Fraction]:
+    """The coefficients of z^0, ..., z^truncation_order in the series
+    f(z) = sum_j u(j)/(2j+1)! z^(2j+1).
 
     Even-power coefficients are zero; the coefficient of z^(2j+1) equals
     u(j)/(2j+1)! exactly.
@@ -464,29 +408,46 @@ def theta_series(truncation_order: int, cache: SequenceCache) -> RationalSeries:
     for m in range(1, truncation_order + 1, 2):
         j = (m - 1) // 2
         coeffs[m] = Fraction(cache.u(j), factorial(m))
-    return RationalSeries(coeffs, truncation_order)
+    return coeffs
+
+
+def _truncated_product(a: list[int], b: list[int], den: int) -> tuple[list[int], int]:
+    """The product of the series sum a[m] z^m and sum b[m] z^m over den,
+    truncated to the shorter operand's length and brought to lowest terms:
+    (numerators, denominator) with gcd(denominator, *numerators) == 1.
+    Each coefficient is one integer dot product."""
+    length = min(len(a), len(b))
+    rb = b[:length][::-1]  # rb[length - 1 - m:] runs b[m], b[m - 1], ..., b[0]
+    nums = [sum(map(mul, a, rb[length - 1 - m :])) for m in range(length)]
+    g = gcd(den, *nums)
+    if g > 1:
+        return [x // g for x in nums], den // g
+    return nums, den
 
 
 def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     """Triangular s-table computed through exact rational series arithmetic.
 
     This is the reference path: s(n, k) = (2n)!/(2k)! [z^(2n)] f^(2k).  f is
-    odd, f = z g(w) with w = z^2, so that coefficient is [w^(n-k)] (g^2)^k,
-    and power k is carried only to w^(max_n-k).  The row recurrence used by
+    odd, f = z g(w) with w = z^2, so that coefficient is [w^(n-k)] (g^2)^k.
+    g is put over the lcm of its denominators as integer numerators, and
+    power k of g^2 is carried as numerators over one denominator, in lowest
+    terms, only to w^(max_n-k).  The row recurrence used by
     SequenceCache.build_s_table must reproduce it bit for bit.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    f = theta_series(2 * max_n - 1, cache)
-    g = RationalSeries._reduced(f.numerators[1::2], f.denominator, max_n - 1)
-    g2 = g * g
+    odd = theta_series(2 * max_n - 1, cache)[1::2]
+    # Over the lcm of reduced denominators the numerators share no factor with it.
+    g_den = lcm(*(c.denominator for c in odd))
+    g = [c.numerator * (g_den // c.denominator) for c in odd]
+    g2, g2_den = _truncated_product(g, g, g_den * g_den)
     rows = [[0] * n for n in range(1, max_n + 1)]
-    power = g2
+    power, power_den = g2, g2_den
     for k in range(1, max_n + 1):
-        den = power.denominator * factorial(2 * k)
-        for n, num in enumerate(power.numerators, k):
+        den = power_den * factorial(2 * k)
+        for n, num in enumerate(power, k):
             rows[n - 1][k - 1] = _exact_quotient(num * factorial(2 * n), den, "s(%d,%d)", n, k)
-        cut = max_n - k - 1  # power k + 1 is read only to w^cut
-        if cut >= 0:
-            power = RationalSeries._reduced(power.numerators[: cut + 1], power.denominator, cut) * g2
+        if k < max_n:  # power k + 1 is read only to w^(max_n - k - 1)
+            power, power_den = _truncated_product(power[: max_n - k], g2, power_den * g2_den)
     return rows

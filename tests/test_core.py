@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import romik
-from romik import IntegrityError, RationalSeries, SequenceCache, s_table_by_series, theta_series
+from romik import IntegrityError, SequenceCache, s_table_by_series, theta_series
 from romik.cache_io import load_cache, store_cache
-from romik.core import _binomial_row
+from romik.core import _binomial_row, _truncated_product
 
 # Published initial segments.
 U_VALUES = [1, 6, 256, 28560, 6071040]
@@ -93,8 +93,10 @@ class TestSequences:
                 f(-1)
 
     def test_u_v_match_definition_when_grown_in_steps(self):
+        # v sums its symmetric terms once; steps of both parities check the
+        # odd and the even (middle-term) case against the full sum.
         u_ref, v_ref = [1], [1]
-        for n in range(1, 31):
+        for n in range(1, 61):
             u_sum = sum(
                 comb(2 * n + 1, 2 * m + 1) * odd_product_squared(n - m, 1) * u_ref[m]
                 for m in range(n)
@@ -105,7 +107,7 @@ class TestSequences:
             assert rem == 0
             v_ref.append(2 ** (n - 1) * odd_product_squared(n, 1) - halved)
         grown = SequenceCache()
-        for n in (1, 2, 7, 30):
+        for n in (1, 2, 7, 30, 31, 60):
             grown.u(n)
             grown.v(n)
         assert grown.known_values("u") == u_ref
@@ -176,6 +178,25 @@ class TestSTable:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_small_bounds_match_rational_reference_path(self, cache, n):
         assert s_table_by_series(n, cache) == cache.known_s_rows()[:n]
+
+    def test_reference_matches_naive_powers_of_f(self, cache):
+        # f^(2k) by repeated Fraction convolution, independent of both routes.
+        max_n = 10
+        f = [Fraction(0)] * (2 * max_n + 1)
+        for j in range(max_n):
+            f[2 * j + 1] = Fraction(cache.u(j), factorial(2 * j + 1))
+        naive = [[] for _ in range(max_n)]
+        power = [Fraction(1)] + [Fraction(0)] * (2 * max_n)
+        for e in range(1, 2 * max_n + 1):
+            power = [sum(power[i] * f[m - i] for i in range(m + 1)) for m in range(2 * max_n + 1)]
+            if e % 2 == 0:
+                k = e // 2
+                for n in range(k, max_n + 1):
+                    s = power[2 * n] * factorial(2 * n) / factorial(2 * k)
+                    assert s.denominator == 1
+                    naive[n - 1].append(int(s))
+        for n in range(1, max_n + 1):
+            assert s_table_by_series(n, cache) == naive[:n]
 
     def test_incremental_growth_matches_bulk(self, cache):
         grown = SequenceCache()
@@ -341,116 +362,99 @@ class TestResidueReader:
 
 class TestThetaSeries:
     def test_order_one(self, cache):
-        assert theta_series(1, cache).coefficients == [0, 1]
+        assert theta_series(1, cache) == [0, 1]
 
     def test_order_three(self, cache):
-        assert theta_series(3, cache).coefficients == [0, 1, 0, 1]
+        series = theta_series(3, cache)
+        assert series == [0, 1, 0, 1]
+        assert all(type(c) is Fraction for c in series)
 
     def test_fifth_coefficient(self, cache):
-        assert theta_series(5, cache).coefficient(5) == Fraction(32, 15)
+        assert theta_series(5, cache)[5] == Fraction(32, 15)
 
     def test_even_coefficients_vanish(self, cache):
         series = theta_series(12, cache)
-        assert all(series.coefficient(m) == 0 for m in range(0, 13, 2))
+        assert len(series) == 13
+        assert all(series[m] == 0 for m in range(0, 13, 2))
 
     def test_general_coefficient(self, cache):
         series = theta_series(9, cache)
         for j in range(5):
-            assert series.coefficient(2 * j + 1) == Fraction(
-                cache.u(j), factorial(2 * j + 1)
-            )
+            assert series[2 * j + 1] == Fraction(cache.u(j), factorial(2 * j + 1))
 
     def test_order_zero_rejected(self, cache):
         with pytest.raises(ValueError):
             theta_series(0, cache)
 
 
-# Rationals with small, often repeated denominators; many of them are zero.
-RATIONALS = st.one_of(
-    st.just(Fraction(0)),
-    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+# Numerators and denominators with small, often shared factors; many
+# numerators are zero.
+NUMERATORS = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50)), min_size=1, max_size=12
 )
+DENOMINATORS = st.integers(min_value=1, max_value=30)
+
+
+def _product(a, da, b, db):
+    """_truncated_product of a / da and b / db, as Fractions."""
+    nums, den = _truncated_product(a, b, da * db)
+    assert den > 0
+    assert gcd(den, *nums) == 1
+    return [Fraction(x, den) for x in nums]
 
 
 class TestRationalSeries:
+    """Rational series as the reference carries them, integer numerators
+    over one denominator, multiplied by ``_truncated_product``."""
+
     def test_mul_truncates_at_smaller_order(self):
-        a = RationalSeries([Fraction(1), Fraction(1), Fraction(1)], 2)
-        b = RationalSeries([Fraction(1), Fraction(1)], 1)
-        prod = a * b
-        assert prod.truncation_order == 1
-        assert prod.coefficients == [Fraction(1), Fraction(2)]
+        assert _product([1, 1, 1], 1, [1, 1], 1) == [Fraction(1), Fraction(2)]
+        assert _product([1, 1], 1, [1, 1, 1], 1) == [Fraction(1), Fraction(2)]
 
-    @given(
-        a=st.lists(RATIONALS, min_size=1, max_size=12),
-        b=st.lists(RATIONALS, min_size=1, max_size=12),
-    )
-    def test_mul_matches_naive_convolution(self, a, b):
-        order = min(len(a), len(b)) - 1
+    @given(a=NUMERATORS, da=DENOMINATORS, b=NUMERATORS, db=DENOMINATORS)
+    def test_mul_matches_naive_convolution(self, a, da, b, db):
+        x = [Fraction(c, da) for c in a]
+        y = [Fraction(c, db) for c in b]
         expected = [
-            sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
-            for m in range(order + 1)
+            sum((x[i] * y[m - i] for i in range(m + 1)), Fraction(0))
+            for m in range(min(len(a), len(b)))
         ]
-        prod = RationalSeries(a, len(a) - 1) * RationalSeries(b, len(b) - 1)
-        assert prod.truncation_order == order
-        assert prod.coefficients == expected
-        assert all(type(c) is Fraction for c in prod.coefficients)
+        assert _product(a, da, b, db) == expected
 
-    @staticmethod
-    def _assert_lowest_terms(series):
-        assert series.denominator > 0
-        assert gcd(series.denominator, *series.numerators) == 1
-        assert len(series.numerators) == series.truncation_order + 1
-
-    @given(
-        a=st.lists(RATIONALS, min_size=1, max_size=12),
-        b=st.lists(RATIONALS, min_size=1, max_size=12),
-    )
-    def test_held_in_lowest_terms(self, a, b):
-        x, y = RationalSeries(a, len(a) - 1), RationalSeries(b, len(b) - 1)
-        for series in (x, y, x * y):
-            self._assert_lowest_terms(series)
+    @given(a=NUMERATORS, da=DENOMINATORS, b=NUMERATORS, db=DENOMINATORS)
+    def test_held_in_lowest_terms(self, a, da, b, db):
+        nums, den = _truncated_product(a, b, da * db)
+        assert len(nums) == min(len(a), len(b))
+        assert den > 0 and da * db % den == 0
+        assert gcd(den, *nums) == 1
 
     def test_zero_series_product(self):
-        zero = RationalSeries([Fraction(0)] * 4, 3)
-        other = RationalSeries([Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(1, 2)], 3)
-        for prod in (zero * other, other * zero, zero * zero):
-            assert prod.coefficients == [0, 0, 0, 0]
-            assert (prod.numerators, prod.denominator) == ([0, 0, 0, 0], 1)
+        zero = [0] * 4
+        other = [10, -12, 210, 15]  # 1/3, -2/5, 7, 1/2 over 30
+        for a, b in ((zero, other), (other, zero), (zero, zero)):
+            assert _truncated_product(a, b, 30) == ([0, 0, 0, 0], 1)
 
     def test_leading_zeros_past_the_truncation_order(self):
         # z^3 * z^2 lands on z^5, beyond order 4: nothing survives
-        a = RationalSeries([0, 0, 0, Fraction(2, 3), 1], 4)
-        b = RationalSeries([0, 0, Fraction(5, 7), 0, 0, 1], 5)
-        prod = a * b
-        assert prod.truncation_order == 4
-        assert (prod.numerators, prod.denominator) == ([0] * 5, 1)
+        a = [0, 0, 0, 14, 21]  # 2/3 z^3 + z^4 over 21
+        b = [0, 0, 5, 0, 0, 7]  # 5/7 z^2 + z^5 over 7
+        assert _truncated_product(a, b, 21 * 7) == ([0] * 5, 1)
         # z^1 * z^2 lands on z^3 and z^4, the last powers kept
-        c = RationalSeries([0, Fraction(1, 2), Fraction(1, 3), 0, 0], 4)
-        assert (c * b).coefficients == [0, 0, 0, Fraction(5, 14), Fraction(5, 21)]
+        c = [0, 3, 2, 0, 0]  # 1/2 z + 1/3 z^2 over 6
+        assert _product(c, 6, b, 7) == [0, 0, 0, Fraction(5, 14), Fraction(5, 21)]
 
     def test_negative_coefficients(self):
-        a = RationalSeries([Fraction(-1, 2), Fraction(3, 4), Fraction(-5, 6)], 2)
-        b = RationalSeries([Fraction(-2, 3), Fraction(-1, 9), Fraction(4)], 2)
-        assert (a * b).coefficients == [
+        a = [-6, 9, -10]  # -1/2, 3/4, -5/6 over 12
+        b = [-6, -1, 36]  # -2/3, -1/9, 4 over 9
+        assert _product(a, 12, b, 9) == [
             Fraction(1, 3),
             Fraction(1, 18) - Fraction(1, 2),
             Fraction(-2) - Fraction(1, 12) + Fraction(5, 9),
         ]
-        self._assert_lowest_terms(a * b)
 
     def test_exact_equality(self):
-        a = RationalSeries([Fraction(2, 4)], 0)
-        b = RationalSeries([Fraction(1, 2)], 0)
-        assert a == b
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RationalSeries([Fraction(1)], 3)
-
-    def test_coefficient_out_of_range(self):
-        series = RationalSeries([Fraction(1), Fraction(0)], 1)
-        with pytest.raises(IndexError):
-            series.coefficient(2)
+        # Lowest terms make equal values equal representations.
+        assert _truncated_product([2], [1], 4) == _truncated_product([1], [1], 2) == ([1], 2)
 
 
 class TestInvariants:
@@ -458,11 +462,6 @@ class TestInvariants:
     def test_even_binomial_halving_identity(self, n):
         # sum over even lower indices of C(2n, .) is half of 2^(2n)
         assert sum(comb(2 * n, 2 * m) for m in range(n + 1)) == 1 << (2 * n - 1)
-
-    def test_v_halved_sum_is_exact(self):
-        # the even-sum integrity check never fires on genuine input
-        c = SequenceCache()
-        assert c.v(20) % 2 == 1
 
     def test_integrity_error_is_arithmetic_error(self):
         assert issubclass(IntegrityError, ArithmeticError)
