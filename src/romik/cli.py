@@ -1,12 +1,10 @@
 """Command-line front end.
 
-Subcommands:
-
-    compute      print u/v/d sequences or the s/r triangle, exact or mod p
-    grid         export a residue grid of r(n, k) mod p as table, CSV or PGM
-    verify       run congruence suites; exit 1 if any suite fails
-    scan-period  exploratory residue-period scan for primes p = 1 (mod 4)
-    cache        build or validate an on-disk value cache
+``COMMANDS`` is the one table of subcommands (compute, grid, verify,
+scan-period, cache): each name maps to its help line, the function that adds
+its arguments, and its handler.  A run whose first word names a command
+builds only that command's parser; help, no command or an unknown word builds
+all of them.
 
 Exit status: 0 on success (all suites passing), 1 when a verification suite
 fails, 2 for usage errors and unreadable/corrupt files.  The default cache
@@ -33,70 +31,28 @@ from .residues import VanishingThresholds, build_residue_grid, is_prime
 CACHE_DIR_ENV = "ROMIK_CACHE_DIR"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The romik parser with only the subparser of the command argv[0] names (its
+    metavar keeps the usage line of the full parser), else with all of them."""
     parser = argparse.ArgumentParser(
         prog="romik",
         description="Exact computation and congruence verification for the "
         "Romik sequence d(n) and its auxiliary tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="print sequence values")
-    p_compute.add_argument("--seq", required=True, choices=("u", "v", "d", "s", "r"))
-    p_compute.add_argument("--max", required=True, type=int, metavar="N",
-                           help="largest index n to print")
-    p_compute.add_argument("--mod", type=int, metavar="P",
-                           help="reduce every value mod the prime P")
-    p_compute.add_argument("--format", choices=("table", "csv"), default="table")
-    p_compute.add_argument("--output", metavar="PATH", help="write here instead of stdout")
-    p_compute.add_argument("--cache-dir", metavar="DIR")
-
-    p_grid = sub.add_parser("grid", help="export the triangular grid r(n, k) mod p")
-    p_grid.add_argument("--prime", required=True, type=int)
-    p_grid.add_argument("--max-n", required=True, type=int)
-    p_grid.add_argument("--format", choices=("table", "csv", "pgm"), default="csv")
-    p_grid.add_argument("--output", metavar="PATH")
-    p_grid.add_argument("--highlight-n0", action="store_true",
-                        help="emit the k = n0 boundary as a sidecar marker "
-                        "(primes p = 3 mod 4 only)")
-    p_grid.add_argument("--cache-dir", metavar="DIR")
-
-    p_verify = sub.add_parser("verify", help="run congruence verification suites")
-    p_verify.add_argument("--suite", default="all", choices=(*verify.suites(), "all"))
-    p_verify.add_argument("--prime", type=int,
-                          help="prime for the vanishing/uv suites")
-    p_verify.add_argument("--max", type=int, metavar="N",
-                          help="range bound override for a single suite")
-    p_verify.add_argument("--format", choices=("table", "csv"), default="table")
-    p_verify.add_argument("--cache-dir", metavar="DIR")
-
-    p_scan = sub.add_parser("scan-period", help="scan d(n) mod p for a residue period")
-    p_scan.add_argument("--prime", required=True, type=int)
-    p_scan.add_argument("--bound", required=True, type=int,
-                        help="scan d(0..bound); must be at least 4p")
-    p_scan.add_argument("--cache-dir", metavar="DIR")
-
-    p_cache = sub.add_parser("cache", help="manage the on-disk cache")
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_build = cache_sub.add_parser("build", help="compute values and store them")
-    p_build.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
-    p_build.add_argument("--max", required=True, type=int, metavar="N")
-    p_check = cache_sub.add_parser("check", help="validate stored files and summarize")
-    p_check.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
-
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        if only in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
-    handler = {
-        "compute": _run_compute,
-        "grid": _run_grid,
-        "verify": _run_verify,
-        "scan-period": _run_scan,
-        "cache": _run_cache,
-    }[args.command]
+    handler = COMMANDS[args.command][2]
     try:
         directory = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
         # A directory still to be made gets sizes (), so that the store makes it.
@@ -165,7 +121,17 @@ def _triangle_lines(rows, fmt: str, name: str) -> list[str]:
     return [f"{n}: " + " ".join(map(str, row)) for n, row in enumerate(rows, 1)]
 
 
-# -- compute -------------------------------------------------------------
+# -- commands: an argument adder and a handler each, tabled in COMMANDS --
+
+
+def _compute_arguments(parser) -> None:
+    parser.add_argument("--seq", required=True, choices=("u", "v", "d", "s", "r"))
+    parser.add_argument("--max", required=True, type=int, metavar="N",
+                        help="largest index n to print")
+    parser.add_argument("--mod", type=int, metavar="P", help="reduce every value mod the prime P")
+    parser.add_argument("--format", choices=("table", "csv"), default="table")
+    parser.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    parser.add_argument("--cache-dir", metavar="DIR")
 
 
 def _run_compute(args, parser, cache) -> tuple[int, list[str]]:
@@ -190,7 +156,15 @@ def _run_compute(args, parser, cache) -> tuple[int, list[str]]:
     return 0, _triangle_lines(rows, args.format, "value")
 
 
-# -- grid ----------------------------------------------------------------
+def _grid_arguments(parser) -> None:
+    parser.add_argument("--prime", required=True, type=int)
+    parser.add_argument("--max-n", required=True, type=int)
+    parser.add_argument("--format", choices=("table", "csv", "pgm"), default="csv")
+    parser.add_argument("--output", metavar="PATH")
+    parser.add_argument("--highlight-n0", action="store_true",
+                        help="emit the k = n0 boundary as a sidecar marker "
+                        "(primes p = 3 mod 4 only)")
+    parser.add_argument("--cache-dir", metavar="DIR")
 
 
 def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
@@ -202,7 +176,13 @@ def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
     return 0, _triangle_lines(grid.rows, args.format, "residue")
 
 
-# -- verify --------------------------------------------------------------
+def _verify_arguments(parser) -> None:
+    parser.add_argument("--suite", default="all", choices=(*verify.suites(), "all"))
+    parser.add_argument("--prime", type=int, help="prime for the vanishing/uv suites")
+    parser.add_argument("--max", type=int, metavar="N",
+                        help="range bound override for a single suite")
+    parser.add_argument("--format", choices=("table", "csv"), default="table")
+    parser.add_argument("--cache-dir", metavar="DIR")
 
 
 def _run_verify(args, parser, cache) -> tuple[int, list[str]]:
@@ -236,7 +216,11 @@ def _run_verify(args, parser, cache) -> tuple[int, list[str]]:
     return (0 if all(r.passed for r in reports) else 1), lines
 
 
-# -- scan-period ---------------------------------------------------------
+def _scan_arguments(parser) -> None:
+    parser.add_argument("--prime", required=True, type=int)
+    parser.add_argument("--bound", required=True, type=int,
+                        help="scan d(0..bound); must be at least 4p")
+    parser.add_argument("--cache-dir", metavar="DIR")
 
 
 def _run_scan(args, parser, cache) -> tuple[int, list[str]]:
@@ -248,7 +232,13 @@ def _run_scan(args, parser, cache) -> tuple[int, list[str]]:
     return 0, [f"{head} PREPERIOD {result.preperiod} PERIOD {result.period} CYCLE {cycle}"]
 
 
-# -- cache ---------------------------------------------------------------
+def _cache_arguments(parser) -> None:
+    sub = parser.add_subparsers(dest="cache_command", required=True)
+    build = sub.add_parser("build", help="compute values and store them")
+    build.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
+    build.add_argument("--max", required=True, type=int, metavar="N")
+    check = sub.add_parser("check", help="validate stored files and summarize")
+    check.add_argument("--dir", required=True, dest="cache_dir", metavar="DIR")
 
 
 def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
@@ -264,6 +254,16 @@ def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
     cache.d(args.max)
     cache.u(args.max)
     return 0, [f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}"]
+
+
+# name: (help line, function adding the command's arguments, handler)
+COMMANDS = {
+    "compute": ("print sequence values", _compute_arguments, _run_compute),
+    "grid": ("export the triangular grid r(n, k) mod p", _grid_arguments, _run_grid),
+    "verify": ("run congruence verification suites", _verify_arguments, _run_verify),
+    "scan-period": ("scan d(n) mod p for a residue period", _scan_arguments, _run_scan),
+    "cache": ("manage the on-disk cache", _cache_arguments, _run_cache),
+}
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 import romik
-from romik import SequenceCache
+from romik import SequenceCache, cli
 from romik.cache_io import append_sequence, read_s_table
 from romik.cli import main
 
@@ -524,3 +524,212 @@ class TestCacheDirFlow:
         assert code == 0
         assert os.path.exists(os.path.join(flag_dir, "u.bin"))
         assert not os.path.exists(env_dir)
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv, code, built", [
+        (["verify", "--suite", "mod5", "--max", "5"], 0, ["verify"]),
+        (["--help"], 0, ["compute", "grid", "verify", "scan-period", "cache"]),
+        (["bogus"], 2, ["compute", "grid", "verify", "scan-period", "cache"]),
+    ], ids=["verify", "help", "unknown-word"])
+    def test_a_run_builds_only_its_own_parser(self, argv, code, built, capsys, monkeypatch):
+        called = []
+        for name, (help_text, add_arguments, run) in cli.COMMANDS.items():
+            def spy(parser, name=name, add_arguments=add_arguments):
+                called.append(name)
+                add_arguments(parser)
+            monkeypatch.setitem(cli.COMMANDS, name, (help_text, spy, run))
+        assert run_cli(argv, capsys)[0] == code
+        assert called == built
+
+
+# argparse owns the wording and the wrapping of these texts, which may change
+# between CPython versions; they were captured with 3.11.
+GOLDEN = {
+    "--help": (
+        0,
+        """\
+usage: romik [-h] {compute,grid,verify,scan-period,cache} ...
+
+Exact computation and congruence verification for the Romik sequence d(n) and
+its auxiliary tables.
+
+positional arguments:
+  {compute,grid,verify,scan-period,cache}
+    compute             print sequence values
+    grid                export the triangular grid r(n, k) mod p
+    verify              run congruence verification suites
+    scan-period         scan d(n) mod p for a residue period
+    cache               manage the on-disk cache
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    "compute --help": (
+        0,
+        """\
+usage: romik compute [-h] --seq {u,v,d,s,r} --max N [--mod P]
+                     [--format {table,csv}] [--output PATH] [--cache-dir DIR]
+
+options:
+  -h, --help            show this help message and exit
+  --seq {u,v,d,s,r}
+  --max N               largest index n to print
+  --mod P               reduce every value mod the prime P
+  --format {table,csv}
+  --output PATH         write here instead of stdout
+  --cache-dir DIR
+""",
+        "",
+    ),
+    "grid --help": (
+        0,
+        """\
+usage: romik grid [-h] --prime PRIME --max-n MAX_N [--format {table,csv,pgm}]
+                  [--output PATH] [--highlight-n0] [--cache-dir DIR]
+
+options:
+  -h, --help            show this help message and exit
+  --prime PRIME
+  --max-n MAX_N
+  --format {table,csv,pgm}
+  --output PATH
+  --highlight-n0        emit the k = n0 boundary as a sidecar marker (primes p
+                        = 3 mod 4 only)
+  --cache-dir DIR
+""",
+        "",
+    ),
+    "verify --help": (
+        0,
+        """\
+usage: romik verify [-h] [--suite {parity,mod5,vanishing,uv,sums,all}]
+                    [--prime PRIME] [--max N] [--format {table,csv}]
+                    [--cache-dir DIR]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {parity,mod5,vanishing,uv,sums,all}
+  --prime PRIME         prime for the vanishing/uv suites
+  --max N               range bound override for a single suite
+  --format {table,csv}
+  --cache-dir DIR
+""",
+        "",
+    ),
+    "scan-period --help": (
+        0,
+        """\
+usage: romik scan-period [-h] --prime PRIME --bound BOUND [--cache-dir DIR]
+
+options:
+  -h, --help       show this help message and exit
+  --prime PRIME
+  --bound BOUND    scan d(0..bound); must be at least 4p
+  --cache-dir DIR
+""",
+        "",
+    ),
+    "cache --help": (
+        0,
+        """\
+usage: romik cache [-h] {build,check} ...
+
+positional arguments:
+  {build,check}
+    build        compute values and store them
+    check        validate stored files and summarize
+
+options:
+  -h, --help     show this help message and exit
+""",
+        "",
+    ),
+    "cache build --help": (
+        0,
+        """\
+usage: romik cache build [-h] --dir DIR --max N
+
+options:
+  -h, --help  show this help message and exit
+  --dir DIR
+  --max N
+""",
+        "",
+    ),
+    "cache check --help": (
+        0,
+        """\
+usage: romik cache check [-h] --dir DIR
+
+options:
+  -h, --help  show this help message and exit
+  --dir DIR
+""",
+        "",
+    ),
+    "": (
+        2,
+        "",
+        """\
+usage: romik [-h] {compute,grid,verify,scan-period,cache} ...
+romik: error: the following arguments are required: command
+""",
+    ),
+    "bogus": (
+        2,
+        "",
+        """\
+usage: romik [-h] {compute,grid,verify,scan-period,cache} ...
+romik: error: argument command: invalid choice: 'bogus' (choose from 'compute', 'grid', 'verify', 'scan-period', 'cache')
+""",
+    ),
+    "cache": (
+        2,
+        "",
+        """\
+usage: romik cache [-h] {build,check} ...
+romik cache: error: the following arguments are required: cache_command
+""",
+    ),
+    "verify --suite all --max 5": (
+        2,
+        "",
+        """\
+usage: romik [-h] {compute,grid,verify,scan-period,cache} ...
+romik: error: --max/--prime apply to a single suite, not --suite all
+""",
+    ),
+    "compute --seq s --max 0": (
+        2,
+        "",
+        """\
+usage: romik [-h] {compute,grid,verify,scan-period,cache} ...
+romik: error: --max must be >= 1 for the s/r triangle
+""",
+    ),
+    "grid --prime x --max-n 3": (
+        2,
+        "",
+        """\
+usage: romik grid [-h] --prime PRIME --max-n MAX_N [--format {table,csv,pgm}]
+                  [--output PATH] [--highlight-n0] [--cache-dir DIR]
+romik grid: error: argument --prime: invalid int value: 'x'
+""",
+    ),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="texts are CPython 3.11 argparse")
+class TestGoldenText:
+    """Exact stdout, stderr and exit code of help and usage errors, at a
+    fixed terminal width."""
+
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN), ids=lambda argv: argv.replace(" ", "_") or "no-command"
+    )
+    def test_exact_text(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(argv.split(), capsys) == GOLDEN[argv]
