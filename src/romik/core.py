@@ -56,6 +56,11 @@ it reads only u, through ``theta_series``, and shares no code with the
 builder.  It carries the powers of f^2 in w = z^2 as integer numerators
 over one denominator, each formed in lowest terms by ``_truncated_product``
 (the package's one series product); each entry is one exact division.
+f^2 is the square of f and an even power (f^2)^k the square of
+(f^2)^(k/2); a square forms each cross product once, so these cost about
+half the big products.  For that, (f^2)^(k/2) is kept, cut to the terms
+its square reads, only until the square is taken.  An odd power is the one
+below it times f^2.
 
 Three primitives here are shared by the whole package: ``factorial`` (n!,
 memoized), ``_exact_quotient`` (divide, or raise IntegrityError on a
@@ -415,10 +420,18 @@ def _truncated_product(a: list[int], b: list[int], den: int) -> tuple[list[int],
     """The product of the series sum a[m] z^m and sum b[m] z^m over den,
     truncated to the shorter operand's length and brought to lowest terms:
     (numerators, denominator) with gcd(denominator, *numerators) == 1.
-    Each coefficient is one integer dot product."""
+    Each coefficient is one integer dot product.  A square, ``a is b``,
+    forms each cross product a[i] a[m-i], i < m-i, once and doubles the
+    sum, so it costs about half the big products of a general product."""
     length = min(len(a), len(b))
     rb = b[:length][::-1]  # rb[length - 1 - m:] runs b[m], b[m - 1], ..., b[0]
-    nums = [sum(map(mul, a, rb[length - 1 - m :])) for m in range(length)]
+    if a is b:
+        nums = []
+        for m in range(length):
+            twice = 2 * sum(map(mul, a[: (m + 1) // 2], rb[length - 1 - m :]))
+            nums.append(twice if m & 1 else twice + a[m // 2] * a[m // 2])
+    else:
+        nums = [sum(map(mul, a, rb[length - 1 - m :])) for m in range(length)]
     g = gcd(den, *nums)
     if g > 1:
         return [x // g for x in nums], den // g
@@ -432,7 +445,8 @@ def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     odd, f = z g(w) with w = z^2, so that coefficient is [w^(n-k)] (g^2)^k.
     g is put over the lcm of its denominators as integer numerators, and
     power k of g^2 is carried as numerators over one denominator, in lowest
-    terms, only to w^(max_n-k).  The row recurrence used by
+    terms, only to w^(max_n-k).  An even power k is the square of power k/2,
+    an odd one power k-1 times g^2.  The row recurrence used by
     SequenceCache.build_s_table must reproduce it bit for bit.
     """
     if max_n < 1:
@@ -443,11 +457,20 @@ def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     g = [c.numerator * (g_den // c.denominator) for c in odd]
     g2, g2_den = _truncated_product(g, g, g_den * g_den)
     rows = [[0] * n for n in range(1, max_n + 1)]
+    # halves[j] = power j cut to the max_n - 2j + 1 terms that power 2j reads,
+    # held from power j until power 2j is taken.
+    halves: dict[int, tuple[list[int], int]] = {}
     power, power_den = g2, g2_den
     for k in range(1, max_n + 1):
+        # Power k is read only to w^(max_n - k).
+        if k % 2 == 0:
+            half, half_den = halves.pop(k // 2)
+            power, power_den = _truncated_product(half, half, half_den * half_den)
+        elif k > 1:
+            power, power_den = _truncated_product(power[: max_n - k + 1], g2, power_den * g2_den)
+        if 2 * k <= max_n:
+            halves[k] = power[: max_n - 2 * k + 1], power_den
         den = power_den * factorial(2 * k)
         for n, num in enumerate(power, k):
             rows[n - 1][k - 1] = _exact_quotient(num * factorial(2 * n), den, "s(%d,%d)", n, k)
-        if k < max_n:  # power k + 1 is read only to w^(max_n - k - 1)
-            power, power_den = _truncated_product(power[: max_n - k], g2, power_den * g2_den)
     return rows

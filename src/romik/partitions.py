@@ -8,7 +8,8 @@ sets (parts in {1, 3, 5}; parts below p^2 with no part equal to p) give the
 per-prime reductions.
 
 The walk goes over (part, count) pairs, one level per distinct part rather
-than one per part.
+than one per part.  A tail that can only be ones (as many parts left as
+total left) is yielded at once, as (1, count), without opening a level for it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def enumerate_partitions(
             if part == forbidden:
                 continue
             if part == 1:
-                # Here parts_left == remaining, so only ones fit.
+                # Here parts_left == remaining, so only ones fit.  Reached only
+                # from the top call: below it, the level above a tail of ones
+                # yields that tail itself.
                 yield ((1, parts_left),) + chosen
                 return
             # Leave the parts below at least 1 and at most part - 2 each.
@@ -86,10 +89,15 @@ def enumerate_partitions(
             least = max(1, (remaining - (part - 2) * parts_left + 1) // 2)
             for count in range(most, least - 1, -1):
                 pairs = ((part, count),) + chosen
-                if count == parts_left:
+                rest, left = remaining - part * count, parts_left - count
+                if not left:
                     yield pairs
+                elif rest == left:
+                    # Only ones fit below: the level down would yield just this.
+                    if forbidden != 1:
+                        yield ((1, left),) + pairs
                 else:
-                    yield from walk(remaining - part * count, parts_left - count, part - 2, pairs)
+                    yield from walk(rest, left, part - 2, pairs)
 
     yield from walk(total, num_parts, top, ())
 

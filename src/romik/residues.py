@@ -128,8 +128,9 @@ def s_mod5_single_index(n: int, k: int) -> int:
 
     The first summand is computed as one exact quotient of factorials.  With
     a = 3k-n+c and b = n-k-2c at index c, the next one is this summand times
-    b(b-1), divided exactly by (a+1)(c+1)*5.  Every summand is thus an exact
-    integer, and a remainder at any step raises IntegrityError.
+    b(b-1), formed first as one small factor so that the big summand is
+    multiplied once, divided exactly by (a+1)(c+1)*5.  Every summand is thus
+    an exact integer, and a remainder at any step raises IntegrityError.
     """
     _check_pair(n, k)
     if n > 5 * k:
@@ -142,7 +143,7 @@ def s_mod5_single_index(n: int, k: int) -> int:
     while b > 1:
         c += 1
         term = _exact_quotient(
-            term * b * (b - 1), (a + 1) * c * 5, "s(%d,%d) summand c=%d", n, k, c
+            term * (b * (b - 1)), (a + 1) * c * 5, "s(%d,%d) summand c=%d", n, k, c
         )
         total += -term if c & 1 else term
         a, b = a + 1, b - 2

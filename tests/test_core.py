@@ -390,7 +390,7 @@ class TestThetaSeries:
 # Numerators and denominators with small, often shared factors; many
 # numerators are zero.
 NUMERATORS = st.lists(
-    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50)), min_size=1, max_size=12
+    st.one_of(st.just(0), st.integers(min_value=-50, max_value=50)), min_size=0, max_size=12
 )
 DENOMINATORS = st.integers(min_value=1, max_value=30)
 
@@ -411,8 +411,10 @@ class TestRationalSeries:
         assert _product([1, 1, 1], 1, [1, 1], 1) == [Fraction(1), Fraction(2)]
         assert _product([1, 1], 1, [1, 1, 1], 1) == [Fraction(1), Fraction(2)]
 
-    @given(a=NUMERATORS, da=DENOMINATORS, b=NUMERATORS, db=DENOMINATORS)
-    def test_mul_matches_naive_convolution(self, a, da, b, db):
+    @given(a=NUMERATORS, da=DENOMINATORS, b=NUMERATORS, db=DENOMINATORS, same=st.booleans())
+    def test_mul_matches_naive_convolution(self, a, da, b, db, same):
+        if same:  # the very same list object takes the square path
+            b, db = a, da
         x = [Fraction(c, da) for c in a]
         y = [Fraction(c, db) for c in b]
         expected = [
@@ -455,6 +457,10 @@ class TestRationalSeries:
     def test_exact_equality(self):
         # Lowest terms make equal values equal representations.
         assert _truncated_product([2], [1], 4) == _truncated_product([1], [1], 2) == ([1], 2)
+
+    def test_square_matches_product_of_equal_copies(self):
+        a = [6, -15, 0, 10, -3, 21, 4]
+        assert _truncated_product(a, a, 36) == _truncated_product(a, list(a), 36)
 
 
 class TestInvariants:

@@ -112,7 +112,7 @@ class TestEnumerate:
     @given(
         total=st.integers(min_value=1, max_value=18),
         num_parts=st.integers(min_value=1, max_value=6),
-        max_part=st.sampled_from([None, 3, 5, 8, 15]),
+        max_part=st.sampled_from([None, 1, 2, 3, 5, 8, 15]),
         forbidden=st.sampled_from([None, 1, 3, 5, 7]),
     )
     def test_matches_combinations_reference(self, total, num_parts, max_part, forbidden):

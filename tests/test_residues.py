@@ -21,6 +21,7 @@ from romik import (
     five_cycle_class_size,
     is_prime,
     r_mod5_closed_form,
+    residues,
     s_by_partitions,
     s_mod5_single_index,
     single_index_term_valuation,
@@ -196,6 +197,13 @@ class TestMod5Forms:
         for n in range(1, 81):
             for k in range(1, n + 1):
                 assert s_mod5_single_index(n, k) == reference(n, k), (n, k)
+
+    def test_single_index_step_remainder_raises(self, monkeypatch):
+        # With 10! read as 6, s(5,2)'s first summand 6 / (1! 3! 0!) = 1 is exact,
+        # and the step to c = 1, 1 * 3 * 2 / (2 * 1 * 5), leaves a remainder.
+        monkeypatch.setattr(residues, "factorial", lambda m: 6 if m == 10 else factorial(m))
+        with pytest.raises(IntegrityError, match=r"^s\(5,2\) summand c=1 is not an integer$"):
+            s_mod5_single_index(5, 2)
 
     def test_diagonal(self):
         assert all(r_mod5_closed_form(n, n) == 1 for n in range(1, 40))
