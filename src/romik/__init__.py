@@ -11,7 +11,6 @@ from .core import (
     IntegrityError,
     SequenceCache,
     s_table_by_series,
-    theta_series,
 )
 from .partitions import (
     PartitionFilter,
@@ -52,7 +51,6 @@ __all__ = [
     "IntegrityError",
     "SequenceCache",
     "s_table_by_series",
-    "theta_series",
     "PartitionFilter",
     "enumerate_partitions",
     "multinomial_count",

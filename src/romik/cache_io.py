@@ -41,18 +41,26 @@ store more than the append saves, and a crash leaves at worst a short or
 garbled last segment, which the framing and checksum reject loudly.
 
 load_cache lists the directory, which must exist, and reads each file
-under a shared ``flock``, one segment at a time.  It raises
+under a shared ``flock`` once, walking every segment.  It raises
 CacheFormatError unless the header is exact, each segment's count fits the
 bytes left before anything is unpacked, each segment ends within the file
-and matches its checksum, each value has its own length, the read ends
-exactly at the file size and the s count is triangular: a torn, extended
-or garbled file fails loudly rather than yielding a plausible wrong value.
-(The checksum guards against damage, not against an edit that rewrites it
-too.)  An empty file holds no values; it is what a store leaves between
-creating a file and locking it.  The stored s rows are handed to
-``SequenceCache.from_stored`` as they are, neither converted nor copied;
-values that fail its checks (seeds, d odd, unit diagonal) raise
-CacheFormatError naming their file.
+and matches its checksum, the read ends exactly at the file size and the s
+count is triangular: a torn, extended or garbled file fails loudly rather
+than yielding a plausible wrong value.  (The checksum guards against damage,
+not against an edit that rewrites it too.)  u, v and d are then decoded
+whole, each value checked to have its own length.  s.bin is not: its unit
+diagonal is checked on the bytes (each s^(n, n) must be the one byte 0x01),
+and its segments are handed to ``SequenceCache.from_stored`` as a row
+source with the row count.  A segment is decoded, its values' lengths
+checked and its bytes dropped when the cache first reads a row reaching
+into it, so a command reading rows 1..n decodes only the segments those
+rows reach; its errors name s.bin and the value's index, and reach the
+reader.  The rows come from the bytes read at load, never from the file
+again, and are neither converted nor copied.  An empty file holds no
+values; it is what a store leaves between creating a file and locking it.
+Values that fail the checks of ``from_stored`` (seeds, d odd) raise
+CacheFormatError naming their file.  read_s_table takes the same row source
+whole.
 
 Files of earlier versions (v2, v3: one header count, no segments) are
 rejected with CacheVersionError; such a cache directory must be removed and
@@ -82,6 +90,7 @@ S_TABLE_FILE = "s.bin"
 SEGMENT_BYTES = 1 << 16  # a segment closes once its values reach this size
 _MAX_HEADER = 80  # bytes searched for the header's newline
 _U32 = struct.Struct("<I")
+_Segment = tuple[tuple[int, ...], bytes]  # value lengths; bytes from the values on
 
 
 class CacheFormatError(ValueError):
@@ -141,15 +150,28 @@ def _header(name: str) -> bytes:
 def read_sequence(path: str, name: str) -> list[int]:
     """Read one sequence file back, enforcing header, framing, checksums and sizes."""
     values: list[int] = []
+    for lengths, data in _segments(path, name):
+        values += _decode(path, lengths, data, len(values))
+    return values
+
+
+def _segments(path: str, name: str) -> list[_Segment]:
+    """Every segment of the file as ``_walk`` yields it, read under a shared
+    ``flock``."""
     with open(path, "rb") as handle:
         fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
-        for lengths, data in _walk(handle, path, name):
-            decoded = list(map(int.from_bytes, map(io.BytesIO(data).read, lengths), repeat("little")))
-            own = [(x.bit_length() + 8) >> 3 for x in decoded]
-            if own != list(lengths):
-                _signed(path, decoded, lengths, own, len(values))
-            values += decoded
-    return values
+        return list(_walk(handle, path, name))
+
+
+def _decode(path: str, lengths: tuple[int, ...], data: bytes, first: int) -> list[int]:
+    """The values of one segment, whose bytes data holds from its start,
+    each checked to be in its own length.  first is the index, across
+    segments, of the segment's first value."""
+    decoded = list(map(int.from_bytes, map(io.BytesIO(data).read, lengths), repeat("little")))
+    own = [(x.bit_length() + 8) >> 3 for x in decoded]
+    if own != list(lengths):
+        _signed(path, decoded, lengths, own, first)
+    return decoded
 
 
 def _signed(
@@ -171,7 +193,7 @@ def _signed(
         raise CacheFormatError(path, f"value {first + i} is not in its {length}-byte form")
 
 
-def _walk(handle, path: str, name: str) -> Iterator[tuple[tuple[int, ...], bytes]]:
+def _walk(handle, path: str, name: str) -> Iterator[_Segment]:
     """Yield each segment's lengths and value bytes, checked against the
     file size taken once here and against the segment's checksum.  The
     handle must be positioned at the start of the file."""
@@ -235,9 +257,49 @@ def _check_header(path: str, header: str, name: str) -> None:
 def read_s_table(path: str) -> list[list[int]]:
     """Read the triangular s-table back in stored form, enforcing complete
     triangle coverage."""
-    values = read_sequence(path, "s")
-    bound = _s_bound(path, len(values))
-    return [values[n * (n - 1) // 2:n * (n + 1) // 2] for n in range(1, bound + 1)]
+    rows, _ = _s_table(path)
+    return list(rows)
+
+
+def _s_table(path: str) -> tuple[Iterator[list[int]], int]:
+    """The rows of the s.bin at path, still to be decoded, and their count.
+    Every check that needs no decoded value is made here, and the unit
+    diagonal is checked on the bytes."""
+    segments = _segments(path, "s")
+    bound = _s_bound(path, sum(len(lengths) for lengths, _ in segments))
+    _check_diagonal(path, segments)
+    return _rows(path, segments, bound), bound
+
+
+def _check_diagonal(path: str, segments: list[_Segment]) -> None:
+    """Check that each s^(n, n), value n(n+1)/2 - 1, is stored as the one
+    byte 0x01; one that is not is decoded only to name it."""
+    n, first = 1, 0  # the next diagonal row; the index of the segment's first value
+    for lengths, data in segments:
+        at, offset = 0, 0  # a value of the segment and where its bytes start
+        while (i := n * (n + 1) // 2 - 1 - first) < len(lengths):
+            offset += sum(lengths[at:i])
+            at = i
+            if lengths[i] != 1 or data[offset] != 1:
+                x = _decode(path, lengths[i:i + 1], data[offset:offset + lengths[i]], first + i)[0]
+                raise CacheFormatError(path, f"s({n},{n}) = {x}, expected 1")
+            n += 1
+        first += len(lengths)
+
+
+def _rows(path: str, segments: list[_Segment], bound: int) -> Iterator[list[int]]:
+    """Yield rows 1..bound of the s-table from the walked segments of path.
+    A segment is decoded, and dropped from segments, when the first row
+    reaching into it is taken."""
+    segments.reverse()  # popped from the end, first segment first
+    values: list[int] = []  # decoded and not yet yielded, from index first on
+    first = 0
+    for n in range(1, bound + 1):
+        while len(values) < n:
+            values += _decode(path, *segments.pop(), first + len(values))
+        yield values[:n]
+        del values[:n]
+        first += n
 
 
 def _s_bound(path: str, count: int) -> int:
@@ -253,12 +315,17 @@ def store_cache(directory: str, cache: SequenceCache) -> None:
     """Append to the files in directory every cached value (and s-table row,
     if built) they do not hold yet; a file holding as many or more is left
     untouched."""
+    try:
+        # Restores every stored row first, so that a row failing to decode
+        # refuses the store before any file is touched.
+        s_rows = cache.stored_s_rows()
+    except CacheFormatError as exc:
+        raise exc.refusing_store() from None
     os.makedirs(directory, exist_ok=True)
     for name, filename in SEQUENCE_FILES.items():
         append_sequence(os.path.join(directory, filename), name, cache.known_values(name))
-    if cache.s_bound:
-        s_values = chain.from_iterable(cache.stored_s_rows())
-        append_sequence(os.path.join(directory, S_TABLE_FILE), "s", s_values)
+    if s_rows:
+        append_sequence(os.path.join(directory, S_TABLE_FILE), "s", chain.from_iterable(s_rows))
 
 
 def append_sequence(path: str, name: str, values: Iterable[int]) -> None:
@@ -285,8 +352,10 @@ def load_cache(directory: str) -> SequenceCache:
     The directory must exist.  Missing or empty files leave that sequence
     at its seed; present files must be valid, and a file whose values fail
     the checks of ``SequenceCache.from_stored`` (a seed other than 1, an
-    even d, a diagonal s entry other than 1) raises CacheFormatError naming
-    it.  Round trip with store_cache reproduces identical values.
+    even d) or whose diagonal s entry is not 1 raises CacheFormatError
+    naming it.  The s rows are decoded as the cache first reads them, so
+    a value of s.bin not in its own length raises CacheFormatError at that
+    read.  Round trip with store_cache reproduces identical values.
     """
     names = os.listdir(directory)  # a missing directory is an error, not an empty cache
     kwargs: dict = {}
@@ -294,7 +363,7 @@ def load_cache(directory: str) -> SequenceCache:
         if filename in names:
             kwargs[name] = read_sequence(os.path.join(directory, filename), name) or None
     if S_TABLE_FILE in names:
-        kwargs["s_rows"] = read_s_table(os.path.join(directory, S_TABLE_FILE))
+        kwargs["s_rows"], kwargs["s_count"] = _s_table(os.path.join(directory, S_TABLE_FILE))
     try:
         return SequenceCache.from_stored(**kwargs)
     except StoredValueError as exc:

@@ -12,10 +12,12 @@ directory may be set through the ROMIK_CACHE_DIR environment variable and
 overridden per run with --cache-dir.
 
 ``main`` holds the one cache session: for every command but ``cache check``
-it loads the cache directory once if it exists (a corrupt file is refused
-with the remedy, since the command would append to it), hands the cache to
-the command's handler, stores once if a table grew, and only then writes the
-lines the handler returned.  Handlers compute and never print.
+it loads the cache directory once if it exists, hands the cache to the
+command's handler, stores once if a table grew, and only then writes the
+lines the handler returned.  Handlers compute and never print.  A corrupt
+file is refused with the remedy, since the command would append to it,
+whether the load finds it or the handler does: the s-table rows of a load
+are decoded as they are first read.  ``cache check`` reads every row.
 """
 
 from __future__ import annotations
@@ -60,13 +62,15 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "cache_command", None) == "check":
             # Outside the session: a missing directory is an error, and nothing is stored.
             cache, directory = cache_io.load_cache(directory), None
-        elif directory and os.path.isdir(directory):
-            try:
+        try:
+            if directory and os.path.isdir(directory):
                 cache = cache_io.load_cache(directory)
-            except cache_io.CacheFormatError as exc:
-                raise exc.refusing_store() from None
-            before = _cache_sizes(cache)
-        code, lines = handler(args, parser, cache)
+                before = _cache_sizes(cache)
+            # s.bin's rows are decoded as they are first read, so the handler
+            # can meet a bad stored value too.
+            code, lines = handler(args, parser, cache)
+        except cache_io.CacheFormatError as exc:
+            raise (exc.refusing_store() if directory else exc) from None
         if directory and _cache_sizes(cache) != before:
             cache_io.store_cache(directory, cache)
         _emit(args, lines)
@@ -243,6 +247,7 @@ def _cache_arguments(parser) -> None:
 
 def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
     if args.cache_command == "check":
+        cache.stored_s_rows()  # decodes and checks every stored row
         counts = [f"SEQ {name} COUNT {cache.known_count(name)}" for name in ("u", "v", "d")]
         return 0, counts + [f"SEQ s ROWS {cache.s_bound}"]
     if args.max < 0:

@@ -52,10 +52,12 @@ per call.  The congruence suites and residue grids read through it; ``r``
 stays the exact single-entry read.
 
 ``s_table_by_series`` is the reference the recurrence is tested against:
-it reads only u, through ``theta_series``, and shares no code with the
-builder.  It carries the powers of f^2 in w = z^2 as integer numerators
-over one denominator, each formed in lowest terms by ``_truncated_product``
-(the package's one series product); each entry is one exact division.
+it reads only u and shares no code with the builder.  It puts g, with
+f = z g(z^2), over the lcm of the reduced denominators of u(j)/(2j+1)! as
+integer numerators, and carries the powers of f^2 in w = z^2 as integer
+numerators over one denominator, each formed in lowest terms by
+``_truncated_product`` (the package's one series product); each entry is
+one exact division.
 f^2 is the square of f and an even power (f^2)^k the square of
 (f^2)^(k/2); a square forms each cross product once, so these cost about
 half the big products.  For that, (f^2)^(k/2) is kept, cut to the terms
@@ -66,13 +68,20 @@ Three primitives here are shared by the whole package: ``factorial`` (n!,
 memoized), ``_exact_quotient`` (divide, or raise IntegrityError on a
 remainder) and ``_check_pair`` (the 1 <= k <= n guard).  The builder alone
 divides inline, so that the reference above shares no code with it.
+
+A restored cache may hold its stored rows undecoded: ``from_stored`` takes
+an iterator over them with their count, ``s_bound`` counts them, and each
+row is taken from the iterator, in order, when the cache first reads it
+(``_restore``).  So a command that reads rows 1..n of a longer stored table
+decodes only those.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from math import gcd, lcm, prod
 from operator import lshift, mul
 
@@ -107,6 +116,8 @@ class SequenceCache:
     whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
     one n at a time, only builds the rows not yet held.  A cache restored
     by ``from_stored`` grows the same way from its loaded rows and u.
+    Rows handed over with a count wait in ``_waiting`` until first read:
+    ``_restore`` takes them, in order, before any row is built or read.
 
     ``_s_rows`` is the record of the table and holds it normalized,
     ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
@@ -131,6 +142,8 @@ class SequenceCache:
         self._d: list[int] = [1]
         self._e: list[int] = [0]  # _e[n] = E(n) for n <= s_bound
         self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k) >> (E(n) - E(k))
+        self._waiting: Iterator[list[int]] = iter(())  # stored rows past _s_rows, in order
+        self._pending = 0  # how many rows _waiting still holds
 
     # -- u, v ----------------------------------------------------------
 
@@ -181,12 +194,14 @@ class SequenceCache:
 
     @property
     def s_bound(self) -> int:
-        """Largest n for which the s-table currently holds row n."""
-        return len(self._s_rows)
+        """Largest n for which the s-table holds row n, restored or waiting
+        to be."""
+        return len(self._s_rows) + self._pending
 
     def build_s_table(self, max_n: int) -> None:
         """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
         rows past ``s_bound`` (no-op if already built)."""
+        self._restore(max_n)
         rows = self._s_rows
         if max_n <= len(rows):
             return
@@ -225,6 +240,22 @@ class SequenceCache:
             cols.append([])
             for col, x in zip(cols, row, strict=True):
                 col.append(x)
+
+    def _restore(self, n: int) -> None:
+        """Take the waiting stored rows, in order, up to row n, checking
+        each as ``from_stored`` does.  Errors of the row source (a cache
+        file's CacheFormatError) pass through."""
+        held = len(self._s_rows)
+        take = min(n - held, self._pending)
+        if take <= 0:
+            return
+        rows = list(islice(self._waiting, take))
+        if len(rows) != take:  # the source failed on an earlier read
+            raise StoredValueError("s", f"stored s-table rows past {held} are not readable")
+        _check_triangle(rows, held + 1)
+        self._s_rows += rows
+        self._pending -= take
+        self._extend_e(held + take)
 
     def _extend_e(self, n: int) -> None:
         """Grow the table of E(m) = v2((2m)!) = 2m - (binary digit sum of m)
@@ -320,6 +351,7 @@ class SequenceCache:
 
     def known_s_rows(self) -> list[list[int]]:
         """The cached s-table rows (row n at index n-1), as true s values."""
+        self._restore(self.s_bound)
         e = self._e
         e_k = e[1:]
         # list() trims each comprehension's spare capacity, as list(row) would.
@@ -332,6 +364,7 @@ class SequenceCache:
         """The cached s-table rows as held, s^(n, k) = s(n, k) >> (E(n) - E(k)),
         in a new list.  The rows themselves are shared with the cache, not
         copied: read them, and copy a row before changing it."""
+        self._restore(self.s_bound)
         return list(self._s_rows)
 
     @classmethod
@@ -340,14 +373,19 @@ class SequenceCache:
         u: list[int] | None = None,
         v: list[int] | None = None,
         d: list[int] | None = None,
-        s_rows: list[list[int]] | None = None,
+        s_rows: Iterable[list[int]] | None = None,
+        s_count: int | None = None,
     ) -> "SequenceCache":
         """Rebuild a cache from previously computed values, re-checking the
         structural invariants (seeds equal 1, d odd, triangular shape,
         unit diagonal); a failure raises StoredValueError naming the table.
         ``s_rows`` is in the held form returned by ``stored_s_rows``; its
         rows are taken over as they are, neither converted nor copied, so a
-        caller copies a row before changing it."""
+        caller copies a row before changing it.  A list of rows is taken at
+        once.  Given ``s_count``, s_rows is an iterator over rows
+        1..s_count, and each row is taken and checked only when the cache
+        first reads it (or grows past it); an error the iterator raises
+        then reaches that reader."""
         cache = cls()
         for name, values in (("u", u), ("v", v), ("d", d)):
             if values is None:
@@ -362,10 +400,11 @@ class SequenceCache:
             cache._v = list(v)
         if d:
             cache._d = list(d)
-        if s_rows:
-            _check_triangle(s_rows)
-            cache._s_rows = list(s_rows)
-            cache._extend_e(len(s_rows))
+        if s_rows is not None:
+            cache._waiting = iter(s_rows)
+            cache._pending = len(s_rows) if s_count is None else s_count
+            if s_count is None:
+                cache._restore(cache._pending)
         return cache
 
 
@@ -378,12 +417,14 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n + 1 - len(half)][::-1]
 
 
-def _check_triangle(s_rows: list[list[int]]) -> None:
-    for i, row in enumerate(s_rows):
-        if len(row) != i + 1:
-            raise StoredValueError("s", f"s-table row {i + 1} has {len(row)} entries")
-        if row[i] != 1:
-            raise StoredValueError("s", f"s({i + 1},{i + 1}) = {row[i]}, expected 1")
+def _check_triangle(s_rows: list[list[int]], first: int) -> None:
+    """Check that s_rows, rows first, first + 1, ..., are triangular with a
+    unit diagonal."""
+    for n, row in enumerate(s_rows, first):
+        if len(row) != n:
+            raise StoredValueError("s", f"s-table row {n} has {len(row)} entries")
+        if row[-1] != 1:
+            raise StoredValueError("s", f"s({n},{n}) = {row[-1]}, expected 1")
 
 
 def _check_pair(n: int, k: int) -> None:
@@ -398,22 +439,6 @@ def _exact_quotient(num: int, den: int, what: str, *args: object) -> int:
     if rem:
         raise IntegrityError(f"{what % args} is not an integer")
     return q
-
-
-def theta_series(truncation_order: int, cache: SequenceCache) -> list[Fraction]:
-    """The coefficients of z^0, ..., z^truncation_order in the series
-    f(z) = sum_j u(j)/(2j+1)! z^(2j+1).
-
-    Even-power coefficients are zero; the coefficient of z^(2j+1) equals
-    u(j)/(2j+1)! exactly.
-    """
-    if truncation_order < 1:
-        raise ValueError(f"truncation_order must be >= 1, got {truncation_order}")
-    coeffs = [Fraction(0)] * (truncation_order + 1)
-    for m in range(1, truncation_order + 1, 2):
-        j = (m - 1) // 2
-        coeffs[m] = Fraction(cache.u(j), factorial(m))
-    return coeffs
 
 
 def _truncated_product(a: list[int], b: list[int], den: int) -> tuple[list[int], int]:
@@ -451,10 +476,11 @@ def s_table_by_series(max_n: int, cache: SequenceCache) -> list[list[int]]:
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    odd = theta_series(2 * max_n - 1, cache)[1::2]
-    # Over the lcm of reduced denominators the numerators share no factor with it.
-    g_den = lcm(*(c.denominator for c in odd))
-    g = [c.numerator * (g_den // c.denominator) for c in odd]
+    # g's coefficient of w^j is u(j)/(2j+1)!.  Over the lcm of the reduced
+    # denominators the numerators share no factor with it.
+    u = [cache.u(j) for j in range(max_n)]
+    g_den = lcm(*(factorial(2 * j + 1) // gcd(x, factorial(2 * j + 1)) for j, x in enumerate(u)))
+    g = [x * g_den // factorial(2 * j + 1) for j, x in enumerate(u)]
     g2, g2_den = _truncated_product(g, g, g_den * g_den)
     rows = [[0] * n for n in range(1, max_n + 1)]
     # halves[j] = power j cut to the max_n - 2j + 1 terms that power 2j reads,

@@ -181,25 +181,19 @@ def count_fifth_roots(n: int) -> int:
 
 @dataclass(frozen=True)
 class VanishingThresholds:
-    """The two index thresholds attached to a prime p = 3 (mod 4):
+    """The index threshold attached to a prime p = 3 (mod 4):
     n0 = (p^2 - 1)/2, past which d(n) and the low-k part of the r-table
-    vanish mod p, and the smaller n1 = 3(p+1)/4, the paper's threshold for
-    truncating the u-recurrence (romik truncates nothing; kept for tests)."""
+    vanish mod p."""
 
     prime: int
     n0: int
-    n1: int
 
     @classmethod
     def for_prime(cls, p: int) -> "VanishingThresholds":
         _require_prime(p)
         if p % 4 != 3:
             raise ValueError(f"p must be 3 mod 4, got {p}")
-        return cls(prime=p, n0=(p * p - 1) // 2, n1=3 * (p + 1) // 4)
-
-    def __post_init__(self) -> None:
-        if self.n1 >= self.n0:
-            raise ValueError(f"expected n1 < n0, got n1={self.n1}, n0={self.n0}")
+        return cls(prime=p, n0=(p * p - 1) // 2)
 
 
 @dataclass(frozen=True)

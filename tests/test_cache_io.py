@@ -4,6 +4,7 @@ import fcntl
 import hashlib
 import multiprocessing
 import os
+import random
 import struct
 import tempfile
 import zlib
@@ -429,6 +430,27 @@ class TestCorruption:
             load_cache(str(tmp_path))
 
 
+def _edit_value(data, index, edit):
+    """The v4 file data with value index stored as edit(its bytes), and its
+    segment's lengths and checksum rewritten to match."""
+    first = 0
+    for start in _segment_starts(data):
+        (count,) = struct.unpack_from("<I", data, start)
+        if index < first + count:
+            lengths = list(struct.unpack_from(f"<{count}I", data, start + 4))
+            begin = start + 4 + 4 * count
+            end = begin + sum(lengths)
+            i = index - first
+            at = begin + sum(lengths[:i])
+            stop = at + lengths[i]
+            new = edit(data[at:stop])
+            lengths[i] = len(new)
+            values = data[begin:at] + new + data[stop:end]
+            return data[:start] + _segment(lengths, values) + data[end + 4:]
+        first += count
+    raise IndexError(index)
+
+
 def _drop(n):
     return lambda data: data[:-n]
 
@@ -691,3 +713,102 @@ class TestSTableFile:
         assert header == b"ROMIKCACHE v4 seq=s"
         assert struct.unpack_from("<2I", rest) == (36, 1)  # rows 1..8; s(1,1) has 1 byte
         assert rest[4 * 37:4 * 37 + 1] == b"\x01"  # s(1,1) = 1
+
+
+class TestRestoreOnDemand:
+    """load_cache checks all of s.bin up front and decodes a row only when
+    the cache first reads it."""
+
+    @pytest.fixture(scope="class")
+    def stored40(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("s40")
+        store_cache(str(directory), _bulk(40))
+        return directory
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_loaded_rows_answer_as_a_fresh_cache(self, stored40, seed):
+        loaded, fresh = load_cache(str(stored40)), SequenceCache()
+        assert loaded.s_bound == 40
+        rng = random.Random(seed)
+        for _ in range(8):
+            n = rng.randint(1, 60)
+            k = rng.randint(1, n)
+            read = rng.choice(["s", "r", "r_residues", "d"])
+            if read == "r_residues":
+                args = (rng.choice([2, 3, 5, 7, 11]), n, rng.randint(1, n), rng.choice([None, k]))
+            else:
+                args = (n,) if read == "d" else (n, k)
+            assert getattr(loaded, read)(*args) == getattr(fresh, read)(*args), (read, args)
+        assert loaded.s_bound == max(40, fresh.s_bound)
+        assert loaded.stored_s_rows()[:fresh.s_bound] == fresh.stored_s_rows()
+
+    def test_planted_value_is_met_by_the_rows_reaching_it(self, tmp_path, capsys):
+        # Grown from 40 to 60 rows, so rows 41..60 are a segment of their own:
+        # a segment is what a read decodes.
+        _stored_files(tmp_path, 40, 60)
+        path = tmp_path / "s.bin"
+        data = path.read_bytes()
+        counts = [struct.unpack_from("<I", data, at)[0] for at in _segment_starts(data)]
+        assert counts == [820, 1010]
+        index = 50 * 49 // 2 + 9  # s^(50, 10), with a zero byte it does not need
+        path.write_bytes(_edit_value(data, index, lambda b: b + b"\x00"))
+        files = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        loaded = load_cache(str(tmp_path))
+        assert loaded.s(40, 10) == _bulk(40).s(40, 10)
+        with pytest.raises(CacheFormatError) as err:
+            loaded.s(41, 1)
+        assert err.value.path == str(path)
+        assert f"value {index} is not in its " in str(err.value)
+        with pytest.raises(ValueError, match="rows past 40 are not readable"):
+            loaded.s(41, 1)  # a second read fails too
+        with pytest.raises(CacheFormatError):
+            read_s_table(str(path))
+
+        directory = str(tmp_path)
+        assert main(["grid", "--prime", "5", "--max-n", "10"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["grid", "--prime", "5", "--max-n", "10", "--cache-dir", directory]) == 0
+        assert capsys.readouterr().out == expected
+        # Each of these reaches row 50: the grid reads it, cache check reads
+        # every row, and the store of u's growth would write s.bin's rows.
+        for argv, remedy in [
+            (["grid", "--prime", "5", "--max-n", "55", "--cache-dir", directory], True),
+            (["compute", "--seq", "u", "--max", "70", "--cache-dir", directory], True),
+            (["cache", "check", "--dir", directory], False),
+        ]:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"romik: error: {path}: value {index} is not in its "), argv
+            assert ("remove the cache directory and build it again" in err) == remedy, argv
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == files
+
+    @pytest.mark.parametrize("encoding, reason", [
+        (b"\x03", "s(35,35) = 3, expected 1"),
+        (b"\xff", "s(35,35) = -1, expected 1"),
+        (b"\x01\x00", f"value {35 * 36 // 2 - 1} is not in its 2-byte form"),
+    ])
+    def test_bad_diagonal_in_a_later_segment_is_refused_at_load(
+        self, tmp_path, monkeypatch, encoding, reason
+    ):
+        monkeypatch.setattr(cache_io, "SEGMENT_BYTES", 256)
+        store_cache(str(tmp_path), _bulk(40))
+        path = tmp_path / "s.bin"
+        data = path.read_bytes()
+        index = 35 * 36 // 2 - 1  # s^(35, 35)
+        (first_count,) = struct.unpack_from("<I", data, _segment_starts(data)[0])
+        assert first_count < index
+        path.write_bytes(_edit_value(data, index, lambda b: encoding))
+        with pytest.raises(CacheFormatError) as err:
+            load_cache(str(tmp_path))
+        assert str(err.value) == f"{path}: {reason}"
+
+    def test_rows_are_restored_from_the_bytes_read_at_load(self, tmp_path):
+        store_cache(str(tmp_path), _bulk(20))
+        loaded = load_cache(str(tmp_path))
+        store_cache(str(tmp_path), _bulk(30))  # another writer appends rows 21..30
+        path = tmp_path / "s.bin"
+        # and the file is garbled after that: the loaded cache never reads it again.
+        path.write_bytes(_edit_value(path.read_bytes(), 0, lambda b: b"\x01\x00"))
+        assert loaded.s_bound == 20
+        assert loaded.stored_s_rows() == _bulk(20).stored_s_rows()

@@ -507,6 +507,24 @@ class TestCacheDirFlow:
         assert err.startswith(f"romik: error: {target}: ")
         assert (directory / "d.bin").exists()
 
+    def test_small_grid_on_a_larger_directory_stores_nothing(self, tmp_path, capsys):
+        directory = tmp_path / "cache"
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "60"], capsys)
+        assert code == 0
+
+        def files():
+            return {
+                name: ((directory / name).read_bytes(), (directory / name).stat().st_mtime_ns)
+                for name in sorted(os.listdir(directory))
+            }
+
+        before = files()
+        argv = ["grid", "--prime", "7", "--max-n", "10"]
+        code, out, _ = run_cli([*argv, "--cache-dir", str(directory)], capsys)
+        assert (code, out) == run_cli(argv, capsys)[:2]
+        assert code == 0
+        assert files() == before
+
     def test_env_variable_is_honored(self, tmp_path, capsys, monkeypatch):
         directory = str(tmp_path / "envcache")
         monkeypatch.setenv("ROMIK_CACHE_DIR", directory)

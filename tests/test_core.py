@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import romik
-from romik import IntegrityError, SequenceCache, s_table_by_series, theta_series
+from romik import IntegrityError, SequenceCache, s_table_by_series
 from romik.cache_io import load_cache, store_cache
-from romik.core import _binomial_row, _truncated_product
+from romik.core import StoredValueError, _binomial_row, _truncated_product
 
 # Published initial segments.
 U_VALUES = [1, 6, 256, 28560, 6071040]
@@ -319,6 +319,21 @@ class TestNormalizedTable:
         assert all(a is b for a, b in zip(restored._s_rows, rows, strict=True))
 
 
+    def test_from_stored_checks_each_row_it_takes(self, cache):
+        rows = [list(row) for row in cache.stored_s_rows()[:6]]
+        rows[4][4] = 3
+        with pytest.raises(StoredValueError, match=r"s\(5,5\) = 3, expected 1"):
+            SequenceCache.from_stored(s_rows=rows)
+        with pytest.raises(StoredValueError, match="s-table row 3 has 2 entries"):
+            SequenceCache.from_stored(s_rows=[[1], [6, 1], [237, 1]])
+        # Rows handed over with their count are taken, and checked, when read.
+        waiting = SequenceCache.from_stored(s_rows=iter(rows), s_count=6)
+        assert waiting.s_bound == 6
+        assert waiting.s(4, 2) == cache.s(4, 2)
+        with pytest.raises(StoredValueError, match=r"s\(5,5\) = 3, expected 1"):
+            waiting.s(6, 1)
+
+
 class TestResidueReader:
     """r_residues reads r(n, k) mod p from the held table, never forming r."""
 
@@ -360,31 +375,37 @@ class TestResidueReader:
             fresh.r_residues(5, 3, 0)
 
 
-class TestThetaSeries:
-    def test_order_one(self, cache):
-        assert theta_series(1, cache) == [0, 1]
+class TestSeriesReference:
+    """s_table_by_series reads only u: f = sum_j u(j)/(2j+1)! z^(2j+1)."""
 
-    def test_order_three(self, cache):
-        series = theta_series(3, cache)
-        assert series == [0, 1, 0, 1]
-        assert all(type(c) is Fraction for c in series)
+    def test_bound_one(self, cache):
+        assert s_table_by_series(1, cache) == [[1]]
 
-    def test_fifth_coefficient(self, cache):
-        assert theta_series(5, cache)[5] == Fraction(32, 15)
+    def test_two_rows(self, cache):
+        rows = s_table_by_series(2, cache)
+        assert rows == [[1], [24, 1]]
+        assert all(type(x) is int for row in rows for x in row)
 
-    def test_even_coefficients_vanish(self, cache):
-        series = theta_series(12, cache)
-        assert len(series) == 13
-        assert all(series[m] == 0 for m in range(0, 13, 2))
+    def test_first_column_from_u(self, cache):
+        # s(n, 1) = (2n)!/2 [z^(2n)] f^2, f's coefficient of z^(2j+1) being
+        # u(j)/(2j+1)!: with u(1)/3! = 1 and u(2)/5! = 32/15, s(3, 1) = 6!/2 (2 * 32/15 + 1).
+        assert Fraction(cache.u(2), factorial(5)) == Fraction(32, 15)
+        assert s_table_by_series(3, cache)[2][0] == 1896 == 360 * (Fraction(64, 15) + 1)
+        rows = s_table_by_series(9, cache)
+        f = [Fraction(cache.u(j), factorial(2 * j + 1)) for j in range(9)]
+        for n in range(1, 10):
+            f2 = sum(f[i] * f[n - 1 - i] for i in range(n))  # [z^(2n)] f^2
+            assert rows[n - 1][0] == f2 * factorial(2 * n) / 2
 
-    def test_general_coefficient(self, cache):
-        series = theta_series(9, cache)
-        for j in range(5):
-            assert series[2 * j + 1] == Fraction(cache.u(j), factorial(2 * j + 1))
+    def test_reads_u_only_to_the_bound(self):
+        fresh = SequenceCache()
+        s_table_by_series(12, fresh)
+        assert fresh.known_count("u") == 12
+        assert fresh.s_bound == 0
 
-    def test_order_zero_rejected(self, cache):
+    def test_bound_zero_rejected(self, cache):
         with pytest.raises(ValueError):
-            theta_series(0, cache)
+            s_table_by_series(0, cache)
 
 
 # Numerators and denominators with small, often shared factors; many

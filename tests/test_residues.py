@@ -283,17 +283,9 @@ class TestDigitSumFacts:
 
 class TestVanishingThresholds:
     def test_values(self):
-        t3 = VanishingThresholds.for_prime(3)
-        assert (t3.n0, t3.n1) == (4, 3)
-        t7 = VanishingThresholds.for_prime(7)
-        assert (t7.n0, t7.n1) == (24, 6)
-        t11 = VanishingThresholds.for_prime(11)
-        assert (t11.n0, t11.n1) == (60, 9)
-
-    def test_ordering(self):
-        for p in (3, 7, 11, 19, 23):
-            t = VanishingThresholds.for_prime(p)
-            assert t.n1 < t.n0
+        assert VanishingThresholds.for_prime(3).n0 == 4
+        assert VanishingThresholds.for_prime(7).n0 == 24
+        assert VanishingThresholds.for_prime(11).n0 == 60
 
     def test_rejects_one_mod_four(self):
         with pytest.raises(ValueError):
