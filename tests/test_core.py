@@ -386,17 +386,6 @@ class TestSeriesReference:
         assert rows == [[1], [24, 1]]
         assert all(type(x) is int for row in rows for x in row)
 
-    def test_first_column_from_u(self, cache):
-        # s(n, 1) = (2n)!/2 [z^(2n)] f^2, f's coefficient of z^(2j+1) being
-        # u(j)/(2j+1)!: with u(1)/3! = 1 and u(2)/5! = 32/15, s(3, 1) = 6!/2 (2 * 32/15 + 1).
-        assert Fraction(cache.u(2), factorial(5)) == Fraction(32, 15)
-        assert s_table_by_series(3, cache)[2][0] == 1896 == 360 * (Fraction(64, 15) + 1)
-        rows = s_table_by_series(9, cache)
-        f = [Fraction(cache.u(j), factorial(2 * j + 1)) for j in range(9)]
-        for n in range(1, 10):
-            f2 = sum(f[i] * f[n - 1 - i] for i in range(n))  # [z^(2n)] f^2
-            assert rows[n - 1][0] == f2 * factorial(2 * n) / 2
-
     def test_reads_u_only_to_the_bound(self):
         fresh = SequenceCache()
         s_table_by_series(12, fresh)
@@ -406,6 +395,22 @@ class TestSeriesReference:
     def test_bound_zero_rejected(self, cache):
         with pytest.raises(ValueError):
             s_table_by_series(0, cache)
+
+
+class TestThetaSeries:
+    """f's coefficient of z^(2j+1) is u(j)/(2j+1)!, and s(n, 1) = (2n)!/2 [z^(2n)] f^2."""
+
+    def test_fifth_coefficient(self, cache):
+        # u(1)/3! = 1 and u(2)/5! = 32/15, so s(3, 1) = 6!/2 (2 * 32/15 + 1).
+        assert Fraction(cache.u(2), factorial(5)) == Fraction(32, 15)
+        assert s_table_by_series(3, cache)[2][0] == 1896 == 360 * (Fraction(64, 15) + 1)
+
+    def test_general_coefficient(self, cache):
+        rows = s_table_by_series(9, cache)
+        f = [Fraction(cache.u(j), factorial(2 * j + 1)) for j in range(9)]
+        for n in range(1, 10):
+            f2 = sum(f[i] * f[n - 1 - i] for i in range(n))  # [z^(2n)] f^2
+            assert rows[n - 1][0] == f2 * factorial(2 * n) / 2
 
 
 # Numerators and denominators with small, often shared factors; many
