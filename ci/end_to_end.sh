@@ -29,6 +29,12 @@ for P in 2 5 7; do
        <(python -m romik compute --seq r --max 40 --mod "$P" --format csv | tail -n +2)
   diff <(python -m romik grid --prime "$P" --max-n 40 --format table) \
        <(python -m romik compute --seq r --max 40 --mod "$P")
+  # The PGM: its header, then its pixel rows cut to the triangle k <= n.
+  python -m romik grid --prime "$P" --max-n 40 --format pgm > "$tmp/grid.pgm"
+  test "$(head -3 "$tmp/grid.pgm")" = "$(printf 'P2\n40 40\n%d' $((P - 1)))"
+  diff <(tail -n +4 "$tmp/grid.pgm" |
+           awk '{printf "%d:", NR; for (i = 1; i <= NR; i++) printf " %s", $i; print ""}') \
+       <(python -m romik compute --seq r --max 40 --mod "$P")
 done
 python -m romik cache build --dir "$tmp/c" --max 20
 cp "$tmp/c/s.bin" "$tmp/s20.bin"

@@ -19,8 +19,6 @@ from .partitions import (
     s_by_partitions,
 )
 from .residues import (
-    ResidueGrid,
-    VanishingThresholds,
     binomial_vanishes,
     build_residue_grid,
     count_fifth_roots,
@@ -32,6 +30,7 @@ from .residues import (
     r_mod5_closed_form,
     s_mod5_single_index,
     single_index_term_valuation,
+    vanishing_n0,
 )
 from .verify import (
     Counterexample,
@@ -55,8 +54,6 @@ __all__ = [
     "enumerate_partitions",
     "multinomial_count",
     "s_by_partitions",
-    "ResidueGrid",
-    "VanishingThresholds",
     "binomial_vanishes",
     "build_residue_grid",
     "count_fifth_roots",
@@ -68,6 +65,7 @@ __all__ = [
     "r_mod5_closed_form",
     "s_mod5_single_index",
     "single_index_term_valuation",
+    "vanishing_n0",
     "Counterexample",
     "PeriodScanResult",
     "VerificationReport",

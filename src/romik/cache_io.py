@@ -59,8 +59,7 @@ reader.  The rows come from the bytes read at load, never from the file
 again, and are neither converted nor copied.  An empty file holds no
 values; it is what a store leaves between creating a file and locking it.
 Values that fail the checks of ``from_stored`` (seeds, d odd) raise
-CacheFormatError naming their file.  read_s_table takes the same row source
-whole.
+CacheFormatError naming their file.
 
 Files of earlier versions (v2, v3: one header count, no segments) are
 rejected with CacheVersionError; such a cache directory must be removed and
@@ -252,13 +251,6 @@ def _check_header(path: str, header: str, name: str) -> None:
     expected = _header(name)[:-1].decode("ascii")
     if header != expected:
         raise CacheFormatError(path, f"expected header {expected!r}, found {header!r}")
-
-
-def read_s_table(path: str) -> list[list[int]]:
-    """Read the triangular s-table back in stored form, enforcing complete
-    triangle coverage."""
-    rows, _ = _s_table(path)
-    return list(rows)
 
 
 def _s_table(path: str) -> tuple[Iterator[list[int]], int]:

@@ -28,7 +28,7 @@ import sys
 
 from . import cache_io, verify
 from .core import IntegrityError, SequenceCache
-from .residues import VanishingThresholds, build_residue_grid, is_prime
+from .residues import build_residue_grid, is_prime, vanishing_n0
 
 CACHE_DIR_ENV = "ROMIK_CACHE_DIR"
 
@@ -102,8 +102,7 @@ def _emit(args, lines: list[str]) -> None:
     output = getattr(args, "output", None)
     _write(output, lines, sys.stdout)
     if getattr(args, "highlight_n0", False):
-        n0 = VanishingThresholds.for_prime(args.prime).n0
-        _write(output and output + ".n0", [f"n0={n0}"], sys.stderr)
+        _write(output and output + ".n0", [f"n0={vanishing_n0(args.prime)}"], sys.stderr)
 
 
 def _write(path: str | None, lines: list[str], stream) -> None:
@@ -123,6 +122,15 @@ def _triangle_lines(rows, fmt: str, name: str) -> list[str]:
             f"{n},{k},{x}" for n, row in enumerate(rows, 1) for k, x in enumerate(row, 1)
         ]
     return [f"{n}: " + " ".join(map(str, row)) for n, row in enumerate(rows, 1)]
+
+
+def _pgm_lines(rows, maxval: int) -> list[str]:
+    """Rows n = 1..N of a triangle as a plain (P2) PGM, N by N with the given
+    maxval: pixel (row n, column k) is the entry, and cells k > n are maxval."""
+    size = len(rows)
+    return ["P2", f"{size} {size}", f"{maxval}"] + [
+        " ".join(map(str, row + [maxval] * (size - n))) for n, row in enumerate(rows, 1)
+    ]
 
 
 # -- commands: an argument adder and a handler each, tabled in COMMANDS --
@@ -173,11 +181,11 @@ def _grid_arguments(parser) -> None:
 
 def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
     if args.highlight_n0:
-        VanishingThresholds.for_prime(args.prime)  # rejects p = 1 (mod 4) before any work
-    grid = build_residue_grid(args.prime, args.max_n, cache)
+        vanishing_n0(args.prime)  # rejects p = 1 (mod 4) before any work
+    rows = build_residue_grid(args.prime, args.max_n, cache)
     if args.format == "pgm":
-        return 0, grid.pgm_lines()
-    return 0, _triangle_lines(grid.rows, args.format, "residue")
+        return 0, _pgm_lines(rows, args.prime - 1)
+    return 0, _triangle_lines(rows, args.format, "residue")
 
 
 def _verify_arguments(parser) -> None:

@@ -1,6 +1,7 @@
 """Modular and p-adic machinery: digit sums, factorial valuations, the
 closed-form residues of r(n, k) mod 5, five-cycle counts in symmetric
-groups, and triangular residue grids.
+groups, the rows of r(n, k) mod p and the vanishing threshold n0.  The PGM
+rendering of those rows lives in ``cli``.
 
 Negative inputs to reductions use mathematical mod, so residues always land
 in [0, p-1].  Closed-form quotients are evaluated as exact big integers
@@ -13,7 +14,6 @@ another small integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .core import SequenceCache, _check_pair, _exact_quotient, factorial
@@ -179,60 +179,19 @@ def count_fifth_roots(n: int) -> int:
     return sum(five_cycle_class_size(n, k) for k in range(n // 5 + 1))
 
 
-@dataclass(frozen=True)
-class VanishingThresholds:
-    """The index threshold attached to a prime p = 3 (mod 4):
-    n0 = (p^2 - 1)/2, past which d(n) and the low-k part of the r-table
-    vanish mod p."""
-
-    prime: int
-    n0: int
-
-    @classmethod
-    def for_prime(cls, p: int) -> "VanishingThresholds":
-        _require_prime(p)
-        if p % 4 != 3:
-            raise ValueError(f"p must be 3 mod 4, got {p}")
-        return cls(prime=p, n0=(p * p - 1) // 2)
+def vanishing_n0(p: int) -> int:
+    """The index threshold n0 = (p^2 - 1)/2 of a prime p = 3 (mod 4), past
+    which d(n) and the low-k part of the r-table vanish mod p."""
+    _require_prime(p)
+    if p % 4 != 3:
+        raise ValueError(f"p must be 3 mod 4, got {p}")
+    return (p * p - 1) // 2
 
 
-@dataclass(frozen=True)
-class ResidueGrid:
-    """Triangular grid of r(n, k) mod p for 1 <= k <= n <= max_n.
-
-    ``rows[n-1][k-1]`` is the residue of r(n, k).  The PGM export writes the
-    residue as the gray level with maxval p-1 and fills the unused k > n
-    region with maxval as background.
-    """
-
-    modulus: int
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, n: int, k: int) -> int:
-        if not 1 <= k <= n <= self.max_n:
-            raise ValueError(f"need 1 <= k <= n <= {self.max_n}, got n={n}, k={k}")
-        return self.rows[n - 1][k - 1]
-
-    def pgm_lines(self) -> list[str]:
-        """Plain (P2) PGM: width = height = max_n, maxval = p - 1.
-
-        Pixel (row n, column k) carries the residue; cells with k > n are
-        written as maxval.
-        """
-        background = self.modulus - 1
-        lines = ["P2", f"{self.max_n} {self.max_n}", f"{background}"]
-        for n in range(1, self.max_n + 1):
-            row = self.rows[n - 1]
-            pixels = list(row) + [background] * (self.max_n - n)
-            lines.append(" ".join(str(v) for v in pixels))
-        return lines
-
-
-def build_residue_grid(p: int, max_n: int, cache: SequenceCache) -> ResidueGrid:
-    """Grid of r(n, k) mod p, read by ``SequenceCache.r_residues``."""
+def build_residue_grid(p: int, max_n: int, cache: SequenceCache) -> list[list[int]]:
+    """Rows n = 1..max_n of r(n, k) mod p: ``rows[n-1][k-1]`` is r(n, k) % p.
+    Read by ``SequenceCache.r_residues``."""
     _require_prime(p)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    rows = tuple(map(tuple, cache.r_residues(p, max_n)))
-    return ResidueGrid(modulus=p, max_n=max_n, rows=rows)
+    return cache.r_residues(p, max_n)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .core import SequenceCache
-from .residues import VanishingThresholds, _require_prime, is_prime
+from .residues import _require_prime, is_prime, vanishing_n0
 
 # Desk-scale default bounds; every suite accepts an explicit override.
 DEFAULT_MAX_N = 150
@@ -141,7 +141,7 @@ def verify_mod_p_vanishing(
     with the vanishing of the whole r-submatrix 1 <= k <= n0 < n <= max_n
     that drives it.  Fails if either family has an exception.  ``max_n``
     defaults to ``DEFAULT_VANISHING_MAX`` (n0 + 30 for primes not in it)."""
-    n0 = VanishingThresholds.for_prime(p).n0
+    n0 = vanishing_n0(p)
     if max_n is None:
         max_n = DEFAULT_VANISHING_MAX.get(p, n0 + 30)
     if max_n <= n0:
@@ -175,8 +175,9 @@ def verify_uv_structure(
     is reported in ``details`` and nothing is asserted.
     """
     _require_prime(p, odd=True)
+    n0 = vanishing_n0(p) if p % 4 == 3 else None
     if max_n is None:
-        max_n = VanishingThresholds.for_prime(p).n0 + 20 if p % 4 == 3 else 40
+        max_n = 40 if n0 is None else n0 + 20
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     started = time.perf_counter()
@@ -195,8 +196,7 @@ def verify_uv_structure(
             if cache.v(n) % 5 != expected_v:
                 ce = Counterexample(n, None, f"v%5={expected_v}", cache.v(n) % 5)
                 break
-    elif p % 4 == 3:
-        n0 = VanishingThresholds.for_prime(p).n0
+    elif n0 is not None:
         half = (p - 1) // 2
         if half <= max_n and cache.u(half) % p != 0:
             ce = Counterexample(half, None, "u%p=0", cache.u(half) % p)

@@ -15,7 +15,6 @@ import pytest
 from romik import (
     PartitionFilter,
     SequenceCache,
-    VanishingThresholds,
     binomial_vanishes,
     count_fifth_roots,
     enumerate_partitions,
@@ -26,6 +25,7 @@ from romik import (
     s_by_partitions,
     s_mod5_single_index,
     single_index_term_valuation,
+    vanishing_n0,
     verify_even_odd_sums,
     verify_mod5,
     verify_mod_p_vanishing,
@@ -210,7 +210,7 @@ def test_c11_uv_vanishing(big):
     started = time.perf_counter()
     ok = True
     for p in (3, 7):
-        n0 = VanishingThresholds.for_prime(p).n0
+        n0 = vanishing_n0(p)
         if cache.u((p - 1) // 2) % p != 0:
             ok = False
         if any(cache.u(n) % p for n in range(n0, n0 + 21)):

@@ -23,7 +23,6 @@ from romik.cache_io import (
     CacheVersionError,
     append_sequence,
     load_cache,
-    read_s_table,
     read_sequence,
     store_cache,
 )
@@ -399,7 +398,7 @@ class TestCorruption:
         path = tmp_path / "s.bin"
         append_sequence(str(path), "s", flat)
         with pytest.raises(CacheFormatError) as err:
-            read_s_table(str(path))
+            load_cache(str(tmp_path)).stored_s_rows()
         assert "count=5 is not triangular: row 3 stops after 2 of 3 entries" in str(err.value)
 
     def test_s_table_truncated_row(self, tmp_path, small_cache):
@@ -407,7 +406,7 @@ class TestCorruption:
         path = tmp_path / "s.bin"
         append_sequence(str(path), "s", rows[0] + rows[1] + rows[2][:1])
         with pytest.raises(CacheFormatError) as err:
-            read_s_table(str(path))
+            load_cache(str(tmp_path)).stored_s_rows()
         assert "row 3 stops after 1 of 3 entries" in str(err.value)
 
     def test_even_d_value_rejected_on_load(self, tmp_path):
@@ -703,7 +702,7 @@ class TestSTableFile:
         path = str(tmp_path / "s.bin")
         rows = small_cache.stored_s_rows()
         append_sequence(path, "s", chain.from_iterable(rows))
-        assert read_s_table(path) == rows
+        assert load_cache(str(tmp_path)).stored_s_rows() == rows
 
     def test_header(self, tmp_path, small_cache):
         path = tmp_path / "s.bin"
@@ -762,7 +761,7 @@ class TestRestoreOnDemand:
         with pytest.raises(ValueError, match="rows past 40 are not readable"):
             loaded.s(41, 1)  # a second read fails too
         with pytest.raises(CacheFormatError):
-            read_s_table(str(path))
+            load_cache(str(tmp_path)).stored_s_rows()
 
         directory = str(tmp_path)
         assert main(["grid", "--prime", "5", "--max-n", "10"]) == 0

@@ -10,7 +10,7 @@ import pytest
 
 import romik
 from romik import SequenceCache, cli
-from romik.cache_io import append_sequence, read_s_table
+from romik.cache_io import append_sequence, load_cache
 from romik.cli import main
 
 D_LINE = "1,1,-1,51,849,-26199,1341999,82018251,18703396449"
@@ -134,11 +134,17 @@ class TestGrid:
         assert (code, grid) == (0, computed)
 
     def test_pgm_header(self, capsys):
-        code, out, _ = run_cli(
-            ["grid", "--prime", "7", "--max-n", "9", "--format", "pgm"], capsys
-        )
-        assert code == 0
-        assert out.splitlines()[:3] == ["P2", "9 9", "6"]
+        # maxval p - 1 also fills the cells k > n.
+        for p, max_n, head in [
+            (7, 9, ["P2", "9 9", "6"]),
+            (7, 3, ["P2", "3 3", "6", "1 6 6", "6 1 6", "3 2 1"]),
+            (2, 4, ["P2", "4 4", "1"]),
+        ]:
+            code, out, _ = run_cli(
+                ["grid", "--prime", str(p), "--max-n", str(max_n), "--format", "pgm"], capsys
+            )
+            assert code == 0
+            assert out.splitlines()[:len(head)] == head
 
     def test_highlight_n0_sidecar(self, tmp_path, capsys):
         target = tmp_path / "grid.csv"
@@ -420,7 +426,8 @@ class TestCacheCommand:
         code, _, _ = run_cli(["cache", "build", "--dir", directory, "--max", "10"], capsys)
         assert code == 0
         s_path = os.path.join(directory, "s.bin")
-        rows = read_s_table(s_path)
+        # stored_s_rows shares its rows with the cache: copy them before the edit.
+        rows = [list(row) for row in load_cache(directory).stored_s_rows()]
         rows[9][4] += 1  # s(10, 5)
         os.unlink(s_path)
         append_sequence(s_path, "s", chain.from_iterable(rows))

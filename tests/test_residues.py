@@ -1,5 +1,5 @@
 """Tests for digit sums, factorial valuations, closed-form residues,
-five-cycle counts and residue grids."""
+five-cycle counts, grid rows and the vanishing threshold n0."""
 
 from itertools import permutations, zip_longest
 from math import comb, factorial
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from romik import (
     IntegrityError,
     PartitionFilter,
-    VanishingThresholds,
     binomial_vanishes,
     build_residue_grid,
     count_fifth_roots,
@@ -25,6 +24,7 @@ from romik import (
     s_by_partitions,
     s_mod5_single_index,
     single_index_term_valuation,
+    vanishing_n0,
 )
 from romik.core import _exact_quotient, factorial as cached_factorial
 
@@ -281,44 +281,44 @@ class TestDigitSumFacts:
         assert digit_sum_facts_hold(r, s, p)
 
 
-class TestVanishingThresholds:
-    def test_values(self):
-        assert VanishingThresholds.for_prime(3).n0 == 4
-        assert VanishingThresholds.for_prime(7).n0 == 24
-        assert VanishingThresholds.for_prime(11).n0 == 60
+N0_CASES = [(3, 4), (7, 24), (11, 60), (19, 180), (23, 264)] + [
+    (p, "p must be 3 mod 4, got %d" % p) for p in (5, 13, 2)
+] + [(p, "p must be prime, got %d" % p) for p in (9, 1)]
 
-    def test_rejects_one_mod_four(self):
-        with pytest.raises(ValueError):
-            VanishingThresholds.for_prime(5)
+
+@pytest.mark.parametrize("p, expected", N0_CASES, ids=[f"p={p}" for p, _ in N0_CASES])
+def test_vanishing_n0(p, expected):
+    if isinstance(expected, int):
+        assert vanishing_n0(p) == expected
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            vanishing_n0(p)
 
 
 class TestResidueGrid:
     def test_entries(self, cache):
-        grid = build_residue_grid(5, 10, cache)
-        assert grid.entry(3, 1) == 4
-        assert all(grid.entry(n, n) == 1 for n in range(1, 11))
+        rows = build_residue_grid(5, 10, cache)
+        assert rows[2][0] == 4  # r(3, 1) mod 5
+        assert all(rows[n - 1][n - 1] == 1 for n in range(1, 11))
 
     def test_zero_region_mod5(self, cache):
-        grid = build_residue_grid(5, 20, cache)
+        rows = build_residue_grid(5, 20, cache)
         for n in range(1, 21):
             for k in range(1, n + 1):
                 if n > 5 * k:
-                    assert grid.entry(n, k) == 0
+                    assert rows[n - 1][k - 1] == 0
 
-    def test_pgm_layout(self, cache):
-        grid = build_residue_grid(7, 3, cache)
-        lines = grid.pgm_lines()
-        assert lines[:3] == ["P2", "3 3", "6"]
-        assert lines[3] == "1 6 6"  # background = maxval fills k > n
-        assert lines[4] == "6 1 6"
-        assert lines[5] == "3 2 1"
+    def test_is_the_r_residues(self, cache):
+        assert build_residue_grid(7, 30, cache) == cache.r_residues(7, 30)
 
-    def test_out_of_range_entry(self, cache):
-        grid = build_residue_grid(5, 5, cache)
-        with pytest.raises(ValueError):
-            grid.entry(3, 4)
-        with pytest.raises(ValueError):
-            grid.entry(6, 1)
+    @pytest.mark.parametrize("p, max_n, message", [
+        (6, 5, "p must be prime, got 6"),
+        (1, 5, "p must be prime, got 1"),
+        (5, 0, "max_n must be >= 1, got 0"),
+    ])
+    def test_rejects(self, cache, p, max_n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_residue_grid(p, max_n, cache)
 
 
 class TestIsPrime:

@@ -135,9 +135,8 @@ class TestModPVanishing:
         report = verify_mod_p_vanishing(bad, 3, 10)
         assert (report.counterexample.n, report.counterexample.k) == (10, 3)
         assert report.counterexample.actual == bad.r(10, 3) % 3 != 0
-        grid = build_residue_grid(3, 10, bad)
-        assert grid.entry(10, 3) == report.counterexample.actual
-        assert build_residue_grid(3, 10, cache).entry(10, 3) == 0
+        assert build_residue_grid(3, 10, bad)[9][2] == report.counterexample.actual
+        assert build_residue_grid(3, 10, cache)[9][2] == 0
 
 
 class TestUvStructure:
