@@ -137,7 +137,6 @@ class TestGrid:
         # maxval p - 1 also fills the cells k > n.
         for p, max_n, head in [
             (7, 9, ["P2", "9 9", "6"]),
-            (7, 3, ["P2", "3 3", "6", "1 6 6", "6 1 6", "3 2 1"]),
             (2, 4, ["P2", "4 4", "1"]),
         ]:
             code, out, _ = run_cli(

@@ -26,6 +26,7 @@ from romik import (
     single_index_term_valuation,
     vanishing_n0,
 )
+from romik.cli import _pgm_lines
 from romik.core import _exact_quotient, factorial as cached_factorial
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -307,6 +308,13 @@ class TestResidueGrid:
             for k in range(1, n + 1):
                 if n > 5 * k:
                     assert rows[n - 1][k - 1] == 0
+
+    def test_pgm_layout(self, cache):
+        lines = _pgm_lines(build_residue_grid(7, 3, cache), 6)
+        assert lines[:3] == ["P2", "3 3", "6"]
+        assert lines[3] == "1 6 6"  # background = maxval fills k > n
+        assert lines[4] == "6 1 6"
+        assert lines[5] == "3 2 1"
 
     def test_is_the_r_residues(self, cache):
         assert build_residue_grid(7, 30, cache) == cache.r_residues(7, 30)
