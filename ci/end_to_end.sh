@@ -36,6 +36,16 @@ for P in 2 5 7; do
            awk '{printf "%d:", NR; for (i = 1; i <= NR; i++) printf " %s", $i; print ""}') \
        <(python -m romik compute --seq r --max 40 --mod "$P")
 done
+# The residue readers over stored rows 1..40 and rows grown past them
+# print what a run with no cache dir prints.
+python -m romik cache build --dir "$tmp/c40" --max 40
+for args in "verify" "scan-period --prime 13 --bound 100"; do
+  rm -rf "$tmp/fresh40"
+  cp -r "$tmp/c40" "$tmp/fresh40"
+  python -m romik $args > "$tmp/plain.txt"
+  python -m romik $args --cache-dir "$tmp/fresh40" > "$tmp/cached.txt"
+  cmp "$tmp/plain.txt" "$tmp/cached.txt"
+done
 python -m romik cache build --dir "$tmp/c" --max 20
 cp "$tmp/c/s.bin" "$tmp/s20.bin"
 python -m romik cache build --dir "$tmp/c" --max 20

@@ -45,11 +45,11 @@ carried from one index to the next, and a call that grows the s-table
 first indexes the held rows by column, so the sum for s^(n, k) is one dot
 product of a slice of the row's terms, in descending m, with column k-1.
 
-Residues of r are read without forming r: ``SequenceCache.r_residues(p,
-max_n)`` returns the rows of r(n, k) mod p, each entry the held s^(n, k)
+Two readers give residues.  ``SequenceCache.r_residues(p, max_n)`` returns
+the rows of r(n, k) mod p without forming r, each entry the held s^(n, k)
 mod p times 2^(E(n) - E(k) + n - k) mod p from one table of powers of two
-per call.  The congruence suites and residue grids read through it; ``r``
-stays the exact single-entry read.
+per call; ``residues(name, p, max_n)`` reduces u, v or d.  The suites and
+grids read only through these two; ``r`` stays the exact single-entry read.
 
 ``s_table_by_series`` is the reference the recurrence is tested against:
 it reads only u and shares no code with the builder.  It puts g, with
@@ -123,17 +123,18 @@ class SequenceCache:
     ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
     holds E(0..s_bound) and grows only where rows are appended or
     restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k),
-    ``known_s_rows`` and ``d`` shift on read, and ``r_residues`` reduces
-    mod p on read without shifting; ``stored_s_rows`` and
-    ``from_stored`` are the one round trip of the held form, to and from
-    ``cache_io``, which writes it as it is.  A row is never changed once
-    held, so ``stored_s_rows`` hands out the held rows without copying.
-    The cache holds nothing else: the column index the row recurrence
-    reads is built by each ``build_s_table`` call that grows the table and
-    dropped when it returns.
+    ``known_s_rows`` and ``d`` shift on read, ``r_residues`` reduces mod p
+    on read without shifting and ``residues`` reduces u, v or d;
+    ``stored_s_rows`` and ``from_stored`` are the one round trip of the
+    held form, to and from ``cache_io``, which writes it as it is.  A row is
+    never changed once held, so ``stored_s_rows`` hands out the held rows
+    without copying.  The cache holds nothing else: the column index the
+    row recurrence reads is built by each ``build_s_table`` call that grows
+    the table and dropped when it returns.
 
-    After a build phase the cache is only read, so it is safe to share
-    across threads that no longer mutate it.
+    Growth and the first read of a waiting row write the cache, with no
+    lock: share it across threads only once every stored row is taken
+    (``stored_s_rows()`` takes them all) and nothing grows.
     """
 
     def __init__(self) -> None:
@@ -342,6 +343,16 @@ class SequenceCache:
     def known_count(self, name: str) -> int:
         """Number of cached values of sequence 'u', 'v' or 'd'."""
         return len(self._sequence(name))
+
+    def residues(self, name: str, p: int, max_n: int) -> list[int]:
+        """[x(0) % p, ..., x(max_n) % p] for x = 'u', 'v' or 'd', grown by one call x(max_n)."""
+        values = self._sequence(name)
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
+        if max_n < 0:
+            raise ValueError(f"need max_n >= 0, got max_n={max_n}")
+        getattr(self, name)(max_n)
+        return [x % p for x in values[: max_n + 1]]
 
     def _sequence(self, name: str) -> list[int]:
         try:

@@ -4,9 +4,9 @@ Each suite walks one family of congruences from the smallest index upward
 and reports pass/fail together with the minimal counterexample when a check
 fails (smallest n first, then smallest k).  Suites only read the cache, so
 a single cache built to the largest needed bound can serve all of them.
-The vanishing and sums suites read r(n, k) mod p from
-``SequenceCache.r_residues``, which never forms r; no suite forms the exact
-r(n, k).
+Residues come only from the cache's two readers: ``SequenceCache.residues``
+for u, v and d mod p, and ``SequenceCache.r_residues`` for r(n, k) mod p,
+which never forms r.  Only the parity suite reads exact v and d.
 
 Each suite function holds its own default bound and argument checks: parity
 and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
@@ -123,13 +123,12 @@ def verify_mod5(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificatio
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     started = time.perf_counter()
-    cache.d(max_n)
+    d = cache.residues("d", 5, max_n)
     ce = None
     for n in range(1, max_n + 1):
         expected = 1 if n & 1 else 4
-        actual = cache.d(n) % 5
-        if actual != expected:
-            ce = Counterexample(n, None, expected, actual)
+        if d[n] != expected:
+            ce = Counterexample(n, None, expected, d[n])
             break
     return _report("mod5", 1, max_n, 5, started, ce)
 
@@ -147,12 +146,12 @@ def verify_mod_p_vanishing(
     if max_n <= n0:
         raise ValueError(f"max_n must exceed n0={n0}, got {max_n}")
     started = time.perf_counter()
-    cache.d(max_n)
+    d = cache.residues("d", p, max_n)
     residues = cache.r_residues(p, max_n, n0 + 1, n0)
     ce = None
     for n in range(n0 + 1, max_n + 1):
-        if cache.d(n) % p != 0:
-            ce = Counterexample(n, None, 0, cache.d(n) % p)
+        if d[n]:
+            ce = Counterexample(n, None, 0, d[n])
             break
         low = residues[n - n0 - 1]  # r(n, k) mod p for k = 1..n0
         if any(low):
@@ -181,8 +180,8 @@ def verify_uv_structure(
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     started = time.perf_counter()
-    cache.u(max_n)
-    cache.v(max_n)
+    u = cache.residues("u", p, max_n)
+    v = cache.residues("v", p, max_n)
     ce = None
     details = ""
     if p == 5:
@@ -190,45 +189,36 @@ def verify_uv_structure(
         for n in range(max_n + 1):
             expected_u = u_prefix[n] if n < 3 else 0
             expected_v = v_prefix[n] if n < 3 else 0
-            if cache.u(n) % 5 != expected_u:
-                ce = Counterexample(n, None, f"u%5={expected_u}", cache.u(n) % 5)
+            if u[n] != expected_u:
+                ce = Counterexample(n, None, f"u%5={expected_u}", u[n])
                 break
-            if cache.v(n) % 5 != expected_v:
-                ce = Counterexample(n, None, f"v%5={expected_v}", cache.v(n) % 5)
+            if v[n] != expected_v:
+                ce = Counterexample(n, None, f"v%5={expected_v}", v[n])
                 break
     elif n0 is not None:
         half = (p - 1) // 2
-        if half <= max_n and cache.u(half) % p != 0:
-            ce = Counterexample(half, None, "u%p=0", cache.u(half) % p)
+        if half <= max_n and u[half]:
+            ce = Counterexample(half, None, "u%p=0", u[half])
         if ce is None:
             for n in range(n0, max_n + 1):
-                if cache.u(n) % p != 0:
-                    ce = Counterexample(n, None, "u%p=0", cache.u(n) % p)
+                if u[n]:
+                    ce = Counterexample(n, None, "u%p=0", u[n])
                     break
-                if n > n0 and cache.v(n) % p != 0:
-                    ce = Counterexample(n, None, "v%p=0", cache.v(n) % p)
+                if n > n0 and v[n]:
+                    ce = Counterexample(n, None, "v%p=0", v[n])
                     break
     else:
-        details = _observed_vanishing(cache, p, max_n)
+        details = f"{_observed_vanishing('u', u)}; {_observed_vanishing('v', v)}"
     return _report("uv_structure", 0, max_n, p, started, ce, details)
 
 
-def _observed_vanishing(cache: SequenceCache, p: int, max_n: int) -> str:
-    out = []
-    for name in ("u", "v"):
-        value = getattr(cache, name)
-        onset = None
-        for n in range(max_n, -1, -1):
-            if value(n) % p != 0:
-                onset = n + 1
-                break
-        else:
-            onset = 0
-        if onset > max_n:
-            out.append(f"{name}: no vanishing tail up to n={max_n}")
-        else:
-            out.append(f"{name}: residues vanish for {onset} <= n <= {max_n}")
-    return "; ".join(out)
+def _observed_vanishing(name: str, residues: list[int]) -> str:
+    """The vanishing tail of one residue list x(0..max_n) mod p, as text."""
+    max_n = len(residues) - 1
+    onset = next((n + 1 for n in range(max_n, -1, -1) if residues[n]), 0)
+    if onset > max_n:
+        return f"{name}: no vanishing tail up to n={max_n}"
+    return f"{name}: residues vanish for {onset} <= n <= {max_n}"
 
 
 def verify_even_odd_sums(
@@ -304,8 +294,7 @@ def scan_periodicity(
         raise ValueError(f"p must be a prime congruent to 1 mod 4, got {p}")
     if scan_bound < 4 * p:
         raise ValueError(f"scan_bound must be at least 4p={4 * p}, got {scan_bound}")
-    cache.d(scan_bound)
-    residues = [cache.d(n) % p for n in range(scan_bound + 1)]
+    residues = cache.residues("d", p, scan_bound)
     best, best_sum = None, scan_bound + 1  # a confirmed pair sums to <= scan_bound
     for period in range(1, scan_bound // 2 + 1):
         if period >= best_sum:

@@ -375,6 +375,55 @@ class TestResidueReader:
             fresh.r_residues(5, 3, 0)
 
 
+class TestSequenceResidues:
+    """residues(name, p, max_n) reads u, v or d mod p, grown in one call."""
+
+    PRIMES = [2, 3, 5, 7, 11, 13]
+
+    @pytest.mark.parametrize("name", ["u", "v", "d"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_equals_the_values_reduced(self, cache, name, p):
+        assert cache.residues(name, p, 20) == [x % p for x in cache.known_values(name)[:21]]
+
+    def test_reads_restored_and_grown_values(self, cache, tmp_path):
+        small = SequenceCache()
+        small.d(15)
+        store_cache(str(tmp_path), small)
+        for p in self.PRIMES:
+            loaded = load_cache(str(tmp_path))
+            assert loaded._pending == loaded.s_bound == 15  # every row still waiting
+            for name in "uvd":
+                expected = [x % p for x in cache.known_values(name)[:21]]
+                assert loaded.residues(name, p, 20) == expected, (name, p)
+            assert loaded._pending == 0 and loaded.s_bound == 20
+
+    def test_a_d_read_past_the_rows_builds_once(self, cache, monkeypatch):
+        fresh = SequenceCache()
+        fresh.d(5)
+        calls = []
+        build = SequenceCache.build_s_table
+
+        def spy(self, max_n):
+            calls.append(max_n)
+            build(self, max_n)
+
+        monkeypatch.setattr(SequenceCache, "build_s_table", spy)
+        assert fresh.residues("d", 7, 20) == [x % 7 for x in cache.known_values("d")[:21]]
+        assert calls == [20]
+
+    def test_rejects(self):
+        fresh = SequenceCache()
+        assert fresh.residues("d", 5, 0) == [1]
+        for p in (1, 0, -3):
+            with pytest.raises(ValueError, match="p must be >= 2"):
+                fresh.residues("d", p, 3)
+        with pytest.raises(ValueError, match="max_n >= 0"):
+            fresh.residues("u", 5, -1)
+        with pytest.raises(ValueError, match="unknown sequence 's'"):
+            fresh.residues("s", 5, 3)
+        assert fresh.known_count("u") == fresh.known_count("d") == 1
+
+
 class TestSeriesReference:
     """s_table_by_series reads only u: f = sum_j u(j)/(2j+1)! z^(2j+1)."""
 

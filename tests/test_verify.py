@@ -246,6 +246,30 @@ class TestScanPeriodicity:
             scan_periodicity(cache, 5, 19)
 
 
+class TestResidueSeam:
+    """The suites and the scanner read u, v and d mod p only through
+    SequenceCache.residues: one entry moved there is the one they report."""
+
+    @pytest.mark.parametrize("name, n, reported", [
+        ("d", 9, lambda cache: verify_mod5(cache, 20).counterexample.n),
+        ("d", 9, lambda cache: verify_mod_p_vanishing(cache, 3, 20).counterexample.n),
+        ("u", 9, lambda cache: verify_uv_structure(cache, 3, 20).counterexample.n),
+        # Period 18 from index 1; a moved d(20) pushes the preperiod past it.
+        ("d", 20, lambda cache: scan_periodicity(cache, 13, 60).preperiod - 1),
+    ], ids=["mod5", "vanishing", "uv", "scan-period"])
+    def test_a_moved_residue_is_reported(self, cache, monkeypatch, name, n, reported):
+        read = SequenceCache.residues
+
+        def moved(self, seq, p, max_n):
+            out = read(self, seq, p, max_n)
+            if seq == name:
+                out[n] = (out[n] + 1) % p
+            return out
+
+        monkeypatch.setattr(SequenceCache, "residues", moved)
+        assert reported(cache) == n
+
+
 class TestDeterminism:
     def test_identical_reports_modulo_timing(self, cache):
         first = verify_mod5(cache, 20)
