@@ -52,6 +52,15 @@ python -m romik cache build --dir "$tmp/c" --max 20
 cmp "$tmp/s20.bin" "$tmp/c/s.bin"
 python -m romik cache check --dir "$tmp/c" | tee "$tmp/check.txt"
 grep -qx "SEQ s ROWS 20" "$tmp/check.txt"
+# s and r shift the held rows back on read: restored rows 1..20 and rows
+# 21..40 grown after them print what a run with no cache dir prints.
+for args in "compute --seq s --max 40 --format csv" "compute --seq r --max 40"; do
+  rm -rf "$tmp/fresh20"
+  cp -r "$tmp/c" "$tmp/fresh20"
+  python -m romik $args > "$tmp/plain.txt"
+  python -m romik $args --cache-dir "$tmp/fresh20" > "$tmp/cached.txt"
+  cmp "$tmp/plain.txt" "$tmp/cached.txt"
+done
 status=0; python -m romik cache check --dir "$tmp/none" || status=$?
 test "$status" -eq 2
 python -m romik verify --suite sums --cache-dir "$tmp/c"

@@ -230,8 +230,6 @@ def _walk(handle, path: str, name: str) -> Iterator[_Segment]:
             raise CacheFormatError(path, f"checksum mismatch in the segment at byte {position}")
         yield lengths, data
         position = end
-    if handle.tell() != size:
-        raise CacheFormatError(path, f"file changed while being read at byte {handle.tell()}")
 
 
 def _read(handle, path: str, n: int) -> bytes:

@@ -36,7 +36,8 @@ part of k, the powers of two cancel exactly (E(k) - E(k-1) = 1 + v2(k)):
 h(n) is computed once per new row from u, and h(m) for m < n is read back
 as s^(m, 1) from column 1.  That h(n) is a multiple of 2^E(n) is checked:
 a remainder raises IntegrityError, never yields a value.  The shift is
-tight (s^(k, k) = 1), so no larger power is known in general.
+tight (s^(k, k) = 1), so no larger power is known in general.  E is
+computed from n (``_e``) wherever an entry is shifted, never stored.
 
 The inner loops hold only the big-integer multiply-adds.  Each index reads
 its binomial coefficients from one row [C(N, 0), ..., C(N, N)] built
@@ -120,17 +121,17 @@ class SequenceCache:
     ``_restore`` takes them, in order, before any row is built or read.
 
     ``_s_rows`` is the record of the table and holds it normalized,
-    ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``; ``_e``
-    holds E(0..s_bound) and grows only where rows are appended or
-    restored.  ``s``, ``r`` (one shift, by E(n) - E(k) + n - k),
-    ``known_s_rows`` and ``d`` shift on read, ``r_residues`` reduces mod p
-    on read without shifting and ``residues`` reduces u, v or d;
-    ``stored_s_rows`` and ``from_stored`` are the one round trip of the
-    held form, to and from ``cache_io``, which writes it as it is.  A row is
-    never changed once held, so ``stored_s_rows`` hands out the held rows
-    without copying.  The cache holds nothing else: the column index the
-    row recurrence reads is built by each ``build_s_table`` call that grows
-    the table and dropped when it returns.
+    ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``.  ``s``,
+    ``r`` (one shift, by E(n) - E(k) + n - k), ``known_s_rows`` and ``d``
+    shift on read, ``r_residues`` reduces mod p on read without shifting
+    and ``residues`` reduces u, v or d; ``stored_s_rows`` and
+    ``from_stored`` are the one round trip of the held form, to and from
+    ``cache_io``, which writes it as it is.  A row is never changed once
+    held, so ``stored_s_rows`` hands out the held rows without copying.
+    The cache holds nothing else: E is computed from n (``_e``) where an
+    entry is shifted, and the column index the row recurrence reads is
+    built by each ``build_s_table`` call that grows the table and dropped
+    when it returns.
 
     Growth and the first read of a waiting row write the cache, with no
     lock: share it across threads only once every stored row is taken
@@ -141,7 +142,6 @@ class SequenceCache:
         self._u: list[int] = [1]
         self._v: list[int] = [1]
         self._d: list[int] = [1]
-        self._e: list[int] = [0]  # _e[n] = E(n) for n <= s_bound
         self._s_rows: list[list[int]] = []  # _s_rows[n-1][k-1] = s(n, k) >> (E(n) - E(k))
         self._waiting: Iterator[list[int]] = iter(())  # stored rows past _s_rows, in order
         self._pending = 0  # how many rows _waiting still holds
@@ -207,8 +207,8 @@ class SequenceCache:
         if max_n <= len(rows):
             return
         self.u(max_n - 1)
-        self._extend_e(max_n)
-        u, e = self._u, self._e
+        u = self._u
+        e = [_e(m) for m in range(max_n + 1)]
         # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
         # kept for this call only.
         cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
@@ -256,13 +256,6 @@ class SequenceCache:
         _check_triangle(rows, held + 1)
         self._s_rows += rows
         self._pending -= take
-        self._extend_e(held + take)
-
-    def _extend_e(self, n: int) -> None:
-        """Grow the table of E(m) = v2((2m)!) = 2m - (binary digit sum of m)
-        to m = n.  Called only where rows are appended or restored."""
-        e = self._e
-        e.extend(2 * m - bin(m).count("1") for m in range(len(e), n + 1))
 
     def _stored(self, n: int, k: int) -> int:
         """s^(n, k) as held, growing the table to n if needed."""
@@ -273,15 +266,11 @@ class SequenceCache:
 
     def s(self, n: int, k: int) -> int:
         """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
-        x = self._stored(n, k)
-        e = self._e
-        return x << (e[n] - e[k])
+        return self._stored(n, k) << (_e(n) - _e(k))
 
     def r(self, n: int, k: int) -> int:
         """Exact r(n, k) = 2^(n-k) s(n, k), one shift of the stored entry."""
-        x = self._stored(n, k)
-        e = self._e
-        return x << (e[n] - e[k] + n - k)
+        return self._stored(n, k) << (_e(n) - _e(k) + n - k)
 
     def r_residues(
         self, p: int, max_n: int, lo: int = 1, max_k: int | None = None
@@ -289,25 +278,23 @@ class SequenceCache:
         """Rows [r(n, 1) % p, ..., r(n, min(n, max_k)) % p] for n = lo..max_n
         (every column if max_k is None), growing the table to max_n if
         needed.  Each entry is s^(n, k) % p times 2^(E(n) - E(k) + n - k) % p,
-        read from one table of powers of two, so r is never formed; where
-        that power is 0 mod p (p = 2, k < n) the held entry is not reduced
-        at all, and entries outside the window are not read."""
+        read from one table of powers of two, so r is never formed, and
+        entries outside the window are not read."""
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
         if max_n < 0 or lo < 1:
             raise ValueError(f"need max_n >= 0 and lo >= 1, got max_n={max_n}, lo={lo}")
         self.build_s_table(max_n)
-        e = self._e
+        en = [_e(m) + m for m in range(max_n + 1)]  # en[m] = E(m) + m
         pow2 = [1]
-        for _ in range(e[max_n] + max_n):
+        for _ in range(en[max_n]):
             pow2.append(pow2[-1] * 2 % p)
         width = max_n if max_k is None else min(max_k, max_n)
-        ek = [e[k] + k for k in range(1, width + 1)]
+        ek = en[1 : width + 1]
         out = []
         for n, row in enumerate(self._s_rows[lo - 1 : max_n], lo):
-            top = e[n] + n
-            powers = [pow2[top - c] for c in ek[:n]]
-            out.append([t and x % p * t % p for x, t in zip(row, powers)])
+            top = en[n]
+            out.append([x % p * pow2[top - c] % p for x, c in zip(row, ek)])
         return out
 
     # -- d ---------------------------------------------------------------
@@ -322,11 +309,11 @@ class SequenceCache:
         d = self._d
         if n >= len(d):
             self.build_s_table(n)
-            e = self._e
+            en = [_e(m) + m for m in range(n + 1)]  # en[m] = E(m) + m
             while len(d) <= n:
                 j = len(d)
                 # r(j, k) d(k) = (s^(j, k) << (E(j) + j - E(k) - k)) d(k) for k = 1..j-1
-                shifts = [e[j] + j - e[k] - k for k in range(1, j)]
+                shifts = [en[j] - en[k] for k in range(1, j)]
                 shifted = map(lshift, self._s_rows[j - 1][: j - 1], shifts)
                 val = self.v(j) - sum(map(mul, shifted, d[1:j]))
                 if val & 1 == 0:
@@ -363,7 +350,7 @@ class SequenceCache:
     def known_s_rows(self) -> list[list[int]]:
         """The cached s-table rows (row n at index n-1), as true s values."""
         self._restore(self.s_bound)
-        e = self._e
+        e = [_e(m) for m in range(len(self._s_rows) + 1)]
         e_k = e[1:]
         # list() trims each comprehension's spare capacity, as list(row) would.
         return [
@@ -417,6 +404,12 @@ class SequenceCache:
             if s_count is None:
                 cache._restore(cache._pending)
         return cache
+
+
+def _e(n: int) -> int:
+    """E(n) = v2((2n)!) = 2n - (binary digit sum of n), the power of two
+    divided out of row n of the held s-table."""
+    return 2 * n - n.bit_count()
 
 
 def _binomial_row(n: int) -> list[int]:

@@ -78,24 +78,24 @@ def factorial_valuation_by_floor_sum(n: int, p: int) -> int:
     return total
 
 
-def single_index_term_valuation(n: int, k: int, c: int, p: int = 5) -> int:
-    """p-adic valuation of (2n)! / ((3k-n+c)! (n-k-2c)! c! p^c).
+def single_index_term_valuation(n: int, k: int, c: int) -> int:
+    """5-adic valuation of (2n)! / ((3k-n+c)! (n-k-2c)! c! 5^c), the
+    summand at index c of the single-index sum for s(n, k) mod 5.
 
     Defined for 0 < k <= n <= 5k and max(0, n-3k) <= c <= floor((n-k)/2);
     the valuation of the rational is taken as valuation(numerator) minus
     valuation(denominator), and the (-1)^c sign carried by the summand
     never affects it.
     """
-    _require_prime(p, odd=True)
     if not (0 < k <= n <= 5 * k):
         raise ValueError(f"need 0 < k <= n <= 5k, got n={n}, k={k}")
     if not max(0, n - 3 * k) <= c <= (n - k) // 2:
         raise ValueError(f"index c={c} outside [max(0, n-3k), floor((n-k)/2)]")
     return (
-        factorial_valuation(2 * n, p)
-        - factorial_valuation(3 * k - n + c, p)
-        - factorial_valuation(n - k - 2 * c, p)
-        - factorial_valuation(c, p)
+        factorial_valuation(2 * n, 5)
+        - factorial_valuation(3 * k - n + c, 5)
+        - factorial_valuation(n - k - 2 * c, 5)
+        - factorial_valuation(c, 5)
         - c
     )
 

@@ -288,6 +288,11 @@ class TestNormalizedTable:
         unattained = [k for k in range(1, 80) if not any(rows[n - 1][k - 1] & 1 for n in range(k + 1, 81))]
         assert unattained == [32, 64, 72, 76, 78, 79]
 
+    def test_e_is_the_legendre_valuation(self):
+        # core's E(n) = 2n - (binary digit sum of n), against v2((2n)!) by Legendre.
+        expected = [romik.factorial_valuation(2 * n, 2) for n in range(301)]
+        assert [romik.core._e(n) for n in range(301)] == expected
+
     def test_u_carries_the_factorial_two_power(self):
         fresh = SequenceCache()
         fresh.u(300)

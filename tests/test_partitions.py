@@ -58,6 +58,8 @@ class TestEnumerate:
     def test_max_part_below_prime_square(self):
         flt = PartitionFilter.avoiding_prime(3)
         assert all(max(parts(p)) < 9 for p in enumerate_partitions(16, 4, flt))
+        with pytest.raises(ValueError, match=r"^p must be >= 2, got 1$"):
+            PartitionFilter.avoiding_prime(1)
 
     def test_largest_part_first_ordering(self):
         filters = [None, PartitionFilter.first_three_odds(), PartitionFilter.avoiding_prime(7)]

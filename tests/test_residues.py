@@ -79,6 +79,10 @@ class TestDigitSum:
 
     def test_zero(self):
         assert digit_sum(0, 7) == 0
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            digit_sum(-1, 5)
+        with pytest.raises(ValueError, match=r"^base must be >= 2, got 1$"):
+            digit_sum(5, 1)
 
     @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(PRIMES))
     def test_matches_string_expansion(self, n, p):
@@ -107,6 +111,10 @@ class TestFactorialValuation:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             factorial_valuation(10, 4)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            factorial_valuation(-1, 5)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            factorial_valuation_by_floor_sum(-1, 5)
 
 
 class TestFactorialTable:
@@ -215,6 +223,8 @@ class TestBinomialVanishes:
         assert binomial_vanishes(9, 3, 3)
         assert binomial_vanishes(49, 5, 7)
         assert not binomial_vanishes(17, 0, 3)
+        with pytest.raises(ValueError, match=r"^need 0 <= b <= a, got a=2, b=3$"):
+            binomial_vanishes(2, 3, 5)
 
     def test_matches_direct_binomial(self):
         for p in (3, 5, 7):
@@ -246,6 +256,8 @@ class TestFifthRoots:
     def test_class_size_domain(self):
         with pytest.raises(ValueError):
             five_cycle_class_size(9, 2)
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            count_fifth_roots(0)
 
     def test_counts(self):
         assert count_fifth_roots(4) == 1

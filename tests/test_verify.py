@@ -3,6 +3,7 @@
 import pytest
 
 from romik import (
+    IntegrityError,
     SequenceCache,
     build_residue_grid,
     scan_periodicity,
@@ -65,6 +66,8 @@ class TestParity:
 
     def test_zero_bound(self, cache):
         assert verify_parity(cache, 0).passed
+        with pytest.raises(ValueError, match=r"^max_n must be >= 0, got -1$"):
+            verify_parity(cache, -1)
 
     def test_moderate(self, cache):
         assert verify_parity(cache, 25).passed
@@ -77,6 +80,12 @@ class TestParity:
         )
         report = verify_parity(bad, 20)
         assert f"CE n=12 k=- expected=odd v actual=v(12)={v[12]}" in report.line()
+        # With no stored d, d(12) is derived from the planted v and comes out even.
+        no_d = SequenceCache.from_stored(
+            u=cache.known_values("u"), v=v, s_rows=cache.stored_s_rows()
+        )
+        with pytest.raises(IntegrityError, match=r"^d\(12\) = -?\d+ is even$"):
+            no_d.d(12)
 
 
 class TestMod5:
@@ -154,10 +163,14 @@ class TestUvStructure:
         report = verify_uv_structure(cache, 13, 25)
         assert report.passed
         assert "vanish" in report.details
+        short = verify_uv_structure(cache, 13, 3)
+        assert short.details == "u: no vanishing tail up to n=3; v: no vanishing tail up to n=3"
 
     def test_rejects_two(self, cache):
         with pytest.raises(ValueError):
             verify_uv_structure(cache, 2, 10)
+        with pytest.raises(ValueError, match=r"^max_n must be >= 1, got 0$"):
+            verify_uv_structure(cache, 3, 0)
 
     @pytest.mark.parametrize("p, name, n, fragment", [
         (5, "u", 4, "CE n=4 k=- expected=u%5=0 actual=1"),
