@@ -37,7 +37,7 @@ h(n) is computed once per new row from u, and h(m) for m < n is read back
 as s^(m, 1) from column 1.  That h(n) is a multiple of 2^E(n) is checked:
 a remainder raises IntegrityError, never yields a value.  The shift is
 tight (s^(k, k) = 1), so no larger power is known in general.  E is
-computed from n (``_e``) wherever an entry is shifted, never stored.
+computed from n (``_e``, ``_e_gap``) wherever an entry is shifted, never stored.
 
 The inner loops hold only the big-integer multiply-adds.  Each index reads
 its binomial coefficients from one row [C(N, 0), ..., C(N, N)] built
@@ -67,8 +67,9 @@ below it times f^2.
 
 Three primitives here are shared by the whole package: ``factorial`` (n!,
 memoized), ``_exact_quotient`` (divide, or raise IntegrityError on a
-remainder) and ``_check_pair`` (the 1 <= k <= n guard).  The builder alone
-divides inline, so that the reference above shares no code with it.
+remainder) and ``_check_pair`` (the 1 <= k <= n guard).  Two loops divide
+inline: the builder, so that the reference above shares no code with it, and
+the summand step of ``residues.s_mod5_single_index``, which a call slows by 15%.
 
 A restored cache may hold its stored rows undecoded: ``from_stored`` takes
 an iterator over them with their count, ``s_bound`` counts them, and each
@@ -128,7 +129,7 @@ class SequenceCache:
     ``from_stored`` are the one round trip of the held form, to and from
     ``cache_io``, which writes it as it is.  A row is never changed once
     held, so ``stored_s_rows`` hands out the held rows without copying.
-    The cache holds nothing else: E is computed from n (``_e``) where an
+    The cache holds nothing else: E is computed from n (``_e_gap``) where an
     entry is shifted, and the column index the row recurrence reads is
     built by each ``build_s_table`` call that grows the table and dropped
     when it returns.
@@ -266,11 +267,11 @@ class SequenceCache:
 
     def s(self, n: int, k: int) -> int:
         """Exact s(n, k) for 1 <= k <= n; grows the table to n if needed."""
-        return self._stored(n, k) << (_e(n) - _e(k))
+        return self._stored(n, k) << _e_gap(n, k)
 
     def r(self, n: int, k: int) -> int:
         """Exact r(n, k) = 2^(n-k) s(n, k), one shift of the stored entry."""
-        return self._stored(n, k) << (_e(n) - _e(k) + n - k)
+        return self._stored(n, k) << (_e_gap(n, k) + n - k)
 
     def r_residues(
         self, p: int, max_n: int, lo: int = 1, max_k: int | None = None
@@ -406,10 +407,14 @@ class SequenceCache:
         return cache
 
 
+def _e_gap(n: int, k: int) -> int:
+    """E(n) - E(k), with E(n) = v2((2n)!) = 2n - (binary digit sum of n)."""
+    return 2 * (n - k) - n.bit_count() + k.bit_count()
+
+
 def _e(n: int) -> int:
-    """E(n) = v2((2n)!) = 2n - (binary digit sum of n), the power of two
-    divided out of row n of the held s-table."""
-    return 2 * n - n.bit_count()
+    """E(n), the power of two divided out of row n of the held s-table."""
+    return _e_gap(n, 0)
 
 
 def _binomial_row(n: int) -> list[int]:

@@ -7,9 +7,10 @@ definition, the oracle the series path is checked against.  Restricted part
 sets (parts in {1, 3, 5}; parts below p^2 with no part equal to p) give the
 per-prime reductions.
 
-The walk goes over (part, count) pairs, one level per distinct part rather
-than one per part.  A tail that can only be ones (as many parts left as
-total left) is yielded at once, as (1, count), without opening a level for it.
+The walk goes over (part, count) pairs, one level per distinct part of 5 or
+more rather than one per part.  Threes and ones open no level: t of them
+summing to R are (R - t)/2 threes and the rest ones, a unique completion,
+yielded at once where no part above 3 fits below (after a 5, or R - t <= 2).
 """
 
 from __future__ import annotations
@@ -55,49 +56,53 @@ def enumerate_partitions(
     """Yield the (part, count) pairs of every partition of ``total`` into
     ``num_parts`` odd parts that the filter admits, each exactly once.
 
-    The walk takes the largest part first, then its count from largest to
-    smallest, so the stream runs in decreasing lexicographic order on the
-    sorted-descending part tuples.  An empty stream signals no partitions.
+    The walk takes the largest part of 5 or more first, then its count from
+    largest to smallest, and the one completion by threes and ones last, so
+    the stream runs in decreasing lexicographic order on the sorted-descending
+    part tuples.  An empty stream signals no partitions.
     """
     if total < 1 or num_parts < 1:
         raise ValueError(f"total and num_parts must be >= 1, got {total}, {num_parts}")
     if part_filter is None:
         part_filter = PartitionFilter()
-    # A sum of num_parts odd numbers has the parity of num_parts.
-    if total % 2 != num_parts % 2:
+    # A sum of num_parts odd numbers is at least num_parts, of its parity.
+    if total % 2 != num_parts % 2 or total < num_parts:
         return
     top = total if part_filter.max_part is None else part_filter.max_part
     top -= 1 - top % 2  # largest admissible odd value
     forbidden = part_filter.forbidden_part
+    no_threes, no_ones = top < 3 or forbidden == 3, top < 1 or forbidden == 1
+
+    def tail(rest: int, left: int, chosen: Partition) -> Partition | None:
+        # The one completion of chosen by left threes and ones, if admitted.
+        threes = (rest - left) >> 1
+        ones = left - threes
+        if ones < 0 or threes and no_threes or ones and no_ones:
+            return None
+        if threes:
+            chosen = ((3, threes),) + chosen
+        return ((1, ones),) + chosen if ones else chosen
 
     def walk(remaining: int, parts_left: int, hi: int, chosen: Partition) -> Iterator[Partition]:
-        # Complete chosen, the pairs above hi, with parts_left odd parts <= hi.
-        # A part leaves room for parts_left-1 further parts >= 1.
-        for part in range(min(hi, remaining - parts_left + 1), 0, -2):
+        # Complete chosen, the pairs above hi, with parts_left odd parts <= hi,
+        # those >= 5 first.  A part leaves room for parts_left-1 parts >= 1.
+        for part in range(min(hi, remaining - parts_left + 1), 3, -2):
             if part * parts_left < remaining:
                 return  # descending: no smaller part can reach the remaining total
             if part == forbidden:
                 continue
-            if part == 1:
-                # Here parts_left == remaining, so only ones fit.  Reached only
-                # from the top call: below it, the level above a tail of ones
-                # yields that tail itself.
-                yield ((1, parts_left),) + chosen
-                return
             # Leave the parts below at least 1 and at most part - 2 each.
             most = min(parts_left, (remaining - parts_left) // (part - 1))
             least = max(1, (remaining - (part - 2) * parts_left + 1) // 2)
             for count in range(most, least - 1, -1):
                 pairs = ((part, count),) + chosen
                 rest, left = remaining - part * count, parts_left - count
-                if not left:
-                    yield pairs
-                elif rest == left:
-                    # Only ones fit below: the level down would yield just this.
-                    if forbidden != 1:
-                        yield ((1, left),) + pairs
-                else:
+                if part > 5 and rest - left > 2:
                     yield from walk(rest, left, part - 2, pairs)
+                elif lam := tail(rest, left, pairs):  # no part above 3 fits below
+                    yield lam
+        if lam := tail(remaining, parts_left, chosen):
+            yield lam
 
     yield from walk(total, num_parts, top, ())
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .core import SequenceCache, _check_pair, _exact_quotient, factorial
+from .core import IntegrityError, SequenceCache, _check_pair, _exact_quotient, factorial
 
 
 def is_prime(n: int) -> bool:
@@ -111,13 +111,9 @@ def r_mod5_closed_form(n: int, k: int) -> int:
     _check_pair(n, k)
     if n > 5 * k:
         return 0
-    if (n - k) % 2 == 0:
-        a, b = (5 * k - n) // 2, (n - k) // 2
-        lead = 1
-    else:
-        a, b = (5 * k - n - 1) // 2, (n - k - 1) // 2
-        lead = 2
+    a, b = (5 * k - n) // 2, (n - k) // 2  # 5k - n has the parity of n - k
     den = factorial(a) * factorial(b) * 5**b
+    lead = 1 + (n - k) % 2
     return lead * _exact_quotient(factorial(2 * n), den, "r(%d,%d) quotient", n, k) % 5
 
 
@@ -128,9 +124,9 @@ def s_mod5_single_index(n: int, k: int) -> int:
 
     The first summand is computed as one exact quotient of factorials.  With
     a = 3k-n+c and b = n-k-2c at index c, the next one is this summand times
-    b(b-1), formed first as one small factor so that the big summand is
-    multiplied once, divided exactly by (a+1)(c+1)*5.  Every summand is thus
-    an exact integer, and a remainder at any step raises IntegrityError.
+    b(b-1), one small factor so that the big summand is multiplied once,
+    divided exactly by (a+1)(c+1)*5 inline, as it runs once per summand.  A
+    remainder at any step raises IntegrityError in ``_exact_quotient``'s words.
     """
     _check_pair(n, k)
     if n > 5 * k:
@@ -142,9 +138,9 @@ def s_mod5_single_index(n: int, k: int) -> int:
     total = -term if c & 1 else term
     while b > 1:
         c += 1
-        term = _exact_quotient(
-            term * (b * (b - 1)), (a + 1) * c * 5, "s(%d,%d) summand c=%d", n, k, c
-        )
+        term, rem = divmod(term * (b * (b - 1)), (a + 1) * c * 5)
+        if rem:
+            raise IntegrityError(f"s({n},{k}) summand c={c} is not an integer")
         total += -term if c & 1 else term
         a, b = a + 1, b - 2
     return total % 5

@@ -4,7 +4,7 @@ import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romik import PartitionFilter, enumerate_partitions, multinomial_count, s_by_partitions
@@ -85,6 +85,12 @@ class TestEnumerate:
              "efb0b6a051acf80f4c4c014c3871d3c3e7e358836b9ab357f6924d2b69a13732"),
             (PartitionFilter(max_part=15, forbidden_part=1), 605,
              "5dedafd566b7b53ade8376fb28a4a74aebe1507bdbeda74f0af1f0a4e843cf33"),
+            (PartitionFilter(max_part=3), 183,
+             "03f0468e45aba0f8ece29e452a115cc2b7e8cdf09048ed9284a4602f26faf748"),
+            (PartitionFilter(max_part=5, forbidden_part=3), 114,
+             "93efd6e4ef26717a70a881f8851450dbc41c5202e16619967197041449f36dcc"),
+            (PartitionFilter(forbidden_part=3), 2572,
+             "d74003d9f7a32ca4f292b7b53e1e66b7d3bbdccb871f5e1da66e23807c5a8092"),
         ],
     )
     def test_stream_is_pinned(self, part_filter, count, digest):
@@ -111,12 +117,17 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_partitions(4, 0))
 
+    @settings(deadline=None)
     @given(
-        total=st.integers(min_value=1, max_value=18),
-        num_parts=st.integers(min_value=1, max_value=6),
-        max_part=st.sampled_from([None, 1, 2, 3, 5, 8, 15]),
+        total=st.integers(min_value=1, max_value=22),
+        num_parts=st.integers(min_value=1, max_value=7),
+        max_part=st.sampled_from([None, 0, 1, 2, 3, 4, 5, 8, 15]),
         forbidden=st.sampled_from([None, 1, 3, 5, 7]),
     )
+    # A max_part below 3 admits no three; sampling alone can miss it.
+    @example(total=4, num_parts=2, max_part=1, forbidden=None)
+    @example(total=6, num_parts=2, max_part=2, forbidden=None)
+    @example(total=6, num_parts=2, max_part=4, forbidden=None)
     def test_matches_combinations_reference(self, total, num_parts, max_part, forbidden):
         # independent route: filter combinations_with_replacement by sum
         values = [
