@@ -22,6 +22,8 @@ grep -qx "SUITE mod5 RANGE 1..10 PRIME 5 RESULT PASS" "$tmp/verify.txt"
 test "$(python -m romik verify --suite sums)" = "SUITE even_odd_sums RANGE 3..60 PRIME 5 RESULT PASS"
 status=0; python -m romik verify --suite parity --prime 7 || status=$?
 test "$status" -eq 2
+test "$(python -m romik scan-period --prime 5 --bound 20)" = \
+     "PRIME 5 BOUND 20 PREPERIOD 1 PERIOD 2 CYCLE 4,1"
 test "$(python -m romik scan-period --prime 13 --bound 150 | cut -d' ' -f5-)" = \
      "$(python -m romik scan-period --prime 13 --bound 100 | cut -d' ' -f5-)"
 for P in 2 5 7; do

@@ -34,7 +34,6 @@ from .residues import (
 )
 from .verify import (
     Counterexample,
-    PeriodScanResult,
     VerificationReport,
     scan_periodicity,
     verify_even_odd_sums,
@@ -67,7 +66,6 @@ __all__ = [
     "single_index_term_valuation",
     "vanishing_n0",
     "Counterexample",
-    "PeriodScanResult",
     "VerificationReport",
     "scan_periodicity",
     "verify_even_odd_sums",

@@ -236,12 +236,12 @@ def _scan_arguments(parser) -> None:
 
 
 def _run_scan(args, parser, cache) -> tuple[int, list[str]]:
-    result = verify.scan_periodicity(cache, args.prime, args.bound)
-    head = f"PRIME {result.prime} BOUND {result.scan_bound}"
-    if not result.conclusive:
+    found = verify.scan_periodicity(cache, args.prime, args.bound)
+    head = f"PRIME {args.prime} BOUND {args.bound}"
+    if found is None:
         return 0, [f"{head} INCONCLUSIVE"]
-    cycle = ",".join(str(x) for x in result.residue_cycle)
-    return 0, [f"{head} PREPERIOD {result.preperiod} PERIOD {result.period} CYCLE {cycle}"]
+    preperiod, period, cycle = found
+    return 0, [f"{head} PREPERIOD {preperiod} PERIOD {period} CYCLE {','.join(map(str, cycle))}"]
 
 
 def _cache_arguments(parser) -> None:

@@ -12,9 +12,9 @@ Each suite function holds its own default bound and argument checks: parity
 and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
 (p = 3 mod 4) or 40, sums to 60.  ``suites()`` is the one table of suites.
 
-The periodicity scanner for primes p = 1 (mod 4) is exploratory: it reports
-the (preperiod, period) with the smallest sum consistent with the scanned
-prefix, or nothing, and never asserts that the sequence is in fact periodic.
+The periodicity scanner for primes p = 1 (mod 4) is exploratory: it returns
+(preperiod, period, cycle) with the smallest preperiod + period consistent
+with the scanned prefix, or None, and never asserts that d is periodic.
 """
 
 from __future__ import annotations
@@ -85,18 +85,6 @@ class VerificationReport:
         return f"{self.suite},{self.lo},{self.hi},{prime},{result},{tail}"
 
 
-def _report(suite, lo, hi, prime, started, ce, details=""):
-    return VerificationReport(
-        suite=suite,
-        lo=lo,
-        hi=hi,
-        prime=prime,
-        counterexample=ce,
-        elapsed=time.perf_counter() - started,
-        details=details,
-    )
-
-
 def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     """d(n) and v(n) odd for 0 <= n <= max_n.
 
@@ -115,7 +103,7 @@ def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificat
         if cache.v(n) & 1 == 0:
             ce = Counterexample(n, None, "odd v", f"v({n})={cache.v(n)}")
             break
-    return _report("parity", 0, max_n, None, started, ce)
+    return VerificationReport("parity", 0, max_n, None, ce, time.perf_counter() - started)
 
 
 def verify_mod5(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
@@ -130,7 +118,7 @@ def verify_mod5(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> Verificatio
         if d[n] != expected:
             ce = Counterexample(n, None, expected, d[n])
             break
-    return _report("mod5", 1, max_n, 5, started, ce)
+    return VerificationReport("mod5", 1, max_n, 5, ce, time.perf_counter() - started)
 
 
 def verify_mod_p_vanishing(
@@ -158,7 +146,7 @@ def verify_mod_p_vanishing(
             k = next(k for k, residue in enumerate(low, 1) if residue)
             ce = Counterexample(n, k, 0, low[k - 1])
             break
-    return _report("mod_p_vanishing", n0 + 1, max_n, p, started, ce)
+    return VerificationReport("mod_p_vanishing", n0 + 1, max_n, p, ce, time.perf_counter() - started)
 
 
 def verify_uv_structure(
@@ -209,7 +197,7 @@ def verify_uv_structure(
                     break
     else:
         details = f"{_observed_vanishing('u', u)}; {_observed_vanishing('v', v)}"
-    return _report("uv_structure", 0, max_n, p, started, ce, details)
+    return VerificationReport("uv_structure", 0, max_n, p, ce, time.perf_counter() - started, details)
 
 
 def _observed_vanishing(name: str, residues: list[int]) -> str:
@@ -242,7 +230,7 @@ def verify_even_odd_sums(
         if odd_sum % 5 != 0:
             ce = Counterexample(n, None, "odd-k sum 0", odd_sum % 5)
             break
-    return _report("even_odd_sums", 3, max_n, 5, started, ce)
+    return VerificationReport("even_odd_sums", 3, max_n, 5, ce, time.perf_counter() - started)
 
 
 def suites() -> dict:
@@ -258,34 +246,15 @@ def suites() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class PeriodScanResult:
-    """Outcome of the exploratory residue-period scan for d(n) mod p.
-
-    ``preperiod`` and ``period`` are None when no period could be confirmed
-    over at least two full cycles of the scanned prefix.  When present,
-    ``residue_cycle[j]`` is the residue shared by all n >= preperiod with
-    n = j (mod period)."""
-
-    prime: int
-    preperiod: int | None
-    period: int | None
-    residue_cycle: tuple[int, ...]
-    scan_bound: int
-
-    @property
-    def conclusive(self) -> bool:
-        return self.period is not None
-
-
 def scan_periodicity(
     cache: SequenceCache, p: int, scan_bound: int
-) -> PeriodScanResult:
-    """Search d(0..scan_bound) mod p for the (preperiod, period) with the
-    smallest sum, ties to the smaller period, among those that leave two
-    full cycles in the window.  The smallest period alone flips with the
-    bound: period 1 after preperiod scan_bound - 1 only says that the last
-    two residues agree.
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """Return ``(preperiod, period, cycle)`` for d(0..scan_bound) mod p, or
+    None when no pair leaves two full cycles in the window.  ``cycle[j]`` is
+    the residue of every n >= preperiod with n = j (mod period).  The pair has
+    the smallest sum, ties to the smaller period; the smallest period alone
+    flips with the bound: period 1 after preperiod scan_bound - 1 only says
+    that the last two residues agree.
 
     Only primes p = 1 (mod 4) are accepted; the result is observational
     evidence, not a verified statement about the infinite sequence.
@@ -308,9 +277,9 @@ def scan_periodicity(
         if preperiod + 2 * period - 1 <= scan_bound and preperiod + period < best_sum:
             best, best_sum = (preperiod, period), preperiod + period
     if best is None:
-        return PeriodScanResult(p, None, None, (), scan_bound)
+        return None
     preperiod, period = best
     cycle = tuple(
         residues[preperiod + ((j - preperiod) % period)] for j in range(period)
     )
-    return PeriodScanResult(p, preperiod, period, cycle, scan_bound)
+    return preperiod, period, cycle

@@ -13,7 +13,7 @@ from romik import (
     verify_parity,
     verify_uv_structure,
 )
-from romik.verify import Counterexample, REPORT_CSV_HEADER, VerificationReport
+from romik.verify import Counterexample, REPORT_CSV_HEADER, VerificationReport, suites
 
 
 def planted(cache, name, index, delta):
@@ -217,24 +217,21 @@ class TestEvenOddSums:
 
 class TestScanPeriodicity:
     def test_p5(self, cache):
-        result = scan_periodicity(cache, 5, 25)
-        assert result.conclusive
-        assert result.preperiod == 1
-        assert result.period == 2
-        assert result.residue_cycle == (4, 1)
+        assert scan_periodicity(cache, 5, 25) == (1, 2, (4, 1))
 
     def test_cycle_is_phase_aligned(self, cache):
-        result = scan_periodicity(cache, 5, 25)
-        for n in range(result.preperiod, 26):
-            assert cache.d(n) % 5 == result.residue_cycle[n % result.period]
+        preperiod, period, cycle = scan_periodicity(cache, 5, 25)
+        for n in range(preperiod, 26):
+            assert cache.d(n) % 5 == cycle[n % period]
 
     def test_p13(self, cache):
         # exploratory: whatever is reported must actually match the prefix
-        result = scan_periodicity(cache, 13, 60)
-        if result.conclusive:
+        found = scan_periodicity(cache, 13, 60)
+        if found is not None:
+            preperiod, period, _ = found
             residues = [cache.d(n) % 13 for n in range(61)]
-            for n in range(result.preperiod, 61 - result.period):
-                assert residues[n] == residues[n + result.period]
+            for n in range(preperiod, 61 - period):
+                assert residues[n] == residues[n + period]
 
     def test_answer_does_not_depend_on_the_bound(self):
         # At p = 13 the last two residues agree at every bound that is a
@@ -243,12 +240,11 @@ class TestScanPeriodicity:
         cache.d(150)
         for p, expected in ((5, (1, 2)), (13, (1, 18)), (17, (1, 32))):
             for bound in range(4 * p, 151):
-                result = scan_periodicity(cache, p, bound)
-                assert (result.preperiod, result.period) == expected, bound
+                assert scan_periodicity(cache, p, bound)[:2] == expected, bound
 
     def test_planted_d_is_inconclusive(self, cache):
         # d(20) + 4 stays odd and breaks the last residue of the cycle.
-        assert not scan_periodicity(planted(cache, "d", 20, 4), 5, 20).conclusive
+        assert scan_periodicity(planted(cache, "d", 20, 4), 5, 20) is None
 
     def test_rejects_three_mod_four(self, cache):
         with pytest.raises(ValueError):
@@ -268,7 +264,7 @@ class TestResidueSeam:
         ("d", 9, lambda cache: verify_mod_p_vanishing(cache, 3, 20).counterexample.n),
         ("u", 9, lambda cache: verify_uv_structure(cache, 3, 20).counterexample.n),
         # Period 18 from index 1; a moved d(20) pushes the preperiod past it.
-        ("d", 20, lambda cache: scan_periodicity(cache, 13, 60).preperiod - 1),
+        ("d", 20, lambda cache: scan_periodicity(cache, 13, 60)[0] - 1),
     ], ids=["mod5", "vanishing", "uv", "scan-period"])
     def test_a_moved_residue_is_reported(self, cache, monkeypatch, name, n, reported):
         read = SequenceCache.residues
@@ -281,6 +277,12 @@ class TestResidueSeam:
 
         monkeypatch.setattr(SequenceCache, "residues", moved)
         assert reported(cache) == n
+
+
+@pytest.mark.parametrize("name", list(suites()))
+def test_every_suite_reports_its_time(cache, name):
+    function, primes = suites()[name]
+    assert function(cache, *primes[:1], 12).elapsed > 0
 
 
 class TestDeterminism:
