@@ -310,6 +310,7 @@ class SequenceCache:
         d = self._d
         if n >= len(d):
             self.build_s_table(n)
+            self.v(n)
             en = [_e(m) + m for m in range(n + 1)]  # en[m] = E(m) + m
             while len(d) <= n:
                 j = len(d)

@@ -6,7 +6,7 @@ fails (smallest n first, then smallest k).  Suites only read the cache, so
 a single cache built to the largest needed bound can serve all of them.
 Residues come only from the cache's two readers: ``SequenceCache.residues``
 for u, v and d mod p, and ``SequenceCache.r_residues`` for r(n, k) mod p,
-which never forms r.  Only the parity suite reads exact v and d.
+which never forms r.  Only a counterexample's text may print an exact value.
 
 Each suite function holds its own default bound and argument checks: parity
 and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
@@ -86,21 +86,22 @@ class VerificationReport:
 
 
 def verify_parity(cache: SequenceCache, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
-    """d(n) and v(n) odd for 0 <= n <= max_n.
+    """d(n) and v(n) odd for 0 <= n <= max_n, by two reads.
 
-    d(n) is derived here up to max_n, and its oddness is checked where it is
-    made: ``SequenceCache.d`` raises IntegrityError on an even value, and
-    ``SequenceCache.from_stored`` refuses a stored even d.  r(n, k) even for
-    k < n is not checked: no table can break it, since
-    r(n, k) = s^(n, k) 2^(E(n) - E(k) + n - k) with the exponent >= n - k >= 1.
-    So d(n) = v(n) mod 2, and the content of the suite is that v(n) is odd."""
+    ``residues("d", 2, max_n)`` derives d, checked odd where it is made:
+    ``SequenceCache.d`` raises IntegrityError on an even value, ``from_stored``
+    refuses a stored one.  ``residues("v", 2, max_n)`` gives v mod 2; only a
+    counterexample's text reads an exact v(n).  r(n, k) = s^(n, k) 2^(E(n) -
+    E(k) + n - k) is even for k < n in any table, so it is not checked, and
+    d(n) = v(n) mod 2: the content of the suite is that v(n) is odd."""
     if max_n < 0:
         raise ValueError(f"max_n must be >= 0, got {max_n}")
     started = time.perf_counter()
-    cache.d(max_n)
+    cache.residues("d", 2, max_n)
+    v = cache.residues("v", 2, max_n)
     ce = None
     for n in range(max_n + 1):
-        if cache.v(n) & 1 == 0:
+        if not v[n]:
             ce = Counterexample(n, None, "odd v", f"v({n})={cache.v(n)}")
             break
     return VerificationReport("parity", 0, max_n, None, ce, time.perf_counter() - started)

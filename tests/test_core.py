@@ -113,6 +113,19 @@ class TestSequences:
         assert grown.known_values("u") == u_ref
         assert grown.known_values("v") == v_ref
 
+    def test_a_d_read_grows_v_once(self, monkeypatch):
+        extending = []
+        read = SequenceCache.v
+
+        def spy(self, n):
+            if n >= len(self._v):
+                extending.append(n)
+            return read(self, n)
+
+        monkeypatch.setattr(SequenceCache, "v", spy)
+        SequenceCache().d(40)
+        assert extending == [40]
+
     def test_known_count_is_length_of_known_values(self, cache):
         for name in "uvd":
             assert cache.known_count(name) == len(cache.known_values(name))
@@ -305,6 +318,14 @@ class TestNormalizedTable:
         edited = SequenceCache.from_stored(u=u)
         with pytest.raises(IntegrityError, match=r"h\(4\) / 2\^7 is not an integer"):
             edited.build_s_table(4)
+
+    def test_a_diagonal_other_than_one_fails_the_build(self):
+        # With u(0) = 3, h(1) = C(2, 1) u(0)^2 = 18 passes the 2^E(1) = 2
+        # check, and row 1 comes out [9].
+        edited = SequenceCache()
+        edited._u[0] = 3
+        with pytest.raises(IntegrityError, match=r"^s\(1,1\) = 9, expected 1$"):
+            edited.build_s_table(1)
 
     def test_stored_rows_are_the_held_rows(self, cache):
         rows = cache.stored_s_rows()

@@ -255,17 +255,53 @@ class TestScanPeriodicity:
             scan_periodicity(cache, 5, 19)
 
 
+EXACT_READS = ("u", "v", "d", "s", "r", "known_values", "known_s_rows", "stored_s_rows")
+
+
 class TestResidueSeam:
-    """The suites and the scanner read u, v and d mod p only through
-    SequenceCache.residues: one entry moved there is the one they report."""
+    """The suites, the scanner and the grid read u, v, d and r only through
+    SequenceCache.residues and r_residues: one entry moved there is the one
+    they report, and no exact value is read outside those two."""
+
+    @pytest.mark.parametrize("run", [*suites(), "scan-period", "grid"])
+    def test_no_exact_read_outside_the_readers(self, monkeypatch, run):
+        depth, outside = [0], []
+        for name in ("residues", "r_residues"):
+            def seam(self, *args, read=getattr(SequenceCache, name)):
+                depth[0] += 1
+                try:
+                    return read(self, *args)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(SequenceCache, name, seam)
+        for name in EXACT_READS:
+            def exact(self, *args, name=name, read=getattr(SequenceCache, name)):
+                if not depth[0]:
+                    outside.append((name, *args))
+                return read(self, *args)
+            monkeypatch.setattr(SequenceCache, name, exact)
+        cache = SequenceCache()
+        if run == "scan-period":
+            scan_periodicity(cache, 13, 64)
+        elif run == "grid":
+            build_residue_grid(7, 64, cache)
+        else:
+            # Bound 64 is past n0 = 60 of p = 11, the largest vanishing prime.
+            function, primes = suites()[run]
+            for args in [(p,) for p in primes] or [()]:
+                assert function(cache, *args, 64).passed
+        assert outside == []
+        cache.u(0)  # the guard is live: a read outside the two is recorded
+        assert outside == [("u", 0)]
 
     @pytest.mark.parametrize("name, n, reported", [
+        ("v", 12, lambda cache: verify_parity(cache, 20).counterexample.n),
         ("d", 9, lambda cache: verify_mod5(cache, 20).counterexample.n),
         ("d", 9, lambda cache: verify_mod_p_vanishing(cache, 3, 20).counterexample.n),
         ("u", 9, lambda cache: verify_uv_structure(cache, 3, 20).counterexample.n),
         # Period 18 from index 1; a moved d(20) pushes the preperiod past it.
         ("d", 20, lambda cache: scan_periodicity(cache, 13, 60)[0] - 1),
-    ], ids=["mod5", "vanishing", "uv", "scan-period"])
+    ], ids=["parity", "mod5", "vanishing", "uv", "scan-period"])
     def test_a_moved_residue_is_reported(self, cache, monkeypatch, name, n, reported):
         read = SequenceCache.residues
 
