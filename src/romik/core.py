@@ -71,6 +71,16 @@ remainder) and ``_check_pair`` (the 1 <= k <= n guard).  Two loops divide
 inline: the builder, so that the reference above shares no code with it, and
 the summand step of ``residues.s_mod5_single_index``, which a call slows by 15%.
 
+A build whose new rows carry enough work forks one short-lived child when
+os.fork exists, this process may run on two CPUs or more and no other
+thread is alive (``_split_column``).  This process computes h(n) and
+columns 1..K of each new row and sends s^(n, 1) and s^(n, K), marshalled,
+down a pipe; the child, holding the earlier rows from the fork, computes
+columns K+1..n one row behind and sends them up a second pipe at the end,
+with the text of its first failure if any.  Nothing else crosses.  The
+child leaves through ``os._exit``, and this process reaps it before it
+returns or raises.
+
 A restored cache may hold its stored rows undecoded: ``from_stored`` takes
 an iterator over them with their count, ``s_bound`` counts them, and each
 row is taken from the iterator, in order, when the cache first reads it
@@ -81,14 +91,25 @@ decodes only those.
 from __future__ import annotations
 
 import functools
+import marshal
 import math
+import os
+import signal
+import threading
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from io import BufferedReader
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import lshift, mul
 
 
 factorial = functools.cache(math.factorial)
+
+# A build forks a child only for more estimated work than this, in
+# _split_column's weights: about 35 ms in one process on a 2-vCPU VM, where
+# the fork, the pipes and the child's columns cost about 5 ms.
+_FORK_WORK = 2 * 10**8
 
 
 class IntegrityError(ArithmeticError):
@@ -132,7 +153,10 @@ class SequenceCache:
     The cache holds nothing else: E is computed from n (``_e_gap``) where an
     entry is shifted, and the column index the row recurrence reads is
     built by each ``build_s_table`` call that grows the table and dropped
-    when it returns.
+    when it returns.  Such a call may fork one short-lived child to share
+    the new rows' columns, never while another thread is alive: two
+    integers per row go down a pipe to it and its columns come back (see
+    the module docstring); it is reaped before the call returns or raises.
 
     Growth and the first read of a waiting row write the cache, with no
     lock: share it across threads only once every stored row is taken
@@ -205,43 +229,78 @@ class SequenceCache:
         rows past ``s_bound`` (no-op if already built)."""
         self._restore(max_n)
         rows = self._s_rows
-        if max_n <= len(rows):
+        first = len(rows) + 1
+        if max_n < first:
             return
         self.u(max_n - 1)
-        u = self._u
         e = [_e(m) for m in range(max_n + 1)]
         # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
         # kept for this call only.
         cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
-        for n in range(len(rows) + 1, max_n + 1):
-            binomials = _binomial_row(2 * n)
-            # f has m! [z^m] f = u((m-1)/2) for odd m, so h(n) is the binomial
-            # convolution of u with itself over odd indices.
-            h = sum(map(mul, map(mul, binomials[1 : 2 * n : 2], u), u[n - 1 :: -1]))
-            first = h >> e[n]
-            if first << e[n] != h:
-                raise IntegrityError(f"h({n}) / 2^{e[n]} is not an integer")
-            # terms[t] = C^(n, m) s^(m, 1) for m = n-1-t, so terms[k-2:] lines up
-            # with cols[k-2] = [s^(k-1, k-1), ..., s^(n-1, k-1)] = s^(n-m, k-1).
-            terms = [
-                (binomials[2 * m] >> (e[n] - e[m] - e[n - m])) * rows[m - 1][0]
-                for m in range(n - 1, 0, -1)
-            ]
-            row = [first]
-            for k in range(2, n + 1):
-                odd_k = k // (k & -k)
-                # Divided here, not by _exact_quotient, which the reference
-                # s_table_by_series uses: the two routes share no code.
-                q, rem = divmod(sum(map(mul, terms[k - 2 :], cols[k - 2])), (2 * k - 1) * odd_k)
-                if rem:
-                    raise IntegrityError(f"s({n},{k}) is not an integer")
-                row.append(q)
-            if row[-1] != 1:
-                raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
-            rows.append(row)
-            cols.append([])
-            for col, x in zip(cols, row, strict=True):
-                col.append(x)
+        split = _split_column(first, max_n)
+        if split:
+            self._build_split(e, cols, first, max_n, split)
+        else:
+            for n in range(first, max_n + 1):
+                _append_row(rows, n, _head(self._u, e, cols, n, n))
+
+    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: int) -> None:
+        """Append rows first..last, columns 1..split computed here and the
+        rest by a forked child (see the module docstring).  Rows are joined
+        and checked in order, so the first entry to fail, in row-major
+        order, raises what the serial build raises."""
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # os._exit: no finally, atexit hook or stdio buffer of the caller runs twice.
+            status = 1
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                with open(down_r, "rb") as inbox, open(up_w, "wb") as outbox:
+                    outbox.write(marshal.dumps(_tail_rows(e, cols, first, last, split, inbox)))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(down_r)
+        os.close(up_w)
+        heads = []
+        failed, error = last + 1, None  # the row and error of this process's first failure
+        with open(down_w, "wb") as outbox, open(up_r, "rb") as inbox:
+            try:
+                for n in range(first, last + 1):
+                    try:
+                        heads.append(_head(self._u, e, cols, n, split))
+                    except IntegrityError as exc:
+                        failed, error = n, exc
+                        break
+                    if n < last:
+                        data = marshal.dumps((heads[-1][0], heads[-1][-1]))
+                        outbox.write(len(data).to_bytes(4, "little") + data)
+                        outbox.flush()
+                outbox.close()  # the child's end of input
+                try:
+                    tails, tail_failure = marshal.loads(inbox.read())
+                except (EOFError, ValueError):
+                    raise ChildProcessError(f"s-table child {pid} exited without its columns") from None
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.waitpid(pid, 0)
+        bad, text = tail_failure or (last + 1, "")
+        for n in range(first, last + 1):
+            if n == failed:
+                raise error
+            if n == bad:
+                raise IntegrityError(text)
+            _append_row(self._s_rows, n, heads[n - first] + tails[n - first])
 
     def _restore(self, n: int) -> None:
         """Take the waiting stored rows, in order, up to row n, checking
@@ -425,6 +484,110 @@ def _binomial_row(n: int) -> list[int]:
     for i in range(n // 2):
         half.append(half[-1] * (n - i) // (i + 1))
     return half + half[: n + 1 - len(half)][::-1]
+
+
+def _split_column(first: int, last: int) -> int:
+    """The last column this process computes of rows first..last when a
+    forked child computes the rest, or 0 to build them here alone.  Entry
+    (n, k), k >= 2, is weighed (n - k + 1)^2 n: n - k + 1 products of
+    numbers whose length grows with n.  The split leaves this process the
+    share closest to one half."""
+
+    def share(k: int) -> int:  # the weight of columns 2..k, by sum_{i<=j} i^2 = sq(j)
+        return sum(n * (sq(n - 1) - sq(max(n - k, 0))) for n in range(first, last + 1))
+
+    def sq(j: int) -> int:
+        return j * (j + 1) * (2 * j + 1) // 6
+
+    total = share(last)
+    if total < _FORK_WORK or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return 0  # a fork copies only the calling thread
+    k = bisect_left(range(2, last + 1), total, key=lambda k: 2 * share(k)) + 2
+    if k > 2 and total - 2 * share(k - 1) < 2 * share(k) - total:
+        return k - 1
+    return k
+
+
+def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int) -> list[int]:
+    """Columns 1..min(n, split) of row n, from h(n) and the held columns,
+    which it extends by them."""
+    binomials = _binomial_row(2 * n)
+    # f has m! [z^m] f = u((m-1)/2) for odd m, so h(n) is the binomial
+    # convolution of u with itself over odd indices.
+    h = sum(map(mul, map(mul, binomials[1 : 2 * n : 2], u), u[n - 1 :: -1]))
+    first = h >> e[n]
+    if first << e[n] != h:
+        raise IntegrityError(f"h({n}) / 2^{e[n]} is not an integer")
+    head = _entries(binomials, e, cols, n, 2, min(n, split), [first])
+    cols.append([])
+    for col, x in zip(cols, head):
+        col.append(x)
+    return head
+
+
+def _tail_rows(
+    e: list[int], cols: list[list[int]], first: int, last: int, split: int, inbox: BufferedReader
+) -> tuple[list[list[int]], tuple[int, str] | None]:
+    """The child's columns split+1..n of rows n = first.., row n once
+    s^(n-1, 1) and s^(n-1, split) have come from inbox.  Returns them and
+    None, or the rows before the first that fails and (n, the error's text).
+    Reads inbox to its end even past a failure, so the caller never waits
+    on a full pipe."""
+    tails: list[list[int]] = []
+    failure = None
+    for n in range(first, last + 1):
+        if n > first:
+            size = inbox.read(4)
+            if not size:  # the caller stopped at row n - 1
+                break
+            one, at_split = marshal.loads(inbox.read(int.from_bytes(size, "little")))
+            cols[0].append(one)
+            if n > split:
+                cols[split - 1].append(at_split)
+        cols.append([])
+        if failure:
+            continue
+        tail: list[int] = []
+        if n > split:
+            try:
+                _entries(_binomial_row(2 * n), e, cols, n, split + 1, n, tail)
+            except IntegrityError as exc:
+                failure = n, str(exc)
+                continue
+            for col, x in zip(cols[split:], tail):
+                col.append(x)
+        tails.append(tail)
+    return tails, failure
+
+
+def _entries(
+    binomials: list[int], e: list[int], cols: list[list[int]], n: int, lo: int, hi: int, out: list[int]
+) -> list[int]:
+    """out extended by s^(n, k) for k = lo..hi: each a dot product of the
+    held columns 1 and k-1, then one exact division."""
+    # terms[t] = C^(n, m) s^(m, 1) for m = n-lo+1-t, so terms[k-lo:] lines up
+    # with cols[k-2] = [s^(k-1, k-1), ..., s^(n-1, k-1)] = s^(n-m, k-1).
+    terms = [
+        (binomials[2 * m] >> (e[n] - e[m] - e[n - m])) * cols[0][m - 1]
+        for m in range(n - lo + 1, 0, -1)
+    ]
+    for k in range(lo, hi + 1):
+        odd_k = k // (k & -k)
+        # Divided here, not by _exact_quotient, which the reference
+        # s_table_by_series uses: the two routes share no code.
+        q, rem = divmod(sum(map(mul, terms[k - lo :], cols[k - 2])), (2 * k - 1) * odd_k)
+        if rem:
+            raise IntegrityError(f"s({n},{k}) is not an integer")
+        out.append(q)
+    return out
+
+
+def _append_row(rows: list[list[int]], n: int, row: list[int]) -> None:
+    if row[-1] != 1:
+        raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
+    rows.append(row)
 
 
 def _check_triangle(s_rows: list[list[int]], first: int) -> None:

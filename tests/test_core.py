@@ -1,6 +1,9 @@
 """Tests for the exact sequence recurrences and the series-based s-table."""
 
 import hashlib
+import os
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import romik
 from romik import IntegrityError, SequenceCache, s_table_by_series
+from romik import core
 from romik.cache_io import load_cache, store_cache
 from romik.core import StoredValueError, _binomial_row, _truncated_product
 
@@ -358,6 +362,194 @@ class TestNormalizedTable:
         assert waiting.s(4, 2) == cache.s(4, 2)
         with pytest.raises(StoredValueError, match=r"s\(5,5\) = 3, expected 1"):
             waiting.s(6, 1)
+
+
+@contextmanager
+def _reaped_forks():
+    """Yields the list of the children os.fork makes inside; on leaving,
+    even by an exception, checks that each has been reaped.  (Other children of the test process,
+    such as a multiprocessing resource tracker, may outlive the test.)"""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(os, "fork", recorded)
+        try:
+            yield pids
+        finally:
+            for pid in pids:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+
+
+def _build(cache, max_n, split):
+    """cache.build_s_table(max_n) with the split forced: 0 builds in this
+    process alone, K forks a child for columns K+1.. of every new row."""
+    with pytest.MonkeyPatch.context() as patched, _reaped_forks() as pids:
+        patched.setattr(core, "_split_column", lambda first, last: split)
+        try:
+            cache.build_s_table(max_n)
+        finally:
+            assert len(pids) == (split > 0)
+
+
+def _fails(make, max_n, split):
+    """The text of the IntegrityError that a forced-split build of make()
+    raises, and the rows it left held."""
+    cache = make()
+    with pytest.raises(IntegrityError) as caught:
+        _build(cache, max_n, split)
+    return str(caught.value), cache.stored_s_rows()
+
+
+@pytest.fixture(scope="module")
+def split150():
+    """Rows 1..150 built from empty at the split the code picks."""
+    fresh = SequenceCache()
+    with _reaped_forks() as pids:
+        fresh.build_s_table(150)
+    if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
+        assert len(pids) == 1
+    return fresh
+
+
+class TestSplitBuild:
+    """A build may fork a child for the columns past a split; the rows, the
+    first failure and the rows held after it are the serial build's."""
+
+    def test_from_empty_to_150_at_the_picked_split(self, split150):
+        if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
+            assert core._split_column(1, 150) == 26
+        rows = split150.known_s_rows()
+        assert _sha256("\n".join(",".join(map(str, row)) for row in rows)) == S_150_SHA256
+
+    @pytest.mark.parametrize("max_n", [3, 17, 40])
+    @pytest.mark.parametrize("split", [2, 5, -1])
+    def test_forced_splits_match_serial(self, max_n, split):
+        serial, forked = SequenceCache(), SequenceCache()
+        _build(serial, max_n, 0)
+        _build(forked, max_n, max_n - 1 if split < 0 else split)
+        assert forked.stored_s_rows() == serial.stored_s_rows()
+
+    def test_growing_from_held_rows(self):
+        serial, grown = SequenceCache(), SequenceCache()
+        _build(serial, 40, 0)
+        _build(grown, 20, 0)
+        held = list(grown._s_rows)
+        _build(grown, 40, 9)
+        assert all(a is b for a, b in zip(grown._s_rows[:20], held, strict=True))
+        assert grown.stored_s_rows() == serial.stored_s_rows()
+
+    def test_growing_a_cache_with_waiting_rows(self, split150):
+        rows = split150.stored_s_rows()
+        restored = SequenceCache.from_stored(
+            u=split150.known_values("u")[:20], s_rows=iter(rows[:20]), s_count=20
+        )
+        _build(restored, 40, 9)
+        assert restored.stored_s_rows() == rows[:40]
+
+    def test_a_failing_entry_raises_what_the_serial_build_raises(self, cache):
+        rows = [list(row) for row in cache.stored_s_rows()[:10]]
+        rows[9][4] += 1  # passes at row 11, fails exact division further out
+
+        def make():
+            return SequenceCache.from_stored(
+                u=cache.known_values("u")[:10], s_rows=[list(row) for row in rows]
+            )
+
+        text, held = _fails(make, 16, 0)
+        column = int(text.split(",")[1].split(")")[0])
+        splits = range(2, 16)
+        # The failing entry falls in this process's columns and in the child's.
+        assert min(splits) < column <= max(splits)
+        for split in splits:
+            assert _fails(make, 16, split) == (text, held), split
+
+    @pytest.mark.parametrize("child_fails_too", [False, True])
+    def test_a_failing_h_check_raises_what_the_serial_build_raises(self, cache, child_fails_too):
+        u = cache.known_values("u")[:4]
+        u[3] += 1  # h(4) is off by 16, short of 2^E(4) = 2^7
+        rows = [list(row) for row in cache.stored_s_rows()[:3]]
+        if child_fails_too:
+            # s^(3, 2) + 1 moves the sum for s(4, 3) by C^(4, 1) = 7, not a
+            # multiple of 15: with the split at 2 the child fails in row 4 too.
+            rows[2][1] += 1
+            with pytest.raises(IntegrityError, match=r"^s\(4,3\) is not an integer$"):
+                SequenceCache.from_stored(u=u[:3], s_rows=rows).build_s_table(4)
+
+        def make():
+            return SequenceCache.from_stored(u=u, s_rows=[list(row) for row in rows])
+
+        text, held = _fails(make, 8, 0)
+        assert text == "h(4) / 2^7 is not an integer"
+        for split in (2, 3, 5):
+            assert _fails(make, 8, split) == (text, held)
+
+    def test_a_diagonal_other_than_one_raises_what_the_serial_build_raises(self):
+        def make():
+            edited = SequenceCache()
+            edited._u[0] = 3
+            return edited
+
+        text, held = _fails(make, 6, 0)
+        assert text == "s(1,1) = 9, expected 1"
+        for split in (2, 3, 5):
+            assert _fails(make, 6, split) == (text, held)
+
+    def test_an_error_of_its_own_kills_the_child(self, monkeypatch):
+        # The child still waits for rows that will not come, so the build
+        # must kill it to reap it.
+        head = core._head
+
+        def failing(u, e, cols, n, split):
+            if n == 12:
+                raise KeyboardInterrupt
+            return head(u, e, cols, n, split)
+
+        monkeypatch.setattr(core, "_head", failing)
+        with pytest.raises(KeyboardInterrupt):
+            _build(SequenceCache(), 20, 5)
+
+
+class TestForkSelection:
+    """Where a build must not fork, it builds in this process alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_one_cpu(self, split150, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fresh = SequenceCache()
+        fresh.build_s_table(150)
+        assert fresh.stored_s_rows() == split150.stored_s_rows()
+
+    def test_another_thread_alive(self, split150):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            fresh = SequenceCache()
+            fresh.build_s_table(150)
+        finally:
+            release.set()
+            waiter.join()
+        assert fresh.stored_s_rows() == split150.stored_s_rows()
+
+    def test_small_call(self, split150):
+        rows = split150.stored_s_rows()
+        grown = SequenceCache.from_stored(u=split150.known_values("u")[:149], s_rows=rows[:149])
+        grown.build_s_table(150)
+        assert grown.stored_s_rows() == rows
 
 
 class TestResidueReader:
