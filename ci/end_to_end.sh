@@ -115,8 +115,11 @@ python -m romik cache build --dir "$tmp/built90" --max 90
 cmp "$tmp/built90/s.bin" "$tmp/c90/s.bin"
 test "$(cmp -s "$tmp/c/s.bin" "$tmp/c90/s.bin"; echo $?)" -eq 1
 # A build this large forks a child for the later columns of each row when it
-# may run on two CPUs; pinned to one CPU it builds alone.  Both write the same rows.
+# may run on two CPUs; pinned to one CPU it builds alone.  Both write the same
+# u, v, d and rows.
 python -m romik cache build --dir "$tmp/built100" --max 100
 taskset -c 0 python -m romik cache build --dir "$tmp/pinned100" --max 100
-cmp "$tmp/built100/s.bin" "$tmp/pinned100/s.bin"
+for name in u v d s; do
+  cmp "$tmp/built100/$name.bin" "$tmp/pinned100/$name.bin"
+done
 echo "end to end: all checks passed"

@@ -260,11 +260,12 @@ def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
         return 0, counts + [f"SEQ s ROWS {cache.s_bound}"]
     if args.max < 0:
         parser.error("--max must be >= 0")
-    # d(max) returns at once when d.bin already holds 0..max, so a directory
-    # whose s.bin or v.bin fell behind it is topped up by these two calls.
+    # d(max) grows u, the s-table, v and d in one lockstep loop.  It returns
+    # at once when d.bin already holds 0..max, so a directory whose s.bin,
+    # v.bin or u.bin fell behind it is topped up by the three calls after it.
+    cache.d(args.max)
     cache.build_s_table(args.max)
     cache.v(args.max)
-    cache.d(args.max)
     cache.u(args.max)
     return 0, [f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}"]
 

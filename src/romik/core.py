@@ -33,9 +33,10 @@ part of k, the powers of two cancel exactly (E(k) - E(k-1) = 1 + v2(k)):
     s^(n, 1) = h(n) >> E(n),
     (2k-1) odd(k) s^(n, k) = sum_{m=1}^{n-k+1} C^(n, m) s^(m, 1) s^(n-m, k-1).
 
-h(n) is computed once per new row from u, and h(m) for m < n is read back
-as s^(m, 1) from column 1.  That h(n) is a multiple of 2^E(n) is checked:
-a remainder raises IntegrityError, never yields a value.  The shift is
+h(n) is computed once per new row from u, as twice the half of its
+symmetric sum, and h(m) for m < n is read back as s^(m, 1) from column 1.
+That h(n) is a multiple of 2^E(n) is checked: a remainder raises
+IntegrityError, never yields a value.  The shift is
 tight (s^(k, k) = 1), so no larger power is known in general.  E is
 computed from n (``_e``, ``_e_gap``) wherever an entry is shifted, never stored.
 
@@ -71,15 +72,23 @@ remainder) and ``_check_pair`` (the 1 <= k <= n guard).  Two loops divide
 inline: the builder, so that the reference above shares no code with it, and
 the summand step of ``residues.s_mod5_single_index``, which a call slows by 15%.
 
+The tables grow in lockstep: one loop (``build_s_table``) appends, for
+each index n from the first one missing, u(n-1), row n and, for a d(n)
+read, v(n) and d(n), each where it is not held.  u, v and d each have one
+per-index step (``_u_steps``, ``_v_steps``, ``_d_steps``), which the loop
+and the readers run alike.
+
 A build whose new rows carry enough work forks one short-lived child when
 os.fork exists, this process may run on two CPUs or more and no other
-thread is alive (``_split_column``).  This process computes h(n) and
+thread is alive (``_split_column``).  This process computes u, h(n) and
 columns 1..K of each new row and sends s^(n, 1) and s^(n, K), marshalled,
 down a pipe; the child, holding the earlier rows from the fork, computes
-columns K+1..n one row behind and sends them up a second pipe at the end,
-with the text of its first failure if any.  Nothing else crosses.  The
-child leaves through ``os._exit``, and this process reaps it before it
-returns or raises.
+columns K+1..n of row n once row n-1's two have come, and sends them up a
+second pipe as soon as they are done, or the text of its failure.  Nothing
+else crosses.  After its part of row n this process joins, checks and
+appends row n-1, then grows v and d to n-1, while the child works on row
+n.  The child leaves through ``os._exit``, and this process reaps it
+before it returns or raises.
 
 A restored cache may hold its stored rows undecoded: ``from_stored`` takes
 an iterator over them with their count, ``s_bound`` counts them, and each
@@ -97,8 +106,8 @@ import os
 import signal
 import threading
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
-from io import BufferedReader
+from collections.abc import Callable, Iterable, Iterator
+from io import BufferedReader, BufferedWriter
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import lshift, mul
@@ -110,6 +119,12 @@ factorial = functools.cache(math.factorial)
 # _split_column's weights: about 35 ms in one process on a 2-vCPU VM, where
 # the fork, the pipes and the child's columns cost about 5 ms.
 _FORK_WORK = 2 * 10**8
+# The same weights per n^3 of the work only this process does for row n:
+# u(n-1) and h(n), and v(n) and d(n) in lockstep.  Rows 1..150 took about
+# 30, 18 and 330 ms for these two and for columns 2..n, in one process on
+# the same VM.
+_OWN_WORK = 4
+_LOCKSTEP_WORK = 2
 
 
 class IntegrityError(ArithmeticError):
@@ -137,8 +152,10 @@ class SequenceCache:
     The s-table is append-only too: row n is computed once from rows
     1..n-1 and h(n) (see the module docstring), so growing the bound,
     whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
-    one n at a time, only builds the rows not yet held.  A cache restored
-    by ``from_stored`` grows the same way from its loaded rows and u.
+    one n at a time, only builds the rows not yet held.  A d(n) read grows
+    u, the rows, v and d together, index by index (see the module
+    docstring).  A cache restored by ``from_stored`` grows the same way
+    from its loaded rows and u.
     Rows handed over with a count wait in ``_waiting`` until first read:
     ``_restore`` takes them, in order, before any row is built or read.
 
@@ -155,8 +172,9 @@ class SequenceCache:
     built by each ``build_s_table`` call that grows the table and dropped
     when it returns.  Such a call may fork one short-lived child to share
     the new rows' columns, never while another thread is alive: two
-    integers per row go down a pipe to it and its columns come back (see
-    the module docstring); it is reaped before the call returns or raises.
+    integers per row go down a pipe to it and its columns come back row by
+    row (see the module docstring); it is reaped before the call returns or
+    raises.
 
     Growth and the first read of a waiting row write the cache, with no
     lock: share it across threads only once every stored row is taken
@@ -177,44 +195,15 @@ class SequenceCache:
         """u(n) = (3*7*...*(4n-1))^2 - sum_{m<n} C(2n+1, 2m+1) (1*5*...*(4(n-m)-3))^2 u(m)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        u = self._u
-        if len(u) <= n:
-            # squares[i] = (1*5*...*(4i-3))^2; odd3 = 3*7*...*(4j-1), carried with j
-            squares = [1]
-            odd1 = 1
-            for i in range(1, n + 1):
-                odd1 *= 4 * i - 3
-                squares.append(odd1 * odd1)
-            odd3 = prod(range(3, 4 * len(u) - 4, 4))
-            while len(u) <= n:
-                j = len(u)
-                odd3 *= 4 * j - 1
-                # C(2j+1, 2m+1) (1*5*...*(4(j-m)-3))^2 for m = 0..j-1
-                weights = map(mul, _binomial_row(2 * j + 1)[1 : 2 * j : 2], squares[j:0:-1])
-                u.append(odd3 * odd3 - sum(map(mul, weights, u)))
-        return u[n]
+        _step_to(self._u, _u_steps(self._u), n)
+        return self._u[n]
 
     def v(self, n: int) -> int:
-        """v(n) = 2^(n-1) (1*5*...*(4n-3))^2 - (1/2) sum_{0<m<n} C(2n, 2m) v(m) v(n-m).
-
-        The sum is symmetric under m <-> n-m, so its half is the terms
-        m < n/2 plus, for even n, C(2n, n)/2 v(n/2)^2 (C(2n, n) is even).
-        """
+        """v(n) = 2^(n-1) (1*5*...*(4n-3))^2 - (1/2) sum_{0<m<n} C(2n, 2m) v(m) v(n-m)."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        v = self._v
-        if len(v) <= n:
-            odd1 = prod(range(1, 4 * len(v) - 4, 4))  # 1*5*...*(4j-3), carried with j
-            while len(v) <= n:
-                j = len(v)
-                odd1 *= 4 * j - 3
-                binomials = _binomial_row(2 * j)
-                weighted = map(mul, binomials[2:j:2], v[1:j])
-                half = sum(map(mul, weighted, v[j - 1 : 0 : -1]))
-                if j & 1 == 0:
-                    half += (binomials[j] >> 1) * v[j // 2] ** 2
-                v.append((odd1 * odd1 << (j - 1)) - half)
-        return v[n]
+        _step_to(self._v, _v_steps(self._v), n)
+        return self._v[n]
 
     # -- s, r ----------------------------------------------------------
 
@@ -224,31 +213,53 @@ class SequenceCache:
         to be."""
         return len(self._s_rows) + self._pending
 
-    def build_s_table(self, max_n: int) -> None:
+    def build_s_table(self, max_n: int, *, _lockstep: bool = False) -> None:
         """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
-        rows past ``s_bound`` (no-op if already built)."""
+        rows past ``s_bound`` (no-op if already built).  u(n-1) is appended
+        just before row n.  ``d(n)`` enters here with _lockstep set, so that
+        v(n) and d(n) follow row n: from the first index any of u, v, d or
+        the rows lacks, each index appends what is missing of u(n-1), row n,
+        v(n) and d(n), in that order."""
         self._restore(max_n)
-        rows = self._s_rows
+        rows, u, v, d = self._s_rows, self._u, self._v, self._d
         first = len(rows) + 1
+        u_steps = _u_steps(u)
+        after = None
+        if _lockstep:
+            v_steps, d_steps = _v_steps(v), _d_steps(d, v, rows)
+
+            def after(n: int) -> None:  # v(n) and d(n), where not held
+                if len(v) == n:
+                    next(v_steps)
+                if len(d) == n:
+                    next(d_steps)
+
+            for n in range(min(len(v), len(d)), min(first, max_n + 1)):
+                after(n)
         if max_n < first:
             return
-        self.u(max_n - 1)
         e = [_e(m) for m in range(max_n + 1)]
         # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
         # kept for this call only.
         cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
-        split = _split_column(first, max_n)
+        split = _split_column(first, max_n, _lockstep)
         if split:
-            self._build_split(e, cols, first, max_n, split)
-        else:
-            for n in range(first, max_n + 1):
-                _append_row(rows, n, _head(self._u, e, cols, n, n))
+            self._build_split(e, cols, first, max_n, split, u_steps, after)
+            return
+        for n in range(first, max_n + 1):
+            _step_to(u, u_steps, n - 1)
+            _append_row(rows, n, _head(u, e, cols, n, n))
+            if after:
+                after(n)
 
-    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: int) -> None:
+    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: int,
+                     u_steps: Iterator[None], after: Callable[[int], None] | None) -> None:
         """Append rows first..last, columns 1..split computed here and the
-        rest by a forked child (see the module docstring).  Rows are joined
-        and checked in order, so the first entry to fail, in row-major
-        order, raises what the serial build raises."""
+        rest by a forked child (see the module docstring).  Row n - 1 is
+        joined, checked and appended, and ``after(n - 1)`` run, once this
+        process has computed row n's columns, while the child computes the
+        rest of row n.  So the first failure in the serial order raises
+        what the serial build raises and leaves the tables it leaves."""
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -264,43 +275,47 @@ class SequenceCache:
                 os.close(down_w)
                 os.close(up_r)
                 with open(down_r, "rb") as inbox, open(up_w, "wb") as outbox:
-                    outbox.write(marshal.dumps(_tail_rows(e, cols, first, last, split, inbox)))
+                    _tail_rows(e, cols, first, last, split, inbox, outbox)
                 status = 0
             finally:
                 os._exit(status)
         os.close(down_r)
         os.close(up_w)
-        heads = []
-        failed, error = last + 1, None  # the row and error of this process's first failure
+        u = self._u
         with open(down_w, "wb") as outbox, open(up_r, "rb") as inbox:
             try:
-                for n in range(first, last + 1):
-                    try:
-                        heads.append(_head(self._u, e, cols, n, split))
-                    except IntegrityError as exc:
-                        failed, error = n, exc
-                        break
-                    if n < last:
-                        data = marshal.dumps((heads[-1][0], heads[-1][-1]))
-                        outbox.write(len(data).to_bytes(4, "little") + data)
-                        outbox.flush()
-                outbox.close()  # the child's end of input
-                try:
-                    tails, tail_failure = marshal.loads(inbox.read())
-                except (EOFError, ValueError):
-                    raise ChildProcessError(f"s-table child {pid} exited without its columns") from None
+                head: list[int] = []
+                for n in range(first, last + 2):
+                    joined, error, held_u = head, None, len(u)
+                    if n <= last:
+                        _step_to(u, u_steps, n - 1)
+                        try:
+                            head = _head(u, e, cols, n, split)
+                        except IntegrityError as exc:
+                            error = exc  # raised after row n - 1 and d(n - 1)
+                        else:
+                            if n < last:
+                                _send(outbox, (head[0], head[-1]))
+                    if n > first:
+                        tail = _receive(inbox)
+                        if tail is None:
+                            raise ChildProcessError(f"s-table child {pid} exited without row {n - 1}")
+                        try:
+                            if isinstance(tail, str):
+                                raise IntegrityError(tail)
+                            _append_row(self._s_rows, n - 1, joined + tail)
+                            if after:
+                                after(n - 1)
+                        except IntegrityError:
+                            del u[held_u:]  # the serial build appends u(n - 1) after d(n - 1)
+                            raise
+                    if error:
+                        raise error
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
             finally:
                 os.waitpid(pid, 0)
-        bad, text = tail_failure or (last + 1, "")
-        for n in range(first, last + 1):
-            if n == failed:
-                raise error
-            if n == bad:
-                raise IntegrityError(text)
-            _append_row(self._s_rows, n, heads[n - first] + tails[n - first])
 
     def _restore(self, n: int) -> None:
         """Take the waiting stored rows, in order, up to row n, checking
@@ -360,27 +375,16 @@ class SequenceCache:
     # -- d ---------------------------------------------------------------
 
     def d(self, n: int) -> int:
-        """d(n) = v(n) - sum_{k=1}^{n-1} r(n, k) d(k), with d(0) = 1.
+        """d(n) = v(n) - sum_{k=1}^{n-1} r(n, k) d(k), with d(0) = 1, grown
+        in lockstep with the s-table and v (``build_s_table``).
 
         Every value appended to the cache is checked to be odd.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        d = self._d
-        if n >= len(d):
-            self.build_s_table(n)
-            self.v(n)
-            en = [_e(m) + m for m in range(n + 1)]  # en[m] = E(m) + m
-            while len(d) <= n:
-                j = len(d)
-                # r(j, k) d(k) = (s^(j, k) << (E(j) + j - E(k) - k)) d(k) for k = 1..j-1
-                shifts = [en[j] - en[k] for k in range(1, j)]
-                shifted = map(lshift, self._s_rows[j - 1][: j - 1], shifts)
-                val = self.v(j) - sum(map(mul, shifted, d[1:j]))
-                if val & 1 == 0:
-                    raise IntegrityError(f"d({j}) = {val} is even")
-                d.append(val)
-        return d[n]
+        if n >= len(self._d):
+            self.build_s_table(n, _lockstep=True)
+        return self._d[n]
 
     # -- bulk views used by persistence and the verifier ------------------
 
@@ -477,6 +481,68 @@ def _e(n: int) -> int:
     return _e_gap(n, 0)
 
 
+def _step_to(values: list[int], steps: Iterator[None], n: int) -> None:
+    """Advance steps, each of which appends one value, until values holds index n."""
+    while len(values) <= n:
+        next(steps)
+
+
+def _u_steps(u: list[int]) -> Iterator[None]:
+    """Append u(j) for j = len(u), len(u) + 1, ..., one per step, carrying
+    the odd products from one j to the next (see ``SequenceCache.u``)."""
+    # squares[i] = (1*5*...*(4i-3))^2; odd3 = 3*7*...*(4j-1), carried with j
+    squares = [1]
+    odd1 = 1
+    for i in range(1, len(u)):
+        odd1 *= 4 * i - 3
+        squares.append(odd1 * odd1)
+    odd3 = prod(range(3, 4 * len(u) - 4, 4))
+    while True:
+        j = len(u)
+        odd1 *= 4 * j - 3
+        squares.append(odd1 * odd1)
+        odd3 *= 4 * j - 1
+        # C(2j+1, 2m+1) (1*5*...*(4(j-m)-3))^2 for m = 0..j-1
+        weights = map(mul, _binomial_row(2 * j + 1)[1 : 2 * j : 2], squares[j:0:-1])
+        u.append(odd3 * odd3 - sum(map(mul, weights, u)))
+        yield
+
+
+def _v_steps(v: list[int]) -> Iterator[None]:
+    """Append v(j) for j = len(v), len(v) + 1, ..., one per step (see
+    ``SequenceCache.v``).  The sum is symmetric under m <-> j-m, so its half
+    is the terms m < j/2 plus, for even j, C(2j, j)/2 v(j/2)^2 (C(2j, j) is
+    even)."""
+    odd1 = prod(range(1, 4 * len(v) - 4, 4))  # 1*5*...*(4j-3), carried with j
+    while True:
+        j = len(v)
+        odd1 *= 4 * j - 3
+        binomials = _binomial_row(2 * j)
+        weighted = map(mul, binomials[2:j:2], v[1:j])
+        half = sum(map(mul, weighted, v[j - 1 : 0 : -1]))
+        if j & 1 == 0:
+            half += (binomials[j] >> 1) * v[j // 2] ** 2
+        v.append((odd1 * odd1 << (j - 1)) - half)
+        yield
+
+
+def _d_steps(d: list[int], v: list[int], rows: list[list[int]]) -> Iterator[None]:
+    """Append d(j) for j = len(d), len(d) + 1, ..., one per step, each from
+    v(j) and the held row j (see ``SequenceCache.d``), checked odd."""
+    en = [_e(m) + m for m in range(len(d))]  # en[m] = E(m) + m
+    while True:
+        j = len(d)
+        en.append(_e(j) + j)
+        # r(j, k) d(k) = (s^(j, k) << (E(j) + j - E(k) - k)) d(k) for k = 1..j-1
+        shifts = [en[j] - x for x in en[1:j]]
+        shifted = map(lshift, rows[j - 1][: j - 1], shifts)
+        val = v[j] - sum(map(mul, shifted, d[1:j]))
+        if val & 1 == 0:
+            raise IntegrityError(f"d({j}) = {val} is even")
+        d.append(val)
+        yield
+
+
 def _binomial_row(n: int) -> list[int]:
     """[C(n, 0), C(n, 1), ..., C(n, n)], built multiplicatively up to the
     middle and mirrored."""
@@ -486,12 +552,15 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n + 1 - len(half)][::-1]
 
 
-def _split_column(first: int, last: int) -> int:
+def _split_column(first: int, last: int, lockstep: bool) -> int:
     """The last column this process computes of rows first..last when a
     forked child computes the rest, or 0 to build them here alone.  Entry
     (n, k), k >= 2, is weighed (n - k + 1)^2 n: n - k + 1 products of
-    numbers whose length grows with n.  The split leaves this process the
-    share closest to one half."""
+    numbers whose length grows with n.  The work only this process does is
+    weighed per row too: u(n-1) and h(n) at _OWN_WORK n^3 (about n products
+    of numbers of length about n), and v(n) and d(n), when they grow in
+    lockstep with the row, at _LOCKSTEP_WORK n^3.  The split leaves this
+    process the share, of all of it, closest to one half."""
 
     def share(k: int) -> int:  # the weight of columns 2..k, by sum_{i<=j} i^2 = sq(j)
         return sum(n * (sq(n - 1) - sq(max(n - k, 0))) for n in range(first, last + 1))
@@ -504,8 +573,11 @@ def _split_column(first: int, last: int) -> int:
         return 0
     if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
         return 0  # a fork copies only the calling thread
-    k = bisect_left(range(2, last + 1), total, key=lambda k: 2 * share(k)) + 2
-    if k > 2 and total - 2 * share(k - 1) < 2 * share(k) - total:
+    # This process carries own + share(k) and the child total - share(k).
+    own = (_OWN_WORK + _LOCKSTEP_WORK * lockstep) * sum(n**3 for n in range(first, last + 1))
+    target = total - own
+    k = bisect_left(range(2, last + 1), target, key=lambda k: 2 * share(k)) + 2
+    if k > 2 and target - 2 * share(k - 1) < 2 * share(k) - target:
         return k - 1
     return k
 
@@ -515,8 +587,13 @@ def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int)
     which it extends by them."""
     binomials = _binomial_row(2 * n)
     # f has m! [z^m] f = u((m-1)/2) for odd m, so h(n) is the binomial
-    # convolution of u with itself over odd indices.
-    h = sum(map(mul, map(mul, binomials[1 : 2 * n : 2], u), u[n - 1 :: -1]))
+    # convolution sum_i C(2n, 2i+1) u(i) u(n-1-i) over i = 0..n-1.  It is
+    # symmetric under i <-> n-1-i: twice the terms i < (n-1)/2, plus for odd
+    # n the middle term C(2n, n) u((n-1)/2)^2.
+    half = n // 2
+    h = sum(map(mul, map(mul, binomials[1 : 2 * half : 2], u), u[n - 1 :: -1])) << 1
+    if n & 1:
+        h += binomials[n] * u[half] ** 2
     first = h >> e[n]
     if first << e[n] != h:
         raise IntegrityError(f"h({n}) / 2^{e[n]} is not an integer")
@@ -527,39 +604,48 @@ def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int)
     return head
 
 
-def _tail_rows(
-    e: list[int], cols: list[list[int]], first: int, last: int, split: int, inbox: BufferedReader
-) -> tuple[list[list[int]], tuple[int, str] | None]:
-    """The child's columns split+1..n of rows n = first.., row n once
-    s^(n-1, 1) and s^(n-1, split) have come from inbox.  Returns them and
-    None, or the rows before the first that fails and (n, the error's text).
-    Reads inbox to its end even past a failure, so the caller never waits
-    on a full pipe."""
-    tails: list[list[int]] = []
-    failure = None
+def _tail_rows(e: list[int], cols: list[list[int]], first: int, last: int, split: int,
+               inbox: BufferedReader, outbox: BufferedWriter) -> None:
+    """The child's columns split+1..n of rows n = first..last, each row
+    sent up outbox as soon as it is done, and computed once s^(n-1, 1) and
+    s^(n-1, split) have come from inbox.  A failing row is sent as its
+    error's text instead, and inbox is then read to its end, so that the
+    caller never writes to a closed pipe."""
     for n in range(first, last + 1):
         if n > first:
-            size = inbox.read(4)
-            if not size:  # the caller stopped at row n - 1
-                break
-            one, at_split = marshal.loads(inbox.read(int.from_bytes(size, "little")))
+            received = _receive(inbox)
+            if received is None:  # the caller stopped at row n - 1
+                return
+            one, at_split = received
             cols[0].append(one)
             if n > split:
                 cols[split - 1].append(at_split)
         cols.append([])
-        if failure:
-            continue
         tail: list[int] = []
         if n > split:
             try:
                 _entries(_binomial_row(2 * n), e, cols, n, split + 1, n, tail)
             except IntegrityError as exc:
-                failure = n, str(exc)
-                continue
+                _send(outbox, str(exc))
+                inbox.read()
+                return
             for col, x in zip(cols[split:], tail):
                 col.append(x)
-        tails.append(tail)
-    return tails, failure
+        _send(outbox, tail)
+
+
+def _send(outbox: BufferedWriter, value: object) -> None:
+    """Write value, marshalled after its 4-byte length, and flush."""
+    data = marshal.dumps(value)
+    outbox.write(len(data).to_bytes(4, "little") + data)
+    outbox.flush()
+
+
+def _receive(inbox: BufferedReader) -> object:
+    """The next value ``_send`` wrote, or None if the pipe ends first."""
+    size = int.from_bytes(inbox.read(4), "little")
+    data = inbox.read(size)
+    return marshal.loads(data) if size and len(data) == size else None
 
 
 def _entries(

@@ -2,10 +2,11 @@
 
 import fcntl
 import hashlib
-import multiprocessing
 import os
 import random
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 from contextlib import ExitStack
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import romik
 from romik import SequenceCache, cache_io
 from romik.cache_io import (
     CacheFormatError,
@@ -640,20 +642,29 @@ class TestAppendOnly:
         directory = tmp_path / "cache"
         assert main(["cache", "build", "--dir", str(directory), "--max", "12"]) == 0
         before = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
-        argvs = [["verify", "--suite", "sums", "--max", str(n), "--cache-dir", str(directory)]
-                 for n in (36, 48)]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(2) as pool:
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(romik.__file__))}
+        with ExitStack() as running:
+            writers = []
+            for n in (36, 48):
+                argv = ["verify", "--suite", "sums", "--max", str(n), "--cache-dir", str(directory)]
+                writer = running.enter_context(subprocess.Popen(
+                    [sys.executable, "-m", "romik", *argv],
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+                ))
+                running.callback(writer.kill)  # a no-op once it has exited
+                writers.append(writer)
             with ExitStack() as held:
                 for name in before:  # loads may go on; every store must wait
                     handle = held.enter_context(open(directory / name, "rb"))
                     fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
-                result = pool.map_async(main, argvs, chunksize=1)
-                result.wait(timeout=2)
-                assert not result.ready()
+                with pytest.raises(subprocess.TimeoutExpired):
+                    writers[0].wait(timeout=2)
+                assert writers[1].poll() is None
                 assert {name: (directory / name).read_bytes() for name in before} == before
             # Released: both stores now contend for each file's lock.
-            assert result.get(timeout=120) == [0, 0]
+            for writer in writers:
+                _, err = writer.communicate(timeout=120)
+                assert writer.returncode == 0, err
         loaded = load_cache(str(directory))
         bulk = _bulk(48)
         assert loaded.s_bound == 48

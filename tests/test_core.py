@@ -118,17 +118,30 @@ class TestSequences:
         assert grown.known_values("v") == v_ref
 
     def test_a_d_read_grows_v_once(self, monkeypatch):
-        extending = []
-        read = SequenceCache.v
+        # d(40) grows v inside its one lockstep build, by one run of v's step
+        # (its odd product carried from index to index), never through v().
+        started = []
+        steps = core._v_steps
 
-        def spy(self, n):
-            if n >= len(self._v):
-                extending.append(n)
-            return read(self, n)
+        def spy(v):
+            started.append(len(v))
+            return steps(v)
 
-        monkeypatch.setattr(SequenceCache, "v", spy)
-        SequenceCache().d(40)
-        assert extending == [40]
+        def reader(self, n):
+            raise AssertionError("v() called")
+
+        monkeypatch.setattr(core, "_v_steps", spy)
+        monkeypatch.setattr(SequenceCache, "v", reader)
+        fresh = SequenceCache()
+        fresh.d(40)
+        assert started == [1]
+        assert fresh.known_count("v") == 41
+
+    def test_an_s_table_build_grows_neither_v_nor_d(self):
+        fresh = SequenceCache()
+        fresh.build_s_table(40)
+        assert [fresh.known_count(name) for name in "uvd"] == [40, 1, 1]
+        assert fresh.s_bound == 40
 
     def test_known_count_is_length_of_known_values(self, cache):
         for name in "uvd":
@@ -367,8 +380,8 @@ class TestNormalizedTable:
 @contextmanager
 def _reaped_forks():
     """Yields the list of the children os.fork makes inside; on leaving,
-    even by an exception, checks that each has been reaped.  (Other children of the test process,
-    such as a multiprocessing resource tracker, may outlive the test.)"""
+    even by an exception, checks that each has been reaped and that this
+    process has no child left at all."""
     pids = []
     fork = os.fork
 
@@ -383,29 +396,39 @@ def _reaped_forks():
         try:
             yield pids
         finally:
-            for pid in pids:
+            for pid in [*pids, -1]:
                 with pytest.raises(ChildProcessError):
                     os.waitpid(pid, os.WNOHANG)
 
 
-def _build(cache, max_n, split):
-    """cache.build_s_table(max_n) with the split forced: 0 builds in this
-    process alone, K forks a child for columns K+1.. of every new row."""
+def _build(grow, max_n, split):
+    """grow(max_n), cache.build_s_table or cache.d, with the split forced:
+    0 builds in this process alone, K forks a child for columns K+1.. of
+    every new row."""
     with pytest.MonkeyPatch.context() as patched, _reaped_forks() as pids:
-        patched.setattr(core, "_split_column", lambda first, last: split)
+        patched.setattr(core, "_split_column", lambda first, last, lockstep: split)
         try:
-            cache.build_s_table(max_n)
+            grow(max_n)
         finally:
             assert len(pids) == (split > 0)
 
 
-def _fails(make, max_n, split):
-    """The text of the IntegrityError that a forced-split build of make()
-    raises, and the rows it left held."""
+def _tables(cache):
+    """Everything the cache holds: its s rows as held, then u, v and d."""
+    return cache.stored_s_rows(), *(cache.known_values(name) for name in "uvd")
+
+
+def _fails(make, max_n, split, read="build_s_table"):
+    """The text of the IntegrityError that a forced-split build of make(),
+    through its method read, raises, and the tables it left held."""
     cache = make()
     with pytest.raises(IntegrityError) as caught:
-        _build(cache, max_n, split)
-    return str(caught.value), cache.stored_s_rows()
+        _build(getattr(cache, read), max_n, split)
+    return str(caught.value), _tables(cache)
+
+
+def _can_split():
+    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
 
 
 @pytest.fixture(scope="module")
@@ -414,35 +437,36 @@ def split150():
     fresh = SequenceCache()
     with _reaped_forks() as pids:
         fresh.build_s_table(150)
-    if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
+    if _can_split():
         assert len(pids) == 1
     return fresh
 
 
 class TestSplitBuild:
     """A build may fork a child for the columns past a split; the rows, the
-    first failure and the rows held after it are the serial build's."""
+    first failure and the tables held after it are the serial build's."""
 
     def test_from_empty_to_150_at_the_picked_split(self, split150):
-        if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
-            assert core._split_column(1, 150) == 26
+        if _can_split():
+            assert core._split_column(1, 150, False) == 23
         rows = split150.known_s_rows()
         assert _sha256("\n".join(",".join(map(str, row)) for row in rows)) == S_150_SHA256
+        assert split150.known_count("v") == split150.known_count("d") == 1
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
     @pytest.mark.parametrize("split", [2, 5, -1])
     def test_forced_splits_match_serial(self, max_n, split):
         serial, forked = SequenceCache(), SequenceCache()
-        _build(serial, max_n, 0)
-        _build(forked, max_n, max_n - 1 if split < 0 else split)
-        assert forked.stored_s_rows() == serial.stored_s_rows()
+        _build(serial.build_s_table, max_n, 0)
+        _build(forked.build_s_table, max_n, max_n - 1 if split < 0 else split)
+        assert _tables(forked) == _tables(serial)
 
     def test_growing_from_held_rows(self):
         serial, grown = SequenceCache(), SequenceCache()
-        _build(serial, 40, 0)
-        _build(grown, 20, 0)
+        _build(serial.build_s_table, 40, 0)
+        _build(grown.build_s_table, 20, 0)
         held = list(grown._s_rows)
-        _build(grown, 40, 9)
+        _build(grown.build_s_table, 40, 9)
         assert all(a is b for a, b in zip(grown._s_rows[:20], held, strict=True))
         assert grown.stored_s_rows() == serial.stored_s_rows()
 
@@ -451,7 +475,7 @@ class TestSplitBuild:
         restored = SequenceCache.from_stored(
             u=split150.known_values("u")[:20], s_rows=iter(rows[:20]), s_count=20
         )
-        _build(restored, 40, 9)
+        _build(restored.build_s_table, 40, 9)
         assert restored.stored_s_rows() == rows[:40]
 
     def test_a_failing_entry_raises_what_the_serial_build_raises(self, cache):
@@ -514,7 +538,7 @@ class TestSplitBuild:
 
         monkeypatch.setattr(core, "_head", failing)
         with pytest.raises(KeyboardInterrupt):
-            _build(SequenceCache(), 20, 5)
+            _build(SequenceCache().build_s_table, 20, 5)
 
 
 class TestForkSelection:
@@ -550,6 +574,110 @@ class TestForkSelection:
         grown = SequenceCache.from_stored(u=split150.known_values("u")[:149], s_rows=rows[:149])
         grown.build_s_table(150)
         assert grown.stored_s_rows() == rows
+
+
+@pytest.fixture(scope="module")
+def lockstep150():
+    """u, v, d and the rows to 150, grown by d(150) from empty at the split
+    the code picks."""
+    fresh = SequenceCache()
+    with _reaped_forks() as pids:
+        fresh.d(150)
+    if _can_split():
+        assert len(pids) == 1
+    return fresh
+
+
+class TestLockstepBuild:
+    """d(n) grows u, the rows, v and d in one loop, split or not: u(n-1),
+    row n, v(n), d(n) in that order, and a failure raises and leaves what
+    the serial loop raises and leaves."""
+
+    def test_from_empty_to_150_at_the_picked_split(self, lockstep150):
+        if _can_split():
+            assert core._split_column(1, 150, True) == 21
+        serial = SequenceCache()
+        _build(serial.d, 150, 0)
+        assert _tables(lockstep150) == _tables(serial)
+        assert [lockstep150.known_count(name) for name in "uvd"] == [150, 151, 151]
+        assert _sha256(",".join(map(str, lockstep150.known_values("d")))) == D_150_SHA256
+
+    @pytest.mark.parametrize("max_n", [3, 17, 40])
+    @pytest.mark.parametrize("split", [2, 5, -1])
+    def test_forced_splits_match_serial(self, max_n, split):
+        serial, forked = SequenceCache(), SequenceCache()
+        _build(serial.d, max_n, 0)
+        _build(forked.d, max_n, max_n - 1 if split < 0 else split)
+        assert _tables(forked) == _tables(serial)
+
+    @pytest.mark.parametrize("split", [0, 9])
+    @pytest.mark.parametrize("v_to, d_to", [(20, 20), (14, 10), (10, 14)])
+    def test_growing_a_restored_cache(self, lockstep150, split, v_to, d_to):
+        # v and d may lag the 20 restored rows, and either may lag the other.
+        rows = lockstep150.stored_s_rows()
+        restored = SequenceCache.from_stored(
+            u=lockstep150.known_values("u")[:20],
+            v=lockstep150.known_values("v")[: v_to + 1],
+            d=lockstep150.known_values("d")[: d_to + 1],
+            s_rows=iter(rows[:20]),
+            s_count=20,
+        )
+        _build(restored.d, 40, split)
+        grown = rows[:40], *(lockstep150.known_values(name)[:n] for name, n in zip("uvd", (40, 41, 41)))
+        assert _tables(restored) == grown
+
+    def test_a_planted_even_d_raises_what_the_serial_loop_raises(self, lockstep150):
+        v = lockstep150.known_values("v")[:41]
+        v[12] += 1  # d(12) = v(12) - (even terms) comes out even
+
+        def make():
+            return SequenceCache.from_stored(v=v)
+
+        text, held = _fails(make, 20, 0, "d")
+        assert text.startswith("d(12) = ") and text.endswith(" is even")
+        rows, u, v_held, d = held
+        # Row 12 and v(12) precede d(12); u(12) and row 13 follow it.
+        assert (len(rows), len(u), len(v_held), len(d)) == (12, 12, 41, 12)
+        for split in range(2, 20):
+            assert _fails(make, 20, split, "d") == (text, held), split
+
+    def test_a_failing_h_check_after_an_even_d(self, cache):
+        # u(3) + 1 fails the check of h(4), and v(3) + 1 makes d(3) even,
+        # which comes first: this process's own failure in row 4 waits.
+        u = cache.known_values("u")[:4]
+        u[3] += 1
+        v = cache.known_values("v")[:9]
+        v[3] += 1
+
+        def make():
+            return SequenceCache.from_stored(u=u, v=v)
+
+        text, held = _fails(make, 8, 0, "d")
+        assert text.startswith("d(3) = ") and text.endswith(" is even")
+        for split in (2, 3, 5):
+            assert _fails(make, 8, split, "d") == (text, held)
+
+    def test_a_failing_entry_after_an_even_d(self, cache):
+        # The edited s^(10, 5) fails exact division in a later row; v edited
+        # one index below that row makes d there even, and that comes first.
+        rows = [list(row) for row in cache.stored_s_rows()[:10]]
+        rows[9][4] += 1
+
+        def make(v=None):
+            return SequenceCache.from_stored(
+                u=cache.known_values("u")[:10], v=v, s_rows=[list(row) for row in rows]
+            )
+
+        text, _ = _fails(make, 16, 0, "d")
+        row = int(text.split("(")[1].split(",")[0])
+        fresh = SequenceCache()
+        fresh.v(16)
+        v = fresh.known_values("v")
+        v[row - 1] += 1
+        text, held = _fails(lambda: make(v), 16, 0, "d")
+        assert text.startswith(f"d({row - 1}) = ") and text.endswith(" is even")
+        for split in range(2, 16):
+            assert _fails(lambda: make(v), 16, split, "d") == (text, held), split
 
 
 class TestResidueReader:
@@ -621,9 +749,9 @@ class TestSequenceResidues:
         calls = []
         build = SequenceCache.build_s_table
 
-        def spy(self, max_n):
+        def spy(self, max_n, **lockstep):
             calls.append(max_n)
-            build(self, max_n)
+            build(self, max_n, **lockstep)
 
         monkeypatch.setattr(SequenceCache, "build_s_table", spy)
         assert fresh.residues("d", 7, 20) == [x % 7 for x in cache.known_values("d")[:21]]
