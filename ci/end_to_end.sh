@@ -122,4 +122,15 @@ taskset -c 0 python -m romik cache build --dir "$tmp/pinned100" --max 100
 for name in u v d s; do
   cmp "$tmp/built100/$name.bin" "$tmp/pinned100/$name.bin"
 done
+# Rows 61..120 grown over 60 held rows split each row at a column that
+# moves with n.  The grown files keep a segment boundary at row 60, so they
+# are compared through a load/store round trip with a one-CPU build.
+python -m romik cache build --dir "$tmp/grown120" --max 60
+python -m romik cache build --dir "$tmp/grown120" --max 120
+python -W error -c 'import sys; from romik.cache_io import load_cache, store_cache; store_cache(sys.argv[2], load_cache(sys.argv[1]))' \
+       "$tmp/grown120" "$tmp/copied120"
+taskset -c 0 python -m romik cache build --dir "$tmp/pinned120" --max 120
+for name in u v d s; do
+  cmp "$tmp/copied120/$name.bin" "$tmp/pinned120/$name.bin"
+done
 echo "end to end: all checks passed"

@@ -80,12 +80,16 @@ and the readers run alike.
 
 A build whose new rows carry enough work forks one short-lived child when
 os.fork exists, this process may run on two CPUs or more and no other
-thread is alive (``_split_column``).  This process computes u, h(n) and
-columns 1..K of each new row and sends s^(n, 1) and s^(n, K), marshalled,
-down a pipe; the child, holding the earlier rows from the fork, computes
-columns K+1..n of row n once row n-1's two have come, and sends them up a
-second pipe as soon as they are done, or the text of its failure.  Nothing
-else crosses.  After its part of row n this process joins, checks and
+thread is alive (``_split_column``, which also sets each new row's
+boundary K(n), never moving back and at most one column a row).  This
+process computes u, h(n) and columns 1..K(n) of row n and sends s^(n, 1)
+and s^(n, K(n)), marshalled, down a pipe; the child, holding the earlier
+rows from the fork, computes columns K(n)+1..n once row n-1's two have
+come, and sends them up a second pipe as soon as they are done, or the
+text of its failure.  Nothing else crosses.  Where K(n) = K(n-1) + 1,
+column K(n) passes from the child, which computed it below row n, to this
+process, which first indexes column K(n-1) again from the joined rows and
+row n-1's columns.  After its part of row n this process joins, checks and
 appends row n-1, then grows v and d to n-1, while the child works on row
 n.  The child leaves through ``os._exit``, and this process reaps it
 before it returns or raises.
@@ -105,7 +109,6 @@ import math
 import os
 import signal
 import threading
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from io import BufferedReader, BufferedWriter
 from itertools import islice
@@ -173,7 +176,8 @@ class SequenceCache:
     when it returns.  Such a call may fork one short-lived child to share
     the new rows' columns, never while another thread is alive: two
     integers per row go down a pipe to it and its columns come back row by
-    row (see the module docstring); it is reaped before the call returns or
+    row, split at a boundary that moves with the row, a column at a time
+    (see the module docstring); it is reaped before the call returns or
     raises.
 
     Growth and the first read of a waiting row write the cache, with no
@@ -252,14 +256,15 @@ class SequenceCache:
             if after:
                 after(n)
 
-    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: int,
+    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: list[int],
                      u_steps: Iterator[None], after: Callable[[int], None] | None) -> None:
-        """Append rows first..last, columns 1..split computed here and the
-        rest by a forked child (see the module docstring).  Row n - 1 is
-        joined, checked and appended, and ``after(n - 1)`` run, once this
-        process has computed row n's columns, while the child computes the
-        rest of row n.  So the first failure in the serial order raises
-        what the serial build raises and leaves the tables it leaves."""
+        """Append rows first..last, columns 1..split[n - first] of row n
+        computed here and the rest by a forked child (see the module
+        docstring).  Row n - 1 is joined, checked and appended, and
+        ``after(n - 1)`` run, once this process has computed row n's
+        columns, while the child computes the rest of row n.  So the first
+        failure in the serial order raises what the serial build raises and
+        leaves the tables it leaves."""
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -275,7 +280,7 @@ class SequenceCache:
                 os.close(down_w)
                 os.close(up_r)
                 with open(down_r, "rb") as inbox, open(up_w, "wb") as outbox:
-                    _tail_rows(e, cols, first, last, split, inbox, outbox)
+                    _tail_rows(e, cols, first, split, inbox, outbox)
                 status = 0
             finally:
                 os._exit(status)
@@ -289,8 +294,14 @@ class SequenceCache:
                     joined, error, held_u = head, None, len(u)
                     if n <= last:
                         _step_to(u, u_steps, n - 1)
+                        k = split[n - first]
+                        if n > first and split[n - first - 1] < k <= n:
+                            # Column k changes hands: index column k - 1 from rows 1..n-2
+                            # held, the child's part joined, and row n - 1's head.
+                            held = self._s_rows[k - 2 :]
+                            cols[k - 2] = [row[k - 2] for row in held] + joined[k - 2 : k - 1]
                         try:
-                            head = _head(u, e, cols, n, split)
+                            head = _head(u, e, cols, n, k)
                         except IntegrityError as exc:
                             error = exc  # raised after row n - 1 and d(n - 1)
                         else:
@@ -552,34 +563,34 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n + 1 - len(half)][::-1]
 
 
-def _split_column(first: int, last: int, lockstep: bool) -> int:
-    """The last column this process computes of rows first..last when a
-    forked child computes the rest, or 0 to build them here alone.  Entry
-    (n, k), k >= 2, is weighed (n - k + 1)^2 n: n - k + 1 products of
-    numbers whose length grows with n.  The work only this process does is
-    weighed per row too: u(n-1) and h(n) at _OWN_WORK n^3 (about n products
-    of numbers of length about n), and v(n) and d(n), when they grow in
-    lockstep with the row, at _LOCKSTEP_WORK n^3.  The split leaves this
-    process the share, of all of it, closest to one half."""
+def _split_column(first: int, last: int, lockstep: bool) -> list[int]:
+    """K(n) for n = first..last, the last column this process computes of
+    row n when a forked child computes the rest, or [] to build them here
+    alone.  Entry (n, k), k >= 2, is weighed (n - k + 1)^2 n: n - k + 1
+    products of numbers whose length grows with n.  The work only this
+    process does is weighed per row too: u(n-1) and h(n) at _OWN_WORK n^3
+    (about n products of numbers of length about n), and v(n) and d(n),
+    when they grow in lockstep with the row, at _LOCKSTEP_WORK n^3.  K(n)
+    leaves this process the share of row n closest to one half, among
+    1..n for the first row and K(n-1), K(n-1) + 1 after it, so that the
+    boundary never moves back and moves at most one column a row."""
 
-    def share(k: int) -> int:  # the weight of columns 2..k, by sum_{i<=j} i^2 = sq(j)
-        return sum(n * (sq(n - 1) - sq(max(n - k, 0))) for n in range(first, last + 1))
-
-    def sq(j: int) -> int:
+    def sq(j: int) -> int:  # sum_{i<=j} i^2
         return j * (j + 1) * (2 * j + 1) // 6
 
-    total = share(last)
+    # Columns 2..n of row n weigh n sq(n - 1), columns k+1..n the child's n sq(n - k).
+    total = sum(n * sq(n - 1) for n in range(first, last + 1))
     if total < _FORK_WORK or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
+        return []
     if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
-        return 0  # a fork copies only the calling thread
-    # This process carries own + share(k) and the child total - share(k).
-    own = (_OWN_WORK + _LOCKSTEP_WORK * lockstep) * sum(n**3 for n in range(first, last + 1))
-    target = total - own
-    k = bisect_left(range(2, last + 1), target, key=lambda k: 2 * share(k)) + 2
-    if k > 2 and target - 2 * share(k - 1) < 2 * share(k) - target:
-        return k - 1
-    return k
+        return []  # a fork copies only the calling thread
+    own = _OWN_WORK + _LOCKSTEP_WORK * lockstep
+    split: list[int] = []
+    for n in range(first, last + 1):
+        ks = (split[-1], split[-1] + 1) if split else range(1, n + 1)
+        # this process's share less the child's, over n
+        split.append(min(ks, key=lambda k: abs(own * n * n + sq(n - 1) - 2 * sq(n - k))))
+    return split
 
 
 def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int) -> list[int]:
@@ -604,32 +615,33 @@ def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int)
     return head
 
 
-def _tail_rows(e: list[int], cols: list[list[int]], first: int, last: int, split: int,
+def _tail_rows(e: list[int], cols: list[list[int]], first: int, split: list[int],
                inbox: BufferedReader, outbox: BufferedWriter) -> None:
-    """The child's columns split+1..n of rows n = first..last, each row
-    sent up outbox as soon as it is done, and computed once s^(n-1, 1) and
-    s^(n-1, split) have come from inbox.  A failing row is sent as its
-    error's text instead, and inbox is then read to its end, so that the
-    caller never writes to a closed pipe."""
-    for n in range(first, last + 1):
+    """The child's columns K+1..n of rows n = first, first + 1, ..., with
+    K = split[n - first], each row sent up outbox as soon as it is done,
+    and computed once s^(n-1, 1) and s^(n-1, K(n-1)) have come from inbox.
+    A failing row is sent as its error's text instead, and inbox is then
+    read to its end, so that the caller never writes to a closed pipe."""
+    for n, k in enumerate(split, first):
         if n > first:
             received = _receive(inbox)
             if received is None:  # the caller stopped at row n - 1
                 return
             one, at_split = received
             cols[0].append(one)
-            if n > split:
-                cols[split - 1].append(at_split)
+            column = min(n - 1, split[n - first - 1])
+            if column > 1:
+                cols[column - 1].append(at_split)
         cols.append([])
         tail: list[int] = []
-        if n > split:
+        if n > k:
             try:
-                _entries(_binomial_row(2 * n), e, cols, n, split + 1, n, tail)
+                _entries(_binomial_row(2 * n), e, cols, n, k + 1, n, tail)
             except IntegrityError as exc:
                 _send(outbox, str(exc))
                 inbox.read()
                 return
-            for col, x in zip(cols[split:], tail):
+            for col, x in zip(cols[k:], tail):
                 col.append(x)
         _send(outbox, tail)
 
@@ -653,6 +665,8 @@ def _entries(
 ) -> list[int]:
     """out extended by s^(n, k) for k = lo..hi: each a dot product of the
     held columns 1 and k-1, then one exact division."""
+    if lo > hi:
+        return out
     # terms[t] = C^(n, m) s^(m, 1) for m = n-lo+1-t, so terms[k-lo:] lines up
     # with cols[k-2] = [s^(k-1, k-1), ..., s^(n-1, k-1)] = s^(n-m, k-1).
     terms = [

@@ -404,13 +404,45 @@ def _reaped_forks():
 def _build(grow, max_n, split):
     """grow(max_n), cache.build_s_table or cache.d, with the split forced:
     0 builds in this process alone, K forks a child for columns K+1.. of
-    every new row."""
+    every new row, and a schedule, a function, gives K(n) = split(n, first)
+    for each new row n, first the first of them."""
+
+    def schedule(first, last, lockstep):
+        if callable(split):
+            return [split(n, first) for n in range(first, last + 1)]
+        return [split] * (last - first + 1) if split else []
+
     with pytest.MonkeyPatch.context() as patched, _reaped_forks() as pids:
-        patched.setattr(core, "_split_column", lambda first, last, lockstep: split)
+        patched.setattr(core, "_split_column", schedule)
         try:
             grow(max_n)
         finally:
-            assert len(pids) == (split > 0)
+            assert len(pids) == (split != 0)
+
+
+def _every_row(n, first):
+    """The boundary from column 1 on the first new row, one column on at every row."""
+    return n - first + 1
+
+
+def _every_other_row(n, first):
+    """The boundary from column 1 on the first new row, one column on at every other row."""
+    return 1 + (n - first) // 2
+
+
+def _moving(k, at):
+    """The boundary at column k, one column on at row at - 1 and one more at row at."""
+    return lambda n, first: k + min(2, max(0, n - at + 2))
+
+
+MOVING = [pytest.param(_every_row, id="every-row"), pytest.param(_every_other_row, id="every-other-row")]
+
+
+def _check_schedule(split, first, last):
+    """split is K(first..last): within 1..n, never back, at most one column a row."""
+    assert len(split) == last - first + 1
+    assert all(1 <= k <= n for n, k in enumerate(split, first))
+    assert all(b - a in (0, 1) for a, b in zip(split, split[1:]))
 
 
 def _tables(cache):
@@ -448,35 +480,40 @@ class TestSplitBuild:
 
     def test_from_empty_to_150_at_the_picked_split(self, split150):
         if _can_split():
-            assert core._split_column(1, 150, False) == 23
+            split = core._split_column(1, 150, False)
+            _check_schedule(split, 1, 150)
+            assert (split[0], split[-1]) == (1, 29)
         rows = split150.known_s_rows()
         assert _sha256("\n".join(",".join(map(str, row)) for row in rows)) == S_150_SHA256
         assert split150.known_count("v") == split150.known_count("d") == 1
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
-    @pytest.mark.parametrize("split", [2, 5, -1])
+    @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
     def test_forced_splits_match_serial(self, max_n, split):
         serial, forked = SequenceCache(), SequenceCache()
         _build(serial.build_s_table, max_n, 0)
-        _build(forked.build_s_table, max_n, max_n - 1 if split < 0 else split)
+        _build(forked.build_s_table, max_n, max_n - 1 if split == -1 else split)
         assert _tables(forked) == _tables(serial)
 
     def test_growing_from_held_rows(self):
-        serial, grown = SequenceCache(), SequenceCache()
+        serial = SequenceCache()
         _build(serial.build_s_table, 40, 0)
-        _build(grown.build_s_table, 20, 0)
-        held = list(grown._s_rows)
-        _build(grown.build_s_table, 40, 9)
-        assert all(a is b for a, b in zip(grown._s_rows[:20], held, strict=True))
-        assert grown.stored_s_rows() == serial.stored_s_rows()
+        for split in (9, _every_row, _every_other_row):
+            grown = SequenceCache()
+            _build(grown.build_s_table, 20, 0)
+            held = list(grown._s_rows)
+            _build(grown.build_s_table, 40, split)
+            assert all(a is b for a, b in zip(grown._s_rows[:20], held, strict=True))
+            assert grown.stored_s_rows() == serial.stored_s_rows(), split
 
     def test_growing_a_cache_with_waiting_rows(self, split150):
         rows = split150.stored_s_rows()
-        restored = SequenceCache.from_stored(
-            u=split150.known_values("u")[:20], s_rows=iter(rows[:20]), s_count=20
-        )
-        _build(restored.build_s_table, 40, 9)
-        assert restored.stored_s_rows() == rows[:40]
+        for split in (9, _every_row, _every_other_row):
+            restored = SequenceCache.from_stored(
+                u=split150.known_values("u")[:20], s_rows=iter(rows[:20]), s_count=20
+            )
+            _build(restored.build_s_table, 40, split)
+            assert restored.stored_s_rows() == rows[:40], split
 
     def test_a_failing_entry_raises_what_the_serial_build_raises(self, cache):
         rows = [list(row) for row in cache.stored_s_rows()[:10]]
@@ -488,12 +525,16 @@ class TestSplitBuild:
             )
 
         text, held = _fails(make, 16, 0)
-        column = int(text.split(",")[1].split(")")[0])
+        row, column = map(int, text[2:].split(")")[0].split(","))
         splits = range(2, 16)
         # The failing entry falls in this process's columns and in the child's.
         assert min(splits) < column <= max(splits)
         for split in splits:
             assert _fails(make, 16, split) == (text, held), split
+        # The boundary moves on the failing row and on the row before or after it.
+        for at in (row, row + 1):
+            for k in range(1, 14):
+                assert _fails(make, 16, _moving(k, at)) == (text, held), (k, at)
 
     @pytest.mark.parametrize("child_fails_too", [False, True])
     def test_a_failing_h_check_raises_what_the_serial_build_raises(self, cache, child_fails_too):
@@ -507,13 +548,19 @@ class TestSplitBuild:
             with pytest.raises(IntegrityError, match=r"^s\(4,3\) is not an integer$"):
                 SequenceCache.from_stored(u=u[:3], s_rows=rows).build_s_table(4)
 
-        def make():
-            return SequenceCache.from_stored(u=u, s_rows=[list(row) for row in rows])
+        def make(held_rows=3):
+            return SequenceCache.from_stored(u=u, s_rows=[list(row) for row in rows[:held_rows]])
 
         text, held = _fails(make, 8, 0)
         assert text == "h(4) / 2^7 is not an integer"
         for split in (2, 3, 5):
             assert _fails(make, 8, split) == (text, held)
+        if not child_fails_too:
+            # Rows 2 and 3 built again are the held ones, and the boundary
+            # can move on rows 3, 4 and 5.
+            for at in (4, 5):
+                for k in (1, 2, 3):
+                    assert _fails(lambda: make(1), 8, _moving(k, at)) == (text, held), (k, at)
 
     def test_a_diagonal_other_than_one_raises_what_the_serial_build_raises(self):
         def make():
@@ -595,7 +642,9 @@ class TestLockstepBuild:
 
     def test_from_empty_to_150_at_the_picked_split(self, lockstep150):
         if _can_split():
-            assert core._split_column(1, 150, True) == 21
+            split = core._split_column(1, 150, True)
+            _check_schedule(split, 1, 150)
+            assert (split[0], split[-1]) == (1, 27)
         serial = SequenceCache()
         _build(serial.d, 150, 0)
         assert _tables(lockstep150) == _tables(serial)
@@ -603,14 +652,14 @@ class TestLockstepBuild:
         assert _sha256(",".join(map(str, lockstep150.known_values("d")))) == D_150_SHA256
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
-    @pytest.mark.parametrize("split", [2, 5, -1])
+    @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
     def test_forced_splits_match_serial(self, max_n, split):
         serial, forked = SequenceCache(), SequenceCache()
         _build(serial.d, max_n, 0)
-        _build(forked.d, max_n, max_n - 1 if split < 0 else split)
+        _build(forked.d, max_n, max_n - 1 if split == -1 else split)
         assert _tables(forked) == _tables(serial)
 
-    @pytest.mark.parametrize("split", [0, 9])
+    @pytest.mark.parametrize("split", [0, 9, *MOVING])
     @pytest.mark.parametrize("v_to, d_to", [(20, 20), (14, 10), (10, 14)])
     def test_growing_a_restored_cache(self, lockstep150, split, v_to, d_to):
         # v and d may lag the 20 restored rows, and either may lag the other.
@@ -640,6 +689,9 @@ class TestLockstepBuild:
         assert (len(rows), len(u), len(v_held), len(d)) == (12, 12, 41, 12)
         for split in range(2, 20):
             assert _fails(make, 20, split, "d") == (text, held), split
+        for at in (12, 13):
+            for k in range(1, 11):
+                assert _fails(make, 20, _moving(k, at), "d") == (text, held), (k, at)
 
     def test_a_failing_h_check_after_an_even_d(self, cache):
         # u(3) + 1 fails the check of h(4), and v(3) + 1 makes d(3) even,
@@ -656,6 +708,9 @@ class TestLockstepBuild:
         assert text.startswith("d(3) = ") and text.endswith(" is even")
         for split in (2, 3, 5):
             assert _fails(make, 8, split, "d") == (text, held)
+        for at in (3, 4, 5):
+            for k in (1, 2, 3):
+                assert _fails(make, 8, _moving(k, at), "d") == (text, held), (k, at)
 
     def test_a_failing_entry_after_an_even_d(self, cache):
         # The edited s^(10, 5) fails exact division in a later row; v edited
@@ -678,6 +733,9 @@ class TestLockstepBuild:
         assert text.startswith(f"d({row - 1}) = ") and text.endswith(" is even")
         for split in range(2, 16):
             assert _fails(lambda: make(v), 16, split, "d") == (text, held), split
+        for at in (row, row + 1):
+            for k in range(1, 14):
+                assert _fails(lambda: make(v), 16, _moving(k, at), "d") == (text, held), (k, at)
 
 
 class TestResidueReader:
