@@ -78,21 +78,22 @@ read, v(n) and d(n), each where it is not held.  u, v and d each have one
 per-index step (``_u_steps``, ``_v_steps``, ``_d_steps``), which the loop
 and the readers run alike.
 
-A build whose new rows carry enough work forks one short-lived child when
-os.fork exists, this process may run on two CPUs or more and no other
-thread is alive (``_split_column``, which also sets each new row's
-boundary K(n), never moving back and at most one column a row).  This
-process computes u, h(n) and columns 1..K(n) of row n and sends s^(n, 1)
-and s^(n, K(n)), marshalled, down a pipe; the child, holding the earlier
-rows from the fork, computes columns K(n)+1..n once row n-1's two have
-come, and sends them up a second pipe as soon as they are done, or the
-text of its failure.  Nothing else crosses.  Where K(n) = K(n-1) + 1,
-column K(n) passes from the child, which computed it below row n, to this
-process, which first indexes column K(n-1) again from the joined rows and
-row n-1's columns.  After its part of row n this process joins, checks and
-appends row n-1, then grows v and d to n-1, while the child works on row
-n.  The child leaves through ``os._exit``, and this process reaps it
-before it returns or raises.
+For each n the loop computes u(n-1), h(n) and columns 1..K(n) of row n,
+then joins, checks and appends row n-1 and grows v and d to n-1.  A
+failure in row n's columns is raised only after that, and a failure there
+drops u(n-1) again, so a build raises the first failure in index order and
+leaves the tables that order leaves.  Unless the new rows carry enough
+work, os.fork exists, this process may run on two CPUs or more, no other
+thread is alive and os.pipe and os.fork succeed, K(n) = n and the loop
+runs alone.  Otherwise ``_split_column`` sets K(n), never moving back and
+at most one column a row, and one short-lived child, forked with the
+earlier rows, supplies columns K(n)+1..n of row n while this process joins
+row n-1.  It gets s^(n-1, 1) and s^(n-1, K(n-1)), marshalled, down a pipe
+and sends its columns, or the text of its failure, up another.  Nothing
+else crosses.  Where K(n) = K(n-1) + 1, column K(n) passes from the child
+to this process, which first indexes column K(n-1) again from the joined
+rows and row n-1's columns.  The child leaves through ``os._exit`` and is
+reaped before the build returns or raises.
 
 A restored cache may hold its stored rows undecoded: ``from_stored`` takes
 an iterator over them with their count, ``s_bound`` counts them, and each
@@ -109,7 +110,7 @@ import math
 import os
 import signal
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from io import BufferedReader, BufferedWriter
 from itertools import islice
 from math import gcd, lcm, prod
@@ -173,12 +174,11 @@ class SequenceCache:
     The cache holds nothing else: E is computed from n (``_e_gap``) where an
     entry is shifted, and the column index the row recurrence reads is
     built by each ``build_s_table`` call that grows the table and dropped
-    when it returns.  Such a call may fork one short-lived child to share
-    the new rows' columns, never while another thread is alive: two
-    integers per row go down a pipe to it and its columns come back row by
-    row, split at a boundary that moves with the row, a column at a time
-    (see the module docstring); it is reaped before the call returns or
-    raises.
+    when it returns.  One loop appends the rows.  A large call may fork
+    one short-lived child, never while another thread is alive, which
+    supplies columns K(n)+1..n of each row n, at a boundary that moves with
+    the row (see the module docstring); it is reaped before the call
+    returns or raises.  A call that cannot fork runs alone.
 
     Growth and the first read of a waiting row write the cache, with no
     lock: share it across threads only once every stored row is taken
@@ -223,7 +223,8 @@ class SequenceCache:
         just before row n.  ``d(n)`` enters here with _lockstep set, so that
         v(n) and d(n) follow row n: from the first index any of u, v, d or
         the rows lacks, each index appends what is missing of u(n-1), row n,
-        v(n) and d(n), in that order."""
+        v(n) and d(n), in that order.  One loop appends every row; a child,
+        if forked, supplies columns K(n)+1..n, and else K(n) = n."""
         self._restore(max_n)
         rows, u, v, d = self._s_rows, self._u, self._v, self._d
         first = len(rows) + 1
@@ -247,86 +248,55 @@ class SequenceCache:
         # kept for this call only.
         cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
         split = _split_column(first, max_n, _lockstep)
-        if split:
-            self._build_split(e, cols, first, max_n, split, u_steps, after)
-            return
-        for n in range(first, max_n + 1):
-            _step_to(u, u_steps, n - 1)
-            _append_row(rows, n, _head(u, e, cols, n, n))
-            if after:
-                after(n)
-
-    def _build_split(self, e: list[int], cols: list[list[int]], first: int, last: int, split: list[int],
-                     u_steps: Iterator[None], after: Callable[[int], None] | None) -> None:
-        """Append rows first..last, columns 1..split[n - first] of row n
-        computed here and the rest by a forked child (see the module
-        docstring).  Row n - 1 is joined, checked and appended, and
-        ``after(n - 1)`` run, once this process has computed row n's
-        columns, while the child computes the rest of row n.  So the first
-        failure in the serial order raises what the serial build raises and
-        leaves the tables it leaves."""
-        down_r, down_w = os.pipe()
-        up_r, up_w = os.pipe()
+        child = _fork_tail(e, cols, first, split) if split else None
+        if child is None:
+            split = list(range(first, max_n + 1))  # K(n) = n: no tail to wait for
+        pid, outbox, inbox = child or (0, None, None)
         try:
-            pid = os.fork()
+            head: list[int] = []
+            for n in range(first, max_n + 2):
+                joined, error, held_u = head, None, len(u)
+                if n <= max_n:
+                    _step_to(u, u_steps, n - 1)
+                    k = split[n - first]
+                    if n > first and split[n - first - 1] < k < n:
+                        # Column k changes hands: index column k - 1 from rows 1..n-2
+                        # held, the child's part joined, and row n - 1's head.
+                        cols[k - 2] = [row[k - 2] for row in rows[k - 2 :]] + joined[k - 2 : k - 1]
+                    try:
+                        head = _head(u, e, cols, n, k)
+                    except IntegrityError as exc:
+                        error = exc  # raised after row n - 1 and d(n - 1)
+                    else:
+                        if pid and n < max_n:
+                            _send(outbox, (head[0], head[-1]))
+                if n > first:
+                    tail = _receive(inbox) if pid else []
+                    if tail is None:
+                        raise ChildProcessError(f"s-table child {pid} exited without row {n - 1}")
+                    try:
+                        if isinstance(tail, str):
+                            raise IntegrityError(tail)
+                        row = joined + tail
+                        if row[-1] != 1:
+                            raise IntegrityError(f"s({n - 1},{n - 1}) = {row[-1]}, expected 1")
+                        rows.append(row)
+                        if after:
+                            after(n - 1)
+                    except IntegrityError:
+                        del u[held_u:]  # index n - 1 ends with d(n - 1), before u(n - 1)
+                        raise
+                if error:
+                    raise error
         except BaseException:
-            for fd in (down_r, down_w, up_r, up_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            # os._exit: no finally, atexit hook or stdio buffer of the caller runs twice.
-            status = 1
-            try:
-                os.close(down_w)
-                os.close(up_r)
-                with open(down_r, "rb") as inbox, open(up_w, "wb") as outbox:
-                    _tail_rows(e, cols, first, split, inbox, outbox)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(down_r)
-        os.close(up_w)
-        u = self._u
-        with open(down_w, "wb") as outbox, open(up_r, "rb") as inbox:
-            try:
-                head: list[int] = []
-                for n in range(first, last + 2):
-                    joined, error, held_u = head, None, len(u)
-                    if n <= last:
-                        _step_to(u, u_steps, n - 1)
-                        k = split[n - first]
-                        if n > first and split[n - first - 1] < k <= n:
-                            # Column k changes hands: index column k - 1 from rows 1..n-2
-                            # held, the child's part joined, and row n - 1's head.
-                            held = self._s_rows[k - 2 :]
-                            cols[k - 2] = [row[k - 2] for row in held] + joined[k - 2 : k - 1]
-                        try:
-                            head = _head(u, e, cols, n, k)
-                        except IntegrityError as exc:
-                            error = exc  # raised after row n - 1 and d(n - 1)
-                        else:
-                            if n < last:
-                                _send(outbox, (head[0], head[-1]))
-                    if n > first:
-                        tail = _receive(inbox)
-                        if tail is None:
-                            raise ChildProcessError(f"s-table child {pid} exited without row {n - 1}")
-                        try:
-                            if isinstance(tail, str):
-                                raise IntegrityError(tail)
-                            _append_row(self._s_rows, n - 1, joined + tail)
-                            if after:
-                                after(n - 1)
-                        except IntegrityError:
-                            del u[held_u:]  # the serial build appends u(n - 1) after d(n - 1)
-                            raise
-                    if error:
-                        raise error
-            except BaseException:
+            if pid:
                 os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
+            raise
+        finally:
+            if pid:
                 os.waitpid(pid, 0)
+                outbox.close()
+                inbox.close()
 
     def _restore(self, n: int) -> None:
         """Take the waiting stored rows, in order, up to row n, checking
@@ -593,6 +563,40 @@ def _split_column(first: int, last: int, lockstep: bool) -> list[int]:
     return split
 
 
+def _fork_tail(e: list[int], cols: list[list[int]], first: int,
+               split: list[int]) -> tuple[int, BufferedWriter, BufferedReader] | None:
+    """Fork a child that runs ``_tail_rows`` on copies of e and cols, and
+    return its pid, the pipe down to it and the pipe up from it; or None,
+    with every descriptor opened here closed, where os.pipe or os.fork
+    fails, so that the caller builds alone."""
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except BaseException as exc:
+        for fd in fds:
+            os.close(fd)
+        if isinstance(exc, OSError):
+            return None
+        raise
+    down_r, down_w, up_r, up_w = fds
+    if pid == 0:
+        # os._exit: no finally, atexit hook or stdio buffer of the caller runs twice.
+        status = 1
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            with open(down_r, "rb") as inbox, open(up_w, "wb") as outbox:
+                _tail_rows(e, cols, first, split, inbox, outbox)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down_r)
+    os.close(up_w)
+    return pid, open(down_w, "wb"), open(up_r, "rb")
+
+
 def _head(u: list[int], e: list[int], cols: list[list[int]], n: int, split: int) -> list[int]:
     """Columns 1..min(n, split) of row n, from h(n) and the held columns,
     which it extends by them."""
@@ -682,12 +686,6 @@ def _entries(
             raise IntegrityError(f"s({n},{k}) is not an integer")
         out.append(q)
     return out
-
-
-def _append_row(rows: list[list[int]], n: int, row: list[int]) -> None:
-    if row[-1] != 1:
-        raise IntegrityError(f"s({n},{n}) = {row[-1]}, expected 1")
-    rows.append(row)
 
 
 def _check_triangle(s_rows: list[list[int]], first: int) -> None:

@@ -1,5 +1,6 @@
 """Tests for the exact sequence recurrences and the series-based s-table."""
 
+import errno
 import hashlib
 import os
 import threading
@@ -8,12 +9,12 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import romik
 from romik import IntegrityError, SequenceCache, s_table_by_series
-from romik import core
+from romik import cli, core
 from romik.cache_io import load_cache, store_cache
 from romik.core import StoredValueError, _binomial_row, _truncated_product
 
@@ -401,11 +402,12 @@ def _reaped_forks():
                     os.waitpid(pid, os.WNOHANG)
 
 
-def _build(grow, max_n, split):
+def _build(grow, max_n, split, forked=True):
     """grow(max_n), cache.build_s_table or cache.d, with the split forced:
     0 builds in this process alone, K forks a child for columns K+1.. of
     every new row, and a schedule, a function, gives K(n) = split(n, first)
-    for each new row n, first the first of them."""
+    for each new row n, first the first of them.  forked=False expects no
+    child even so, where os.fork or os.pipe fails."""
 
     def schedule(first, last, lockstep):
         if callable(split):
@@ -417,7 +419,7 @@ def _build(grow, max_n, split):
         try:
             grow(max_n)
         finally:
-            assert len(pids) == (split != 0)
+            assert len(pids) == (split != 0 and forked)
 
 
 def _every_row(n, first):
@@ -457,6 +459,30 @@ def _fails(make, max_n, split, read="build_s_table"):
     with pytest.raises(IntegrityError) as caught:
         _build(getattr(cache, read), max_n, split)
     return str(caught.value), _tables(cache)
+
+
+def _edited_entry(cache):
+    """Rows 1..10 and u held, s^(10, 5) + 1: it passes at row 11 and fails
+    exact division further out, at row 16 or below."""
+    rows = [list(row) for row in cache.stored_s_rows()[:10]]
+    rows[9][4] += 1
+    return SequenceCache.from_stored(u=cache.known_values("u")[:10], s_rows=rows)
+
+
+def _interrupted():
+    """A build split at 5 interrupted in its own part of row 12: the child
+    still waits for rows that will not come, so the build must kill it to
+    reap it."""
+    head = core._head
+
+    def failing(u, e, cols, n, split):
+        if n == 12:
+            raise KeyboardInterrupt
+        return head(u, e, cols, n, split)
+
+    with pytest.MonkeyPatch.context() as patched, pytest.raises(KeyboardInterrupt):
+        patched.setattr(core, "_head", failing)
+        _build(SequenceCache().build_s_table, 20, 5)
 
 
 def _can_split():
@@ -516,13 +542,8 @@ class TestSplitBuild:
             assert restored.stored_s_rows() == rows[:40], split
 
     def test_a_failing_entry_raises_what_the_serial_build_raises(self, cache):
-        rows = [list(row) for row in cache.stored_s_rows()[:10]]
-        rows[9][4] += 1  # passes at row 11, fails exact division further out
-
         def make():
-            return SequenceCache.from_stored(
-                u=cache.known_values("u")[:10], s_rows=[list(row) for row in rows]
-            )
+            return _edited_entry(cache)
 
         text, held = _fails(make, 16, 0)
         row, column = map(int, text[2:].split(")")[0].split(","))
@@ -573,19 +594,8 @@ class TestSplitBuild:
         for split in (2, 3, 5):
             assert _fails(make, 6, split) == (text, held)
 
-    def test_an_error_of_its_own_kills_the_child(self, monkeypatch):
-        # The child still waits for rows that will not come, so the build
-        # must kill it to reap it.
-        head = core._head
-
-        def failing(u, e, cols, n, split):
-            if n == 12:
-                raise KeyboardInterrupt
-            return head(u, e, cols, n, split)
-
-        monkeypatch.setattr(core, "_head", failing)
-        with pytest.raises(KeyboardInterrupt):
-            _build(SequenceCache().build_s_table, 20, 5)
+    def test_an_error_of_its_own_kills_the_child(self):
+        _interrupted()
 
 
 class TestForkSelection:
@@ -736,6 +746,157 @@ class TestLockstepBuild:
         for at in (row, row + 1):
             for k in range(1, 14):
                 assert _fails(lambda: make(v), 16, _moving(k, at), "d") == (text, held), (k, at)
+
+
+def _restored(source, start, a, v_to=None, d_to=None, edit=None):
+    """A cache started from source's tables: empty, or u and rows 1..a held
+    ("held") or waiting to be read ("waiting"), with v and d to v_to and
+    d_to (a by default).  edit = (n, k, delta) adds delta to the held
+    s^(n, k)."""
+    if start == "empty":
+        return SequenceCache()
+    rows = source.stored_s_rows()[:a]
+    if edit:
+        n, k, delta = edit
+        rows[n - 1] = list(rows[n - 1])
+        rows[n - 1][k - 1] += delta
+    v_to, d_to = (a if to is None else to for to in (v_to, d_to))
+    held = {
+        "u": source.known_values("u")[:a],
+        "v": source.known_values("v")[: v_to + 1],
+        "d": source.known_values("d")[: d_to + 1],
+    }
+    if start == "waiting":
+        return SequenceCache.from_stored(**held, s_rows=iter(rows), s_count=a)
+    return SequenceCache.from_stored(**held, s_rows=rows)
+
+
+def _outcome(cache, read, max_n, split, forked=True):
+    """The text and type of the IntegrityError a forced-split build raises,
+    or None, and the tables it left held."""
+    try:
+        _build(getattr(cache, read), max_n, split, forked)
+    except IntegrityError as exc:
+        return (type(exc), str(exc)), _tables(cache)
+    return None, _tables(cache)
+
+
+@st.composite
+def _split_cases(draw):
+    """A start state, a target b <= 40, a schedule K(first..b), lockstep
+    or not, and at most one edited held entry."""
+    start = draw(st.sampled_from(["empty", "held", "waiting"]))
+    a = 0 if start == "empty" else draw(st.integers(1, 39))
+    first = a + 1
+    b = draw(st.integers(first, 40))
+    ks = [draw(st.integers(1, first))]
+    for _ in range(b - first):
+        ks.append(ks[-1] + draw(st.integers(0, 1)))
+    edit = None
+    if a >= 2 and draw(st.booleans()):
+        n = draw(st.integers(2, a))
+        edit = n, draw(st.integers(1, n - 1)), draw(st.sampled_from([1, -1, 2, 3, 105]))
+    state = dict(start=start, a=a, v_to=draw(st.integers(0, a)), d_to=draw(st.integers(0, a)), edit=edit)
+    return state, b, ks, draw(st.sampled_from(["build_s_table", "d"]))
+
+
+class TestSplitProperty:
+    """Whatever the start, target, schedule and planted edit, a forced-split
+    build returns or raises what the build without a child does, and leaves
+    the same tables."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_split_cases())
+    def test_forced_split_matches_the_unforked_build(self, lockstep150, case):
+        state, b, ks, read = case
+        _check_schedule(ks, state["a"] + 1, b)
+        serial = _outcome(_restored(lockstep150, **state), read, b, 0)
+        forked = _outcome(_restored(lockstep150, **state), read, b, lambda n, first: ks[n - first])
+        assert forked == serial
+
+
+def _errno(cls, code):
+    return cls(code, os.strerror(code))
+
+
+FORK_FAULTS = [
+    pytest.param("fork", _errno(BlockingIOError, errno.EAGAIN), id="fork-EAGAIN"),
+    pytest.param("fork", _errno(OSError, errno.ENOMEM), id="fork-ENOMEM"),
+    pytest.param("pipe", _errno(OSError, errno.EMFILE), id="second-pipe-EMFILE"),
+]
+
+
+@contextmanager
+def _failing(name, exc):
+    """Inside, os.fork raises exc, or os.pipe raises it on its second call;
+    yields the list of calls made."""
+    real = getattr(os, name)
+    calls = []
+
+    def stand_in():
+        calls.append(name)
+        if name == "fork" or len(calls) == 2:
+            raise exc
+        return real()
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(os, name, stand_in)
+        yield calls
+
+
+class TestForkFailure:
+    """A build that would split but cannot fork builds alone, in the same
+    loop: the serial tables and no child."""
+
+    @pytest.mark.parametrize("name, exc", FORK_FAULTS)
+    @pytest.mark.parametrize("read", ["build_s_table", "d"])
+    @pytest.mark.parametrize("start", ["empty", "held", "waiting"])
+    def test_builds_the_serial_tables(self, lockstep150, name, exc, read, start):
+        serial = _outcome(_restored(lockstep150, start, 20), read, 40, 0)
+        cache = _restored(lockstep150, start, 20)
+        with _failing(name, exc) as calls:
+            assert _outcome(cache, read, 40, 5, forked=False) == serial
+        assert len(calls) == (1 if name == "fork" else 2)
+
+    def test_verify_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr(core, "_split_column", lambda first, last, lockstep: [1] * (last - first + 1))
+        with _reaped_forks() as pids, _failing("fork", _errno(BlockingIOError, errno.EAGAIN)) as calls:
+            assert cli.main(["verify", "--suite", "mod5"]) == 0
+        assert calls and not pids
+        assert capsys.readouterr().out.startswith("SUITE mod5 RANGE 1..150 PRIME 5 RESULT PASS")
+
+
+def _a_split_build(cache):
+    _build(SequenceCache().d, 40, 5)
+
+
+def _a_failing_child(cache):
+    with pytest.raises(IntegrityError, match=r"^s\(\d+,([3-9]|1\d)\) is not an integer$"):
+        _build(_edited_entry(cache).build_s_table, 16, 2)  # a column past 2: the child's
+
+
+def _a_failing_fork(name, exc):
+    def build(cache):
+        with _failing(name, exc):
+            _build(SequenceCache().d, 40, 5, forked=False)
+
+    return build
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(_a_split_build, id="split"),
+        pytest.param(_a_failing_child, id="failing-child"),
+        pytest.param(lambda cache: _interrupted(), id="interrupted"),
+        *(pytest.param(_a_failing_fork(*fault.values), id=fault.id) for fault in FORK_FAULTS),
+    ],
+)
+def test_a_build_leaves_the_descriptors_it_found(cache, build):
+    before = os.listdir("/proc/self/fd")
+    build(cache)
+    assert os.listdir("/proc/self/fd") == before
 
 
 class TestResidueReader:
