@@ -93,7 +93,13 @@ and sends its columns, or the text of its failure, up another.  Nothing
 else crosses.  Where K(n) = K(n-1) + 1, column K(n) passes from the child
 to this process, which first indexes column K(n-1) again from the joined
 rows and row n-1's columns.  The child leaves through ``os._exit`` and is
-reaped before the build returns or raises.
+reaped before the build returns or raises.  A child lost before every row
+is joined shows as the end of its pipe with no row and no failure text (a
+write to a child that has gone is no error; its pipe ends next).  It is
+reaped, the u computed ahead is dropped, and the loop starts again alone,
+K(n) = n, from the first row not joined: every row joined so far passed its
+checks, and the rest are built again.  A child's own failure stays the
+build's error, raised in index order.
 
 A restored cache may hold its stored rows undecoded: ``from_stored`` takes
 an iterator over them with their count, ``s_bound`` counts them, and each
@@ -104,6 +110,7 @@ decodes only those.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import marshal
 import math
@@ -178,7 +185,8 @@ class SequenceCache:
     one short-lived child, never while another thread is alive, which
     supplies columns K(n)+1..n of each row n, at a boundary that moves with
     the row (see the module docstring); it is reaped before the call
-    returns or raises.  A call that cannot fork runs alone.
+    returns or raises.  A call that cannot fork runs alone, and one whose
+    child is lost builds alone the rows not yet joined.
 
     Growth and the first read of a waiting row write the cache, with no
     lock: share it across threads only once every stored row is taken
@@ -224,7 +232,9 @@ class SequenceCache:
         v(n) and d(n) follow row n: from the first index any of u, v, d or
         the rows lacks, each index appends what is missing of u(n-1), row n,
         v(n) and d(n), in that order.  One loop appends every row; a child,
-        if forked, supplies columns K(n)+1..n, and else K(n) = n."""
+        if forked, supplies columns K(n)+1..n, and else K(n) = n.  If the
+        child is lost before every row is joined, it is reaped and the loop
+        builds the rest alone from the first row not joined."""
         self._restore(max_n)
         rows, u, v, d = self._s_rows, self._u, self._v, self._d
         first = len(rows) + 1
@@ -244,59 +254,64 @@ class SequenceCache:
         if max_n < first:
             return
         e = [_e(m) for m in range(max_n + 1)]
-        # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
-        # kept for this call only.
-        cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
         split = _split_column(first, max_n, _lockstep)
-        child = _fork_tail(e, cols, first, split) if split else None
-        if child is None:
-            split = list(range(first, max_n + 1))  # K(n) = n: no tail to wait for
-        pid, outbox, inbox = child or (0, None, None)
-        try:
-            head: list[int] = []
-            for n in range(first, max_n + 2):
-                joined, error, held_u = head, None, len(u)
-                if n <= max_n:
-                    _step_to(u, u_steps, n - 1)
-                    k = split[n - first]
-                    if n > first and split[n - first - 1] < k < n:
-                        # Column k changes hands: index column k - 1 from rows 1..n-2
-                        # held, the child's part joined, and row n - 1's head.
-                        cols[k - 2] = [row[k - 2] for row in rows[k - 2 :]] + joined[k - 2 : k - 1]
-                    try:
-                        head = _head(u, e, cols, n, k)
-                    except IntegrityError as exc:
-                        error = exc  # raised after row n - 1 and d(n - 1)
-                    else:
-                        if pid and n < max_n:
-                            _send(outbox, (head[0], head[-1]))
-                if n > first:
-                    tail = _receive(inbox) if pid else []
-                    if tail is None:
-                        raise ChildProcessError(f"s-table child {pid} exited without row {n - 1}")
-                    try:
-                        if isinstance(tail, str):
-                            raise IntegrityError(tail)
-                        row = joined + tail
-                        if row[-1] != 1:
-                            raise IntegrityError(f"s({n - 1},{n - 1}) = {row[-1]}, expected 1")
-                        rows.append(row)
-                        if after:
-                            after(n - 1)
-                    except IntegrityError:
-                        del u[held_u:]  # index n - 1 ends with d(n - 1), before u(n - 1)
-                        raise
-                if error:
-                    raise error
-        except BaseException:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            if pid:
-                os.waitpid(pid, 0)
-                outbox.close()
-                inbox.close()
+        while len(rows) < max_n:  # a second pass builds alone what a lost child left
+            first = len(rows) + 1
+            # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
+            # kept for this pass only.
+            cols = [[row[k] for row in rows[k:]] for k in range(len(rows))]
+            child = _fork_tail(e, cols, first, split) if split else None
+            if child is None:
+                split = list(range(first, max_n + 1))  # K(n) = n: no tail to wait for
+            pid, outbox, inbox = child or (0, None, None)
+            try:
+                head: list[int] = []
+                for n in range(first, max_n + 2):
+                    joined, error, held_u = head, None, len(u)
+                    if n <= max_n:
+                        _step_to(u, u_steps, n - 1)
+                        k = split[n - first]
+                        if n > first and split[n - first - 1] < k < n:
+                            # Column k changes hands: index column k - 1 from rows 1..n-2
+                            # held, the child's part joined, and row n - 1's head.
+                            cols[k - 2] = [row[k - 2] for row in rows[k - 2 :]] + joined[k - 2 : k - 1]
+                        try:
+                            head = _head(u, e, cols, n, k)
+                        except IntegrityError as exc:
+                            error = exc  # raised after row n - 1 and d(n - 1)
+                        else:
+                            if pid and n < max_n:
+                                _send(outbox, (head[0], head[-1]))
+                    if n > first:
+                        tail = _receive(inbox) if pid else []
+                        if tail is None:  # the child is lost: row n - 1 on, alone
+                            del u[held_u:]
+                            u_steps, split = _u_steps(u), []
+                            break
+                        try:
+                            if isinstance(tail, str):
+                                raise IntegrityError(tail)
+                            row = joined + tail
+                            if row[-1] != 1:
+                                raise IntegrityError(f"s({n - 1},{n - 1}) = {row[-1]}, expected 1")
+                            rows.append(row)
+                            if after:
+                                after(n - 1)
+                        except IntegrityError:
+                            del u[held_u:]  # index n - 1 ends with d(n - 1), before u(n - 1)
+                            raise
+                    if error:
+                        raise error
+            except BaseException:
+                if pid:
+                    os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                if pid:
+                    os.waitpid(pid, 0)
+                    with contextlib.suppress(BrokenPipeError):  # what a lost child left unread
+                        outbox.close()
+                    inbox.close()
 
     def _restore(self, n: int) -> None:
         """Take the waiting stored rows, in order, up to row n, checking
@@ -624,8 +639,7 @@ def _tail_rows(e: list[int], cols: list[list[int]], first: int, split: list[int]
     """The child's columns K+1..n of rows n = first, first + 1, ..., with
     K = split[n - first], each row sent up outbox as soon as it is done,
     and computed once s^(n-1, 1) and s^(n-1, K(n-1)) have come from inbox.
-    A failing row is sent as its error's text instead, and inbox is then
-    read to its end, so that the caller never writes to a closed pipe."""
+    A failing row is sent as its error's text instead, and the child stops."""
     for n, k in enumerate(split, first):
         if n > first:
             received = _receive(inbox)
@@ -643,7 +657,6 @@ def _tail_rows(e: list[int], cols: list[list[int]], first: int, split: list[int]
                 _entries(_binomial_row(2 * n), e, cols, n, k + 1, n, tail)
             except IntegrityError as exc:
                 _send(outbox, str(exc))
-                inbox.read()
                 return
             for col, x in zip(cols[k:], tail):
                 col.append(x)
@@ -651,10 +664,13 @@ def _tail_rows(e: list[int], cols: list[list[int]], first: int, split: list[int]
 
 
 def _send(outbox: BufferedWriter, value: object) -> None:
-    """Write value, marshalled after its 4-byte length, and flush."""
+    """Write value, marshalled after its 4-byte length, and flush.  A reader
+    that has gone is no error here: the writer learns it as the end of the
+    pipe coming back."""
     data = marshal.dumps(value)
-    outbox.write(len(data).to_bytes(4, "little") + data)
-    outbox.flush()
+    with contextlib.suppress(BrokenPipeError):
+        outbox.write(len(data).to_bytes(4, "little") + data)
+        outbox.flush()
 
 
 def _receive(inbox: BufferedReader) -> object:

@@ -3,13 +3,14 @@
 import errno
 import hashlib
 import os
+import signal
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import romik
@@ -379,21 +380,35 @@ class TestNormalizedTable:
 
 
 @contextmanager
-def _reaped_forks():
-    """Yields the list of the children os.fork makes inside; on leaving,
-    even by an exception, checks that each has been reaped and that this
-    process has no child left at all."""
-    pids = []
-    fork = os.fork
+def _reaped_forks(kill_after=None):
+    """Yields the list of the children os.fork makes inside.  With
+    kill_after = j, each is sent SIGKILL once this process has read j rows
+    from it, or for j = 0 by itself as it starts.  On leaving, even by an
+    exception, checks that each has been reaped and that this process has
+    no child left at all."""
+    pids, reads, parent = [], [], os.getpid()
+    fork, receive = os.fork, core._receive
 
     def recorded():
         pid = fork()
+        if pid == 0 and kill_after == 0:
+            os.kill(os.getpid(), signal.SIGKILL)  # before its first row, whatever the timing
         if pid:
             pids.append(pid)
+            reads.clear()
         return pid
+
+    def counted(inbox):
+        value = receive(inbox)
+        if os.getpid() == parent:  # the child reads its input with it too
+            reads.append(value)
+            if len(reads) == kill_after:
+                os.kill(pids[-1], signal.SIGKILL)
+        return value
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(os, "fork", recorded)
+        patched.setattr(core, "_receive", counted)
         try:
             yield pids
         finally:
@@ -402,42 +417,42 @@ def _reaped_forks():
                     os.waitpid(pid, os.WNOHANG)
 
 
-def _build(grow, max_n, split, forked=True):
+def _build(grow, max_n, split=None, forked=True, kill_after=None):
     """grow(max_n), cache.build_s_table or cache.d, with the split forced:
-    0 builds in this process alone, K forks a child for columns K+1.. of
-    every new row, and a schedule, a function, gives K(n) = split(n, first)
-    for each new row n, first the first of them.  forked=False expects no
-    child even so, where os.fork or os.pipe fails."""
+    None builds alone, and a schedule forks a child for columns K(n)+1..n
+    of each new row n, K(n) = split(n, first), first the first new row.
+    forked=False expects no child even so, where os.fork or os.pipe fails;
+    kill_after is as for _reaped_forks."""
+    asked = []
 
     def schedule(first, last, lockstep):
-        if callable(split):
-            return [split(n, first) for n in range(first, last + 1)]
-        return [split] * (last - first + 1) if split else []
+        asked.append(first)  # not reached where v or d fails below the first new row
+        return [split(n, first) for n in range(first, last + 1)] if split else []
 
-    with pytest.MonkeyPatch.context() as patched, _reaped_forks() as pids:
+    with pytest.MonkeyPatch.context() as patched, _reaped_forks(kill_after) as pids:
         patched.setattr(core, "_split_column", schedule)
         try:
             grow(max_n)
         finally:
-            assert len(pids) == (split != 0 and forked)
+            assert len(pids) == bool(asked and split and forked)
 
 
-def _every_row(n, first):
-    """The boundary from column 1 on the first new row, one column on at every row."""
-    return n - first + 1
-
-
-def _every_other_row(n, first):
-    """The boundary from column 1 on the first new row, one column on at every other row."""
-    return 1 + (n - first) // 2
+def _at(k):
+    """The boundary at column k (at n on the rows n < k)."""
+    return lambda n, first: min(n, k)
 
 
 def _moving(k, at):
     """The boundary at column k, one column on at row at - 1 and one more at row at."""
-    return lambda n, first: k + min(2, max(0, n - at + 2))
+    return lambda n, first: min(n, k + min(2, max(0, n - at + 2)))
 
 
-MOVING = [pytest.param(_every_row, id="every-row"), pytest.param(_every_other_row, id="every-other-row")]
+def _from_one(rows):
+    """The boundary at column 1 on the first new row, one column on every so many rows."""
+    return lambda n, first: 1 + (n - first) // rows
+
+
+MOVING = [pytest.param(_from_one(1), id="every-row"), pytest.param(_from_one(2), id="every-other-row")]
 
 
 def _check_schedule(split, first, last):
@@ -452,21 +467,86 @@ def _tables(cache):
     return cache.stored_s_rows(), *(cache.known_values(name) for name in "uvd")
 
 
-def _fails(make, max_n, split, read="build_s_table"):
-    """The text of the IntegrityError that a forced-split build of make(),
-    through its method read, raises, and the tables it left held."""
-    cache = make()
-    with pytest.raises(IntegrityError) as caught:
-        _build(getattr(cache, read), max_n, split)
-    return str(caught.value), _tables(cache)
+def _restored(source, start, a, u_to=None, v_to=None, d_to=None, edits=()):
+    """A cache started from source's tables: rows 1..a held ("held") or
+    waiting to be read ("waiting"), none for "empty" (a = 0), u to u_to
+    (a - 1 by default) and v and d to v_to and d_to (a by default).  Each
+    edit (table, index, delta) adds delta to u(index) or v(index), or for
+    table "s" to the held s^(n, k), index (n, k)."""
+    rows = [list(row) for row in source.stored_s_rows()[:a]]
+    for table, index, delta in edits:
+        if table == "s":
+            rows[index[0] - 1][index[1] - 1] += delta
+    tos = (a - 1 if u_to is None else u_to, a if v_to is None else v_to, a if d_to is None else d_to)
+    held = {name: source.known_values(name)[: max(to, 0) + 1] for name, to in zip("uvd", tos)}
+    if start == "waiting":
+        rows = iter(rows)
+    cache = SequenceCache.from_stored(**held, s_rows=rows, s_count=a if start == "waiting" else None)
+    for table, index, delta in edits:
+        if table != "s":  # past from_stored, which takes no u(0) but 1
+            cache._sequence(table)[index] += delta
+    return cache
 
 
-def _edited_entry(cache):
-    """Rows 1..10 and u held, s^(10, 5) + 1: it passes at row 11 and fails
-    exact division further out, at row 16 or below."""
-    rows = [list(row) for row in cache.stored_s_rows()[:10]]
-    rows[9][4] += 1
-    return SequenceCache.from_stored(u=cache.known_values("u")[:10], s_rows=rows)
+def _outcome(cache, read, max_n, split=None, forked=True, kill_after=None):
+    """The type and text of the IntegrityError a forced-split build raises,
+    or None, and the tables it left held."""
+    try:
+        _build(getattr(cache, read), max_n, split, forked, kill_after)
+    except IntegrityError as exc:
+        return (type(exc), str(exc)), _tables(cache)
+    return None, _tables(cache)
+
+
+def _case(b, split, read="build_s_table", kill=None, start="empty", a=0, expect=None, **state):
+    """A case of TestSplitProperty: the start state as for _restored, the
+    target b, the schedule K(n) = split(n, first), or the constant split
+    (b - 1 for -1), the read, the child's kill_after, and what the build
+    alone must raise and leave: (the error text, the lengths of the
+    tables), or None."""
+    if not callable(split):
+        split = _at(b - 1 if split == -1 else split)
+    ks = [split(n, a + 1) for n in range(a + 1, b + 1)]
+    return dict(start=start, a=a, **state), b, ks, read, kill, expect
+
+
+def _agrees(source, case):
+    """The property: the build of case, with its schedule forced, returns or
+    raises what the build alone does from the same state, with the same
+    exception type and text and the same u, v, d and rows.  It keeps the
+    rows it found held as the same objects and leaves no child."""
+    state, b, ks, read, kill, expect = case
+    _check_schedule(ks, state["a"] + 1, b)
+    serial = _outcome(_restored(source, **state), read, b)
+    if expect:  # where the index order fails, pinned
+        assert (serial[0][1], tuple(map(len, serial[1]))) == expect
+    forked = _restored(source, **state)
+    held = list(forked._s_rows)
+    assert _outcome(forked, read, b, lambda n, first: ks[n - first], kill_after=kill) == serial
+    assert all(x is y for x, y in zip(forked._s_rows, held))
+
+
+def _can_split():
+    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+
+
+def _picked(read):
+    """A cache grown from empty by read(150), build_s_table or d, at the split the code picks."""
+    fresh = SequenceCache()
+    with _reaped_forks() as pids:
+        getattr(fresh, read)(150)
+    assert len(pids) == _can_split()
+    return fresh
+
+
+@pytest.fixture(scope="module")
+def split150():
+    return _picked("build_s_table")
+
+
+@pytest.fixture(scope="module")
+def lockstep150():
+    return _picked("d")
 
 
 def _interrupted():
@@ -482,27 +562,13 @@ def _interrupted():
 
     with pytest.MonkeyPatch.context() as patched, pytest.raises(KeyboardInterrupt):
         patched.setattr(core, "_head", failing)
-        _build(SequenceCache().build_s_table, 20, 5)
-
-
-def _can_split():
-    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
-
-
-@pytest.fixture(scope="module")
-def split150():
-    """Rows 1..150 built from empty at the split the code picks."""
-    fresh = SequenceCache()
-    with _reaped_forks() as pids:
-        fresh.build_s_table(150)
-    if _can_split():
-        assert len(pids) == 1
-    return fresh
+        _build(SequenceCache().build_s_table, 20, _at(5))
 
 
 class TestSplitBuild:
-    """A build may fork a child for the columns past a split; the rows, the
-    first failure and the tables held after it are the serial build's."""
+    """A build may fork a child for the columns past a split, at the
+    schedule the code picks; the fixed schedules below run the property's
+    check (``_agrees``) without a planted fault."""
 
     def test_from_empty_to_150_at_the_picked_split(self, split150):
         if _can_split():
@@ -515,84 +581,16 @@ class TestSplitBuild:
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
     @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
-    def test_forced_splits_match_serial(self, max_n, split):
-        serial, forked = SequenceCache(), SequenceCache()
-        _build(serial.build_s_table, max_n, 0)
-        _build(forked.build_s_table, max_n, max_n - 1 if split == -1 else split)
-        assert _tables(forked) == _tables(serial)
+    def test_forced_splits_match_serial(self, lockstep150, max_n, split):
+        _agrees(lockstep150, _case(max_n, split))
 
-    def test_growing_from_held_rows(self):
-        serial = SequenceCache()
-        _build(serial.build_s_table, 40, 0)
-        for split in (9, _every_row, _every_other_row):
-            grown = SequenceCache()
-            _build(grown.build_s_table, 20, 0)
-            held = list(grown._s_rows)
-            _build(grown.build_s_table, 40, split)
-            assert all(a is b for a, b in zip(grown._s_rows[:20], held, strict=True))
-            assert grown.stored_s_rows() == serial.stored_s_rows(), split
+    def test_growing_from_held_rows(self, lockstep150):
+        for split in (9, _from_one(1), _from_one(2)):
+            _agrees(lockstep150, _case(40, split, start="held", a=20))
 
-    def test_growing_a_cache_with_waiting_rows(self, split150):
-        rows = split150.stored_s_rows()
-        for split in (9, _every_row, _every_other_row):
-            restored = SequenceCache.from_stored(
-                u=split150.known_values("u")[:20], s_rows=iter(rows[:20]), s_count=20
-            )
-            _build(restored.build_s_table, 40, split)
-            assert restored.stored_s_rows() == rows[:40], split
-
-    def test_a_failing_entry_raises_what_the_serial_build_raises(self, cache):
-        def make():
-            return _edited_entry(cache)
-
-        text, held = _fails(make, 16, 0)
-        row, column = map(int, text[2:].split(")")[0].split(","))
-        splits = range(2, 16)
-        # The failing entry falls in this process's columns and in the child's.
-        assert min(splits) < column <= max(splits)
-        for split in splits:
-            assert _fails(make, 16, split) == (text, held), split
-        # The boundary moves on the failing row and on the row before or after it.
-        for at in (row, row + 1):
-            for k in range(1, 14):
-                assert _fails(make, 16, _moving(k, at)) == (text, held), (k, at)
-
-    @pytest.mark.parametrize("child_fails_too", [False, True])
-    def test_a_failing_h_check_raises_what_the_serial_build_raises(self, cache, child_fails_too):
-        u = cache.known_values("u")[:4]
-        u[3] += 1  # h(4) is off by 16, short of 2^E(4) = 2^7
-        rows = [list(row) for row in cache.stored_s_rows()[:3]]
-        if child_fails_too:
-            # s^(3, 2) + 1 moves the sum for s(4, 3) by C^(4, 1) = 7, not a
-            # multiple of 15: with the split at 2 the child fails in row 4 too.
-            rows[2][1] += 1
-            with pytest.raises(IntegrityError, match=r"^s\(4,3\) is not an integer$"):
-                SequenceCache.from_stored(u=u[:3], s_rows=rows).build_s_table(4)
-
-        def make(held_rows=3):
-            return SequenceCache.from_stored(u=u, s_rows=[list(row) for row in rows[:held_rows]])
-
-        text, held = _fails(make, 8, 0)
-        assert text == "h(4) / 2^7 is not an integer"
-        for split in (2, 3, 5):
-            assert _fails(make, 8, split) == (text, held)
-        if not child_fails_too:
-            # Rows 2 and 3 built again are the held ones, and the boundary
-            # can move on rows 3, 4 and 5.
-            for at in (4, 5):
-                for k in (1, 2, 3):
-                    assert _fails(lambda: make(1), 8, _moving(k, at)) == (text, held), (k, at)
-
-    def test_a_diagonal_other_than_one_raises_what_the_serial_build_raises(self):
-        def make():
-            edited = SequenceCache()
-            edited._u[0] = 3
-            return edited
-
-        text, held = _fails(make, 6, 0)
-        assert text == "s(1,1) = 9, expected 1"
-        for split in (2, 3, 5):
-            assert _fails(make, 6, split) == (text, held)
+    def test_growing_a_cache_with_waiting_rows(self, lockstep150):
+        for split in (9, _from_one(1), _from_one(2)):
+            _agrees(lockstep150, _case(40, split, start="waiting", a=20))
 
     def test_an_error_of_its_own_kills_the_child(self):
         _interrupted()
@@ -633,22 +631,9 @@ class TestForkSelection:
         assert grown.stored_s_rows() == rows
 
 
-@pytest.fixture(scope="module")
-def lockstep150():
-    """u, v, d and the rows to 150, grown by d(150) from empty at the split
-    the code picks."""
-    fresh = SequenceCache()
-    with _reaped_forks() as pids:
-        fresh.d(150)
-    if _can_split():
-        assert len(pids) == 1
-    return fresh
-
-
 class TestLockstepBuild:
     """d(n) grows u, the rows, v and d in one loop, split or not: u(n-1),
-    row n, v(n), d(n) in that order, and a failure raises and leaves what
-    the serial loop raises and leaves."""
+    row n, v(n), d(n) in that order."""
 
     def test_from_empty_to_150_at_the_picked_split(self, lockstep150):
         if _can_split():
@@ -656,135 +641,34 @@ class TestLockstepBuild:
             _check_schedule(split, 1, 150)
             assert (split[0], split[-1]) == (1, 27)
         serial = SequenceCache()
-        _build(serial.d, 150, 0)
+        _build(serial.d, 150)
         assert _tables(lockstep150) == _tables(serial)
         assert [lockstep150.known_count(name) for name in "uvd"] == [150, 151, 151]
         assert _sha256(",".join(map(str, lockstep150.known_values("d")))) == D_150_SHA256
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
     @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
-    def test_forced_splits_match_serial(self, max_n, split):
-        serial, forked = SequenceCache(), SequenceCache()
-        _build(serial.d, max_n, 0)
-        _build(forked.d, max_n, max_n - 1 if split == -1 else split)
-        assert _tables(forked) == _tables(serial)
+    def test_forced_splits_match_serial(self, lockstep150, max_n, split):
+        _agrees(lockstep150, _case(max_n, split, "d"))
 
     @pytest.mark.parametrize("split", [0, 9, *MOVING])
     @pytest.mark.parametrize("v_to, d_to", [(20, 20), (14, 10), (10, 14)])
     def test_growing_a_restored_cache(self, lockstep150, split, v_to, d_to):
         # v and d may lag the 20 restored rows, and either may lag the other.
-        rows = lockstep150.stored_s_rows()
-        restored = SequenceCache.from_stored(
-            u=lockstep150.known_values("u")[:20],
-            v=lockstep150.known_values("v")[: v_to + 1],
-            d=lockstep150.known_values("d")[: d_to + 1],
-            s_rows=iter(rows[:20]),
-            s_count=20,
-        )
-        _build(restored.d, 40, split)
-        grown = rows[:40], *(lockstep150.known_values(name)[:n] for name, n in zip("uvd", (40, 41, 41)))
-        assert _tables(restored) == grown
-
-    def test_a_planted_even_d_raises_what_the_serial_loop_raises(self, lockstep150):
-        v = lockstep150.known_values("v")[:41]
-        v[12] += 1  # d(12) = v(12) - (even terms) comes out even
-
-        def make():
-            return SequenceCache.from_stored(v=v)
-
-        text, held = _fails(make, 20, 0, "d")
-        assert text.startswith("d(12) = ") and text.endswith(" is even")
-        rows, u, v_held, d = held
-        # Row 12 and v(12) precede d(12); u(12) and row 13 follow it.
-        assert (len(rows), len(u), len(v_held), len(d)) == (12, 12, 41, 12)
-        for split in range(2, 20):
-            assert _fails(make, 20, split, "d") == (text, held), split
-        for at in (12, 13):
-            for k in range(1, 11):
-                assert _fails(make, 20, _moving(k, at), "d") == (text, held), (k, at)
-
-    def test_a_failing_h_check_after_an_even_d(self, cache):
-        # u(3) + 1 fails the check of h(4), and v(3) + 1 makes d(3) even,
-        # which comes first: this process's own failure in row 4 waits.
-        u = cache.known_values("u")[:4]
-        u[3] += 1
-        v = cache.known_values("v")[:9]
-        v[3] += 1
-
-        def make():
-            return SequenceCache.from_stored(u=u, v=v)
-
-        text, held = _fails(make, 8, 0, "d")
-        assert text.startswith("d(3) = ") and text.endswith(" is even")
-        for split in (2, 3, 5):
-            assert _fails(make, 8, split, "d") == (text, held)
-        for at in (3, 4, 5):
-            for k in (1, 2, 3):
-                assert _fails(make, 8, _moving(k, at), "d") == (text, held), (k, at)
-
-    def test_a_failing_entry_after_an_even_d(self, cache):
-        # The edited s^(10, 5) fails exact division in a later row; v edited
-        # one index below that row makes d there even, and that comes first.
-        rows = [list(row) for row in cache.stored_s_rows()[:10]]
-        rows[9][4] += 1
-
-        def make(v=None):
-            return SequenceCache.from_stored(
-                u=cache.known_values("u")[:10], v=v, s_rows=[list(row) for row in rows]
-            )
-
-        text, _ = _fails(make, 16, 0, "d")
-        row = int(text.split("(")[1].split(",")[0])
-        fresh = SequenceCache()
-        fresh.v(16)
-        v = fresh.known_values("v")
-        v[row - 1] += 1
-        text, held = _fails(lambda: make(v), 16, 0, "d")
-        assert text.startswith(f"d({row - 1}) = ") and text.endswith(" is even")
-        for split in range(2, 16):
-            assert _fails(lambda: make(v), 16, split, "d") == (text, held), split
-        for at in (row, row + 1):
-            for k in range(1, 14):
-                assert _fails(lambda: make(v), 16, _moving(k, at), "d") == (text, held), (k, at)
-
-
-def _restored(source, start, a, v_to=None, d_to=None, edit=None):
-    """A cache started from source's tables: empty, or u and rows 1..a held
-    ("held") or waiting to be read ("waiting"), with v and d to v_to and
-    d_to (a by default).  edit = (n, k, delta) adds delta to the held
-    s^(n, k)."""
-    if start == "empty":
-        return SequenceCache()
-    rows = source.stored_s_rows()[:a]
-    if edit:
-        n, k, delta = edit
-        rows[n - 1] = list(rows[n - 1])
-        rows[n - 1][k - 1] += delta
-    v_to, d_to = (a if to is None else to for to in (v_to, d_to))
-    held = {
-        "u": source.known_values("u")[:a],
-        "v": source.known_values("v")[: v_to + 1],
-        "d": source.known_values("d")[: d_to + 1],
-    }
-    if start == "waiting":
-        return SequenceCache.from_stored(**held, s_rows=iter(rows), s_count=a)
-    return SequenceCache.from_stored(**held, s_rows=rows)
-
-
-def _outcome(cache, read, max_n, split, forked=True):
-    """The text and type of the IntegrityError a forced-split build raises,
-    or None, and the tables it left held."""
-    try:
-        _build(getattr(cache, read), max_n, split, forked)
-    except IntegrityError as exc:
-        return (type(exc), str(exc)), _tables(cache)
-    return None, _tables(cache)
+        restored = dict(start="waiting", a=20, v_to=v_to, d_to=d_to)
+        if split:
+            _agrees(lockstep150, _case(40, split, "d", **restored))
+        else:  # alone, against the tables d(150) grew
+            grown = _restored(lockstep150, **restored)
+            _build(grown.d, 40)
+            assert _tables(grown) == tuple(x[:n] for x, n in zip(_tables(lockstep150), (40, 40, 41, 41)))
 
 
 @st.composite
 def _split_cases(draw):
-    """A start state, a target b <= 40, a schedule K(first..b), lockstep
-    or not, and at most one edited held entry."""
+    """A start state, a target b <= 40, a schedule K(first..b), lockstep or
+    not, at most one planted fault, and the number of rows after which the
+    child is killed, or None."""
     start = draw(st.sampled_from(["empty", "held", "waiting"]))
     a = 0 if start == "empty" else draw(st.integers(1, 39))
     first = a + 1
@@ -792,27 +676,63 @@ def _split_cases(draw):
     ks = [draw(st.integers(1, first))]
     for _ in range(b - first):
         ks.append(ks[-1] + draw(st.integers(0, 1)))
-    edit = None
-    if a >= 2 and draw(st.booleans()):
+    u_to, v_to, d_to = draw(st.integers(0, b - 1)), draw(st.integers(0, b)), draw(st.integers(0, a))
+    fault, delta = draw(st.sampled_from(["none", "s", "u", "v"])), draw(st.sampled_from([1, -1, 2, 3, 105]))
+    edits = ()
+    if fault == "s" and a >= 2:
         n = draw(st.integers(2, a))
-        edit = n, draw(st.integers(1, n - 1)), draw(st.sampled_from([1, -1, 2, 3, 105]))
-    state = dict(start=start, a=a, v_to=draw(st.integers(0, a)), d_to=draw(st.integers(0, a)), edit=edit)
-    return state, b, ks, draw(st.sampled_from(["build_s_table", "d"]))
+        # Column k + 1 of the new rows reads the edit: this process's
+        # columns for k < K(first), the child's from there on.
+        sides = [side for side in (range(1, min(ks[0], n)), range(ks[0], n)) if side]
+        edits = (("s", (n, draw(st.sampled_from(draw(st.sampled_from(sides))))), delta),)
+    elif fault == "u":  # u(0) from empty fails the diagonal, later u mostly h's 2^E check
+        edits = (("u", draw(st.integers(0, u_to)), delta),)
+    elif fault == "v" and v_to:  # an even d, where d(j) is built
+        edits = (("v", draw(st.integers(1, v_to)), delta),)
+    kill = draw(st.none() | st.integers(0, b - a))
+    state = dict(start=start, a=a, u_to=u_to, v_to=v_to, d_to=d_to, edits=edits)
+    return state, b, ks, draw(st.sampled_from(["build_s_table", "d"])), kill, None
+
+
+# The hand-picked cases the property replaced, each at a boundary that puts
+# its failure on one side, with the text and the table lengths the index
+# order gives.  s^(10, 5) + 1 fails at s(12,7); u(3) + 1 fails the 2^7
+# check of h(4); u(0) = 3 gives s(1,1) = 9; v(j) + 1 makes d(j) even.
+ENTRY = ("s", (10, 5), 1)
+H4 = ("u", 3, 1)
+AT_ENTRY = dict(start="held", a=10, expect=("s(12,7) is not an integer", (11, 12, 11, 11)))
+AT_H4 = ("h(4) / 2^7 is not an integer", (3, 4, 4, 4))
+EVEN_D12 = ("d(12) = -923351332174412750 is even", (12, 12, 41, 12))
 
 
 class TestSplitProperty:
-    """Whatever the start, target, schedule and planted edit, a forced-split
-    build returns or raises what the build without a child does, and leaves
-    the same tables."""
+    """Whatever the start, target, schedule, planted fault and lost child,
+    a forced-split build returns or raises what the build alone does, and
+    leaves the same tables."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_split_cases())
+    @example(case=_case(16, 6, edits=(ENTRY,), **AT_ENTRY))  # column 7 is the child's
+    @example(case=_case(16, 7, edits=(ENTRY,), **AT_ENTRY))  # and here this process's
+    @example(case=_case(16, _moving(5, 12), edits=(ENTRY,), **AT_ENTRY))
+    @example(case=_case(16, _moving(5, 13), edits=(ENTRY,), **AT_ENTRY))
+    @example(case=_case(8, 2, start="held", a=3, u_to=3, edits=(H4,), expect=AT_H4))
+    @example(case=_case(8, 2, start="held", a=3, edits=(("s", (3, 2), 1),),
+                        expect=("s(4,3) is not an integer", (3, 4, 4, 4))))  # the child's column
+    @example(case=_case(8, 2, start="held", a=3, u_to=3, edits=(H4, ("s", (3, 2), 1)), expect=AT_H4))
+    @example(case=_case(8, _moving(2, 5), start="held", a=1, u_to=3, edits=(H4,),
+                        expect=(AT_H4[0], (3, 4, 2, 2))))
+    @example(case=_case(6, 2, edits=(("u", 0, 2),), expect=("s(1,1) = 9, expected 1", (0, 1, 1, 1))))
+    @example(case=_case(20, 5, "d", v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
+    @example(case=_case(20, _moving(5, 12), "d", v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
+    @example(case=_case(8, 2, "d", u_to=3, v_to=8, edits=(H4, ("v", 3, 1)),
+                        expect=("d(3) = 52 is even", (3, 4, 9, 3))))
+    @example(case=_case(16, 6, "d", start="held", a=10, v_to=16, edits=(ENTRY, ("v", 11, 1)),
+                        expect=("d(11) = 38711592371355940 is even", (11, 11, 17, 11))))
+    @example(case=_case(16, 3, start="held", a=10, edits=(("s", (10, 7), 1),), kill=0,
+                        expect=("s(11,8) is not an integer", (10, 11, 11, 11))))  # lost, then fails
     def test_forced_split_matches_the_unforked_build(self, lockstep150, case):
-        state, b, ks, read = case
-        _check_schedule(ks, state["a"] + 1, b)
-        serial = _outcome(_restored(lockstep150, **state), read, b, 0)
-        forked = _outcome(_restored(lockstep150, **state), read, b, lambda n, first: ks[n - first])
-        assert forked == serial
+        _agrees(lockstep150, case)
 
 
 def _errno(cls, code):
@@ -852,10 +772,10 @@ class TestForkFailure:
     @pytest.mark.parametrize("read", ["build_s_table", "d"])
     @pytest.mark.parametrize("start", ["empty", "held", "waiting"])
     def test_builds_the_serial_tables(self, lockstep150, name, exc, read, start):
-        serial = _outcome(_restored(lockstep150, start, 20), read, 40, 0)
+        serial = _outcome(_restored(lockstep150, start, 20), read, 40)
         cache = _restored(lockstep150, start, 20)
         with _failing(name, exc) as calls:
-            assert _outcome(cache, read, 40, 5, forked=False) == serial
+            assert _outcome(cache, read, 40, _at(5), forked=False) == serial
         assert len(calls) == (1 if name == "fork" else 2)
 
     def test_verify_passes(self, capsys, monkeypatch):
@@ -866,19 +786,39 @@ class TestForkFailure:
         assert capsys.readouterr().out.startswith("SUITE mod5 RANGE 1..150 PRIME 5 RESULT PASS")
 
 
-def _a_split_build(cache):
-    _build(SequenceCache().d, 40, 5)
+class TestLostChild:
+    """A child that dies before every row is joined leaves the build to
+    finish alone, from the first row not joined: the serial tables, and no
+    child."""
+
+    @pytest.mark.parametrize("kill_after", [0, 1, 5, 20])
+    @pytest.mark.parametrize("read", ["build_s_table", "d"])
+    @pytest.mark.parametrize("start", ["empty", "held"])
+    def test_builds_the_serial_tables(self, lockstep150, monkeypatch, kill_after, read, start):
+        a = 20 if start == "held" else 0
+        heads, head = [], core._head
+        monkeypatch.setattr(core, "_head", lambda *args: heads.append(args[3]) or head(*args))
+        _agrees(lockstep150, _case(40, 5, read, kill_after, start=start, a=a))
+        # Rows after the kill are built again, unless the child had sent them all.
+        assert (len(heads) > 2 * (40 - a)) == (kill_after < 40 - a)
+
+    def test_verify_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr(core, "_split_column", lambda first, last, lockstep: [1] * (last - first + 1))
+        with _reaped_forks(kill_after=0) as pids:
+            assert cli.main(["verify", "--suite", "mod5"]) == 0
+        assert len(pids) == 1
+        assert capsys.readouterr().out == "SUITE mod5 RANGE 1..150 PRIME 5 RESULT PASS\n"
 
 
-def _a_failing_child(cache):
-    with pytest.raises(IntegrityError, match=r"^s\(\d+,([3-9]|1\d)\) is not an integer$"):
-        _build(_edited_entry(cache).build_s_table, 16, 2)  # a column past 2: the child's
+def _a_failing_child(source):
+    with pytest.raises(IntegrityError, match=r"^s\(12,7\) is not an integer$"):
+        _build(_restored(source, "held", 10, edits=(ENTRY,)).build_s_table, 16, _at(2))
 
 
 def _a_failing_fork(name, exc):
-    def build(cache):
+    def build(source):
         with _failing(name, exc):
-            _build(SequenceCache().d, 40, 5, forked=False)
+            _build(SequenceCache().d, 40, _at(5), forked=False)
 
     return build
 
@@ -887,15 +827,16 @@ def _a_failing_fork(name, exc):
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(_a_split_build, id="split"),
+        pytest.param(lambda source: _build(SequenceCache().d, 40, _at(5)), id="split"),
         pytest.param(_a_failing_child, id="failing-child"),
-        pytest.param(lambda cache: _interrupted(), id="interrupted"),
+        pytest.param(lambda source: _build(SequenceCache().d, 40, _at(5), kill_after=1), id="lost-child"),
+        pytest.param(lambda source: _interrupted(), id="interrupted"),
         *(pytest.param(_a_failing_fork(*fault.values), id=fault.id) for fault in FORK_FAULTS),
     ],
 )
-def test_a_build_leaves_the_descriptors_it_found(cache, build):
+def test_a_build_leaves_the_descriptors_it_found(lockstep150, build):
     before = os.listdir("/proc/self/fd")
-    build(cache)
+    build(lockstep150)
     assert os.listdir("/proc/self/fd") == before
 
 
