@@ -41,6 +41,16 @@ done
 # The residue readers over stored rows 1..40 and rows grown past them
 # print what a run with no cache dir prints.
 python -m romik cache build --dir "$tmp/c40" --max 40
+# Every build grows v and d with the rows: a grid into a fresh directory
+# stores the v, d and rows that cache build stores.
+python -m romik grid --prime 5 --max-n 40 --cache-dir "$tmp/g40" > /dev/null
+python -m romik cache check --dir "$tmp/g40" > "$tmp/g40.txt"
+for line in "SEQ v COUNT 41" "SEQ d COUNT 41" "SEQ s ROWS 40"; do
+  grep -qxF "$line" "$tmp/g40.txt"
+done
+for name in v d s; do
+  cmp "$tmp/g40/$name.bin" "$tmp/c40/$name.bin"
+done
 for args in "verify" "scan-period --prime 13 --bound 100"; do
   rm -rf "$tmp/fresh40"
   cp -r "$tmp/c40" "$tmp/fresh40"

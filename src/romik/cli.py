@@ -17,12 +17,14 @@ command's handler, stores once if a table grew, and only then writes the
 lines the handler returned.  Handlers compute and never print.  A corrupt
 file is refused with the remedy, since the command would append to it,
 whether the load finds it or the handler does: the s-table rows of a load
-are decoded as they are first read.  ``cache check`` reads every row.
+are decoded as they are first read.  ``cache check`` reads every row.  A
+cache directory that names a file is refused before the handler runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -62,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "cache_command", None) == "check":
             # Outside the session: a missing directory is an error, and nothing is stored.
             cache, directory = cache_io.load_cache(directory), None
+        if directory and os.path.exists(directory) and not os.path.isdir(directory):
+            # Refused before the handler runs: the store could not make it.
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
         try:
             if directory and os.path.isdir(directory):
                 cache = cache_io.load_cache(directory)
@@ -260,12 +265,10 @@ def _run_cache(args, parser, cache) -> tuple[int, list[str]]:
         return 0, counts + [f"SEQ s ROWS {cache.s_bound}"]
     if args.max < 0:
         parser.error("--max must be >= 0")
-    # d(max) grows u, the s-table, v and d in one lockstep loop.  It returns
-    # at once when d.bin already holds 0..max, so a directory whose s.bin,
-    # v.bin or u.bin fell behind it is topped up by the three calls after it.
-    cache.d(args.max)
+    # The one build grows u to max - 1 and the s-table, v and d to max
+    # together, each only where it lags, so it also tops up a directory whose
+    # s.bin, v.bin or d.bin fell behind the others; u(max) adds the last u.
     cache.build_s_table(args.max)
-    cache.v(args.max)
     cache.u(args.max)
     return 0, [f"stored u, v, d (0..{args.max}) and s-table (bound {args.max}) in {args.cache_dir}"]
 

@@ -72,11 +72,13 @@ remainder) and ``_check_pair`` (the 1 <= k <= n guard).  Two loops divide
 inline: the builder, so that the reference above shares no code with it, and
 the summand step of ``residues.s_mod5_single_index``, which a call slows by 15%.
 
-The tables grow in lockstep: one loop (``build_s_table``) appends, for
-each index n from the first one missing, u(n-1), row n and, for a d(n)
-read, v(n) and d(n), each where it is not held.  u, v and d each have one
-per-index step (``_u_steps``, ``_v_steps``, ``_d_steps``), which the loop
-and the readers run alike.
+The tables grow in lockstep, in one growth mode: one loop
+(``build_s_table``) appends, for each index n from the first one missing,
+u(n-1), row n, v(n) and d(n), each where it is not held, whichever read
+asked for row n or d(n).  So every build that returns leaves v and d at
+least to the index it was asked for.  u, v and d each have one per-index
+step (``_u_steps``, ``_v_steps``, ``_d_steps``), which the loop and the
+readers run alike.
 
 For each n the loop computes u(n-1), h(n) and columns 1..K(n) of row n,
 then joins, checks and appends row n-1 and grows v and d to n-1.  A
@@ -130,12 +132,11 @@ factorial = functools.cache(math.factorial)
 # _split_column's weights: about 35 ms in one process on a 2-vCPU VM, where
 # the fork, the pipes and the child's columns cost about 5 ms.
 _FORK_WORK = 2 * 10**8
-# The same weights per n^3 of the work only this process does for row n:
-# u(n-1) and h(n), and v(n) and d(n) in lockstep.  Rows 1..150 took about
-# 30, 18 and 330 ms for these two and for columns 2..n, in one process on
-# the same VM.
-_OWN_WORK = 4
-_LOCKSTEP_WORK = 2
+# The same weights per n^3 of the work only this process does for row n,
+# which every build does: u(n-1) and h(n) (4), and v(n) and d(n) (2).  Rows
+# 1..150 took about 30, 18 and 330 ms for these two and for columns 2..n,
+# in one process on the same VM.
+_OWN_WORK = 4 + 2
 
 
 class IntegrityError(ArithmeticError):
@@ -163,10 +164,11 @@ class SequenceCache:
     The s-table is append-only too: row n is computed once from rows
     1..n-1 and h(n) (see the module docstring), so growing the bound,
     whether by ``build_s_table(max_n)`` or by asking for d(n) or s(n, k)
-    one n at a time, only builds the rows not yet held.  A d(n) read grows
+    one n at a time, only builds the rows not yet held.  Every build grows
     u, the rows, v and d together, index by index (see the module
-    docstring).  A cache restored by ``from_stored`` grows the same way
-    from its loaded rows and u.
+    docstring), so one that returns leaves v and d at least to the index
+    asked for.  A cache restored by ``from_stored`` grows the same way from
+    its loaded rows and u, and a v or d that lags them is topped up so.
     Rows handed over with a count wait in ``_waiting`` until first read:
     ``_restore`` takes them, in order, before any row is built or read.
 
@@ -225,36 +227,33 @@ class SequenceCache:
         to be."""
         return len(self._s_rows) + self._pending
 
-    def build_s_table(self, max_n: int, *, _lockstep: bool = False) -> None:
+    def build_s_table(self, max_n: int) -> None:
         """Fill s(n, k) for all 1 <= k <= n <= max_n, appending only the
-        rows past ``s_bound`` (no-op if already built).  u(n-1) is appended
-        just before row n.  ``d(n)`` enters here with _lockstep set, so that
-        v(n) and d(n) follow row n: from the first index any of u, v, d or
-        the rows lacks, each index appends what is missing of u(n-1), row n,
-        v(n) and d(n), in that order.  One loop appends every row; a child,
-        if forked, supplies columns K(n)+1..n, and else K(n) = n.  If the
-        child is lost before every row is joined, it is reaped and the loop
-        builds the rest alone from the first row not joined."""
+        rows past ``s_bound``, with u to max_n - 1 and v and d to max_n:
+        from the first index any of u, v, d or the rows lacks, each index n
+        appends what is missing of u(n-1), row n, v(n) and d(n), in that
+        order.  A call with nothing missing returns at once.  One loop
+        appends every row; a child, if forked, supplies columns K(n)+1..n,
+        and else K(n) = n.  If the child is lost before every row is
+        joined, it is reaped and the loop builds the rest alone from the
+        first row not joined."""
         self._restore(max_n)
         rows, u, v, d = self._s_rows, self._u, self._v, self._d
         first = len(rows) + 1
-        u_steps = _u_steps(u)
-        after = None
-        if _lockstep:
-            v_steps, d_steps = _v_steps(v), _d_steps(d, v, rows)
+        u_steps, v_steps, d_steps = _u_steps(u), _v_steps(v), _d_steps(d, v, rows)
 
-            def after(n: int) -> None:  # v(n) and d(n), where not held
-                if len(v) == n:
-                    next(v_steps)
-                if len(d) == n:
-                    next(d_steps)
+        def after(n: int) -> None:  # v(n) and d(n), where not held
+            if len(v) == n:
+                next(v_steps)
+            if len(d) == n:
+                next(d_steps)
 
-            for n in range(min(len(v), len(d)), min(first, max_n + 1)):
-                after(n)
+        for n in range(min(len(v), len(d)), min(first, max_n + 1)):
+            after(n)
         if max_n < first:
             return
         e = [_e(m) for m in range(max_n + 1)]
-        split = _split_column(first, max_n, _lockstep)
+        split = _split_column(first, max_n)
         while len(rows) < max_n:  # a second pass builds alone what a lost child left
             first = len(rows) + 1
             # cols[k-1] = [s^(k, k), s^(k+1, k), ...], the held rows by column,
@@ -295,8 +294,7 @@ class SequenceCache:
                             if row[-1] != 1:
                                 raise IntegrityError(f"s({n - 1},{n - 1}) = {row[-1]}, expected 1")
                             rows.append(row)
-                            if after:
-                                after(n - 1)
+                            after(n - 1)
                         except IntegrityError:
                             del u[held_u:]  # index n - 1 ends with d(n - 1), before u(n - 1)
                             raise
@@ -372,14 +370,14 @@ class SequenceCache:
 
     def d(self, n: int) -> int:
         """d(n) = v(n) - sum_{k=1}^{n-1} r(n, k) d(k), with d(0) = 1, grown
-        in lockstep with the s-table and v (``build_s_table``).
+        by the one build of u, the s-table, v and d (``build_s_table(n)``).
 
         Every value appended to the cache is checked to be odd.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if n >= len(self._d):
-            self.build_s_table(n, _lockstep=True)
+            self.build_s_table(n)
         return self._d[n]
 
     # -- bulk views used by persistence and the verifier ------------------
@@ -548,14 +546,13 @@ def _binomial_row(n: int) -> list[int]:
     return half + half[: n + 1 - len(half)][::-1]
 
 
-def _split_column(first: int, last: int, lockstep: bool) -> list[int]:
+def _split_column(first: int, last: int) -> list[int]:
     """K(n) for n = first..last, the last column this process computes of
     row n when a forked child computes the rest, or [] to build them here
     alone.  Entry (n, k), k >= 2, is weighed (n - k + 1)^2 n: n - k + 1
     products of numbers whose length grows with n.  The work only this
-    process does is weighed per row too: u(n-1) and h(n) at _OWN_WORK n^3
-    (about n products of numbers of length about n), and v(n) and d(n),
-    when they grow in lockstep with the row, at _LOCKSTEP_WORK n^3.  K(n)
+    process does, u(n-1), h(n), v(n) and d(n), is weighed _OWN_WORK n^3 per
+    row (about n products of numbers of length about n).  K(n)
     leaves this process the share of row n closest to one half, among
     1..n for the first row and K(n-1), K(n-1) + 1 after it, so that the
     boundary never moves back and moves at most one column a row."""
@@ -569,12 +566,11 @@ def _split_column(first: int, last: int, lockstep: bool) -> list[int]:
         return []
     if len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
         return []  # a fork copies only the calling thread
-    own = _OWN_WORK + _LOCKSTEP_WORK * lockstep
     split: list[int] = []
     for n in range(first, last + 1):
         ks = (split[-1], split[-1] + 1) if split else range(1, n + 1)
         # this process's share less the child's, over n
-        split.append(min(ks, key=lambda k: abs(own * n * n + sq(n - 1) - 2 * sq(n - k))))
+        split.append(min(ks, key=lambda k: abs(_OWN_WORK * n * n + sq(n - 1) - 2 * sq(n - k))))
     return split
 
 

@@ -8,5 +8,4 @@ def cache():
     """Shared cache for read-only tests; sized for the unit-test ranges."""
     c = SequenceCache()
     c.build_s_table(25)
-    c.d(25)
     return c

@@ -233,13 +233,14 @@ class TestVerify:
         assert path.read_bytes() == torn
 
     def test_failed_store_prints_no_result(self, tmp_path, capsys):
+        # A directory to be made under a regular file: the store fails.
         target = tmp_path / "regular-file"
         target.write_text("")
         code, out, err = run_cli(
-            ["verify", "--suite", "sums", "--max", "5", "--cache-dir", str(target)], capsys
+            ["verify", "--suite", "sums", "--max", "5", "--cache-dir", str(target / "c")], capsys
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"romik: error: {target}: ")
+        assert err.startswith(f"romik: error: {target / 'c'}: ")
         assert target.read_text() == ""
 
     def test_all_rejects_max_override(self, capsys):
@@ -370,18 +371,33 @@ class TestCacheCommand:
         assert sum(built) == 0
         assert {name: (directory / name).read_bytes() for name in os.listdir(directory)} == before
 
-    def test_build_tops_up_tables_behind_d(self, tmp_path, capsys):
-        # d.bin holds d(0..12) but v.bin and s.bin are missing, as after a
-        # store that stopped once d.bin was written.
-        cache = SequenceCache()
-        cache.d(12)
-        append_sequence(str(tmp_path / "d.bin"), "d", cache.known_values("d"))
-        code, _, _ = run_cli(["cache", "build", "--dir", str(tmp_path), "--max", "12"], capsys)
+    @pytest.mark.parametrize("lagging", ["d-ahead", "v-missing", "d-missing", "u-short"])
+    def test_build_tops_up_tables_behind_d(self, tmp_path, capsys, lagging):
+        # d-ahead: d.bin holds d(0..12) but the other files are missing, as
+        # after a store that stopped once d.bin was written.  Else one file of
+        # a full build is missing, or u.bin is left empty, short of s.bin.
+        fresh, directory = tmp_path / "fresh", tmp_path / "lagging"
+        assert run_cli(["cache", "build", "--dir", str(fresh), "--max", "12"], capsys)[0] == 0
+        directory.mkdir()
+        if lagging == "d-ahead":
+            append_sequence(str(directory / "d.bin"), "d", load_cache(str(fresh)).known_values("d"))
+        else:
+            for name in os.listdir(fresh):
+                (directory / name).write_bytes((fresh / name).read_bytes())
+            target = directory / f"{lagging[0]}.bin"
+            if lagging.endswith("missing"):
+                target.unlink()
+            else:
+                target.write_bytes(b"")
+        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "12"], capsys)
         assert code == 0
-        code, out, _ = run_cli(["cache", "check", "--dir", str(tmp_path)], capsys)
+        code, out, _ = run_cli(["cache", "check", "--dir", str(directory)], capsys)
         assert (code, out.splitlines()) == (
             0, ["SEQ u COUNT 13", "SEQ v COUNT 13", "SEQ d COUNT 13", "SEQ s ROWS 12"]
         )
+        assert {name: (directory / name).read_bytes() for name in os.listdir(fresh)} == {
+            name: (fresh / name).read_bytes() for name in os.listdir(fresh)
+        }
 
     def test_check_of_a_missing_directory_is_an_error(self, tmp_path, capsys):
         directory = tmp_path / "none"
@@ -530,6 +546,24 @@ class TestCacheDirFlow:
         assert (code, out) == run_cli(argv, capsys)[:2]
         assert code == 0
         assert files() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "parity"],
+        ["scan-period", "--prime", "5", "--bound", "40", "--cache-dir"],
+        ["cache", "build", "--max", "30", "--dir"],
+    ], ids=["verify-env", "scan-period", "cache-build"])
+    def test_a_cache_dir_that_is_a_file_is_refused_first(self, tmp_path, capsys, monkeypatch, argv):
+        path = tmp_path / "file"
+        path.write_bytes(b"not a directory")
+        built = []
+        monkeypatch.setattr(SequenceCache, "build_s_table", lambda cache, max_n: built.append(max_n))
+        if argv[0] == "verify":
+            monkeypatch.setenv("ROMIK_CACHE_DIR", str(path))
+        else:
+            argv = [*argv, str(path)]
+        assert run_cli(argv, capsys) == (2, "", f"romik: error: {path}: Not a directory\n")
+        assert built == []
+        assert path.read_bytes() == b"not a directory"
 
     def test_env_variable_is_honored(self, tmp_path, capsys, monkeypatch):
         directory = str(tmp_path / "envcache")

@@ -139,11 +139,16 @@ class TestSequences:
         assert started == [1]
         assert fresh.known_count("v") == 41
 
-    def test_an_s_table_build_grows_neither_v_nor_d(self):
-        fresh = SequenceCache()
-        fresh.build_s_table(40)
-        assert [fresh.known_count(name) for name in "uvd"] == [40, 1, 1]
-        assert fresh.s_bound == 40
+    @pytest.mark.parametrize("start", ["empty", "held", "restored"])
+    @pytest.mark.parametrize("read", ["build_s_table", "s", "r_residues", "d"])
+    def test_every_build_leaves_v_and_d_at_its_bound(self, table150, start, read):
+        # From empty, from 20 held rows, or from 40 stored rows with v and d to 5.
+        states = {"empty": ("empty", 0), "held": ("held", 20), "restored": ("waiting", 40, None, 5, 5)}
+        grown = _restored(table150, *states[start])
+        reads = {"s": lambda n: grown.s(n, 1), "r_residues": lambda n: grown.r_residues(5, n)}
+        reads.get(read, getattr(grown, read))(30)
+        assert grown.known_count("v") == grown.known_count("d") == 31
+        assert grown.known_count("u") >= 30 and grown.s_bound >= 30
 
     def test_known_count_is_length_of_known_values(self, cache):
         for name in "uvd":
@@ -164,7 +169,6 @@ class TestSequences:
         fresh = SequenceCache()
         fresh.build_s_table(12)
         fresh.u(12)
-        fresh.d(12)
         assert fresh.known_values("u") == cache.known_values("u")[:13]
         assert fresh.known_values("v") == cache.known_values("v")[:13]
         assert fresh.known_values("d") == cache.known_values("d")[:13]
@@ -253,7 +257,6 @@ class TestSTable:
     def test_ascending_d_matches_bulk(self):
         bulk = SequenceCache()
         bulk.build_s_table(60)
-        bulk.d(60)
         ascending = SequenceCache()
         assert [ascending.d(n) for n in range(61)] == bulk.known_values("d")
         assert ascending.known_s_rows() == bulk.known_s_rows()
@@ -261,7 +264,6 @@ class TestSTable:
     def test_reloaded_cache_extends_to_bulk(self, tmp_path):
         stored = SequenceCache()
         stored.build_s_table(20)
-        stored.d(20)
         store_cache(str(tmp_path), stored)
         reloaded = load_cache(str(tmp_path))
         assert reloaded.s_bound == 20
@@ -272,7 +274,6 @@ class TestSTable:
         reloaded.d(40)
         bulk = SequenceCache()
         bulk.build_s_table(40)
-        bulk.d(40)
         assert reloaded.known_s_rows() == bulk.known_s_rows()
         for name in "uvd":
             assert reloaded.known_values(name)[:41] == bulk.known_values(name)[:41]
@@ -363,7 +364,6 @@ class TestNormalizedTable:
         assert restored._s_rows is not rows
         assert all(a is b for a, b in zip(restored._s_rows, rows, strict=True))
 
-
     def test_from_stored_checks_each_row_it_takes(self, cache):
         rows = [list(row) for row in cache.stored_s_rows()[:6]]
         rows[4][4] = 3
@@ -425,7 +425,7 @@ def _build(grow, max_n, split=None, forked=True, kill_after=None):
     kill_after is as for _reaped_forks."""
     asked = []
 
-    def schedule(first, last, lockstep):
+    def schedule(first, last):
         asked.append(first)  # not reached where v or d fails below the first new row
         return [split(n, first) for n in range(first, last + 1)] if split else []
 
@@ -540,13 +540,8 @@ def _picked(read):
 
 
 @pytest.fixture(scope="module")
-def split150():
+def table150():
     return _picked("build_s_table")
-
-
-@pytest.fixture(scope="module")
-def lockstep150():
-    return _picked("d")
 
 
 def _interrupted():
@@ -570,27 +565,34 @@ class TestSplitBuild:
     schedule the code picks; the fixed schedules below run the property's
     check (``_agrees``) without a planted fault."""
 
-    def test_from_empty_to_150_at_the_picked_split(self, split150):
+    def test_from_empty_to_150_at_the_picked_split(self, table150):
         if _can_split():
-            split = core._split_column(1, 150, False)
+            split = core._split_column(1, 150)
             _check_schedule(split, 1, 150)
-            assert (split[0], split[-1]) == (1, 29)
-        rows = split150.known_s_rows()
+            assert (split[0], split[-1]) == (1, 27)
+        rows = table150.known_s_rows()
         assert _sha256("\n".join(",".join(map(str, row)) for row in rows)) == S_150_SHA256
-        assert split150.known_count("v") == split150.known_count("d") == 1
+        assert [table150.known_count(name) for name in "uvd"] == [150, 151, 151]
+
+    def test_the_schedule_is_pinned(self, monkeypatch):
+        # Every build weighs v(n) and d(n) as its own work, as d reads always
+        # did, so the builds from d reads keep the K(n) they were measured at.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        split = core._split_column(1, 150)
+        _check_schedule(split, 1, 150)
+        steps = [n for n, (k, after) in enumerate(zip(split, split[1:]), 2) if after > k]
+        assert split[0] == 1 and steps == [23, 28, 33, 39, 44, 49, 54, 59, 64, 69, 74, 78, 83, 88,
+                                           93, 98, 103, 108, 113, 118, 123, 127, 132, 137, 142, 147]
+        assert core._split_column(91, 100) == [15, 15, 16, 16, 16, 16, 16, 17, 17, 17]
+        assert core._split_column(141, 150) == [25, 26, 26, 26, 26, 26, 27, 27, 27, 27]
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
     @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
-    def test_forced_splits_match_serial(self, lockstep150, max_n, split):
-        _agrees(lockstep150, _case(max_n, split))
-
-    def test_growing_from_held_rows(self, lockstep150):
-        for split in (9, _from_one(1), _from_one(2)):
-            _agrees(lockstep150, _case(40, split, start="held", a=20))
-
-    def test_growing_a_cache_with_waiting_rows(self, lockstep150):
-        for split in (9, _from_one(1), _from_one(2)):
-            _agrees(lockstep150, _case(40, split, start="waiting", a=20))
+    def test_forced_splits_match_serial(self, table150, max_n, split):
+        # Growth over held rows 1..max_n/2, with v and d lagging them.
+        a = max_n // 2
+        _agrees(table150, _case(max_n, split, start="held", a=a, v_to=a // 2, d_to=a // 2))
 
     def test_an_error_of_its_own_kills_the_child(self):
         _interrupted()
@@ -606,13 +608,13 @@ class TestForkSelection:
 
         monkeypatch.setattr(os, "fork", fork)
 
-    def test_one_cpu(self, split150, monkeypatch):
+    def test_one_cpu(self, table150, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         fresh = SequenceCache()
         fresh.build_s_table(150)
-        assert fresh.stored_s_rows() == split150.stored_s_rows()
+        assert fresh.stored_s_rows() == table150.stored_s_rows()
 
-    def test_another_thread_alive(self, split150):
+    def test_another_thread_alive(self, table150):
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -622,53 +624,49 @@ class TestForkSelection:
         finally:
             release.set()
             waiter.join()
-        assert fresh.stored_s_rows() == split150.stored_s_rows()
+        assert fresh.stored_s_rows() == table150.stored_s_rows()
 
-    def test_small_call(self, split150):
-        rows = split150.stored_s_rows()
-        grown = SequenceCache.from_stored(u=split150.known_values("u")[:149], s_rows=rows[:149])
+    def test_small_call(self, table150):
+        rows = table150.stored_s_rows()
+        grown = SequenceCache.from_stored(u=table150.known_values("u")[:149], s_rows=rows[:149])
         grown.build_s_table(150)
         assert grown.stored_s_rows() == rows
 
 
 class TestLockstepBuild:
-    """d(n) grows u, the rows, v and d in one loop, split or not: u(n-1),
-    row n, v(n), d(n) in that order."""
+    """Every build grows u, the rows, v and d in one loop, split or not:
+    u(n-1), row n, v(n), d(n) in that order."""
 
-    def test_from_empty_to_150_at_the_picked_split(self, lockstep150):
-        if _can_split():
-            split = core._split_column(1, 150, True)
-            _check_schedule(split, 1, 150)
-            assert (split[0], split[-1]) == (1, 27)
+    def test_from_empty_to_150_at_the_picked_split(self, table150):
+        picked = _picked("d")
         serial = SequenceCache()
         _build(serial.d, 150)
-        assert _tables(lockstep150) == _tables(serial)
-        assert [lockstep150.known_count(name) for name in "uvd"] == [150, 151, 151]
-        assert _sha256(",".join(map(str, lockstep150.known_values("d")))) == D_150_SHA256
+        assert _tables(picked) == _tables(serial) == _tables(table150)
+        assert _sha256(",".join(map(str, picked.known_values("d")))) == D_150_SHA256
 
     @pytest.mark.parametrize("max_n", [3, 17, 40])
     @pytest.mark.parametrize("split", [2, 5, -1, *MOVING])
-    def test_forced_splits_match_serial(self, lockstep150, max_n, split):
-        _agrees(lockstep150, _case(max_n, split, "d"))
+    def test_forced_splits_match_serial(self, table150, max_n, split):
+        _agrees(table150, _case(max_n, split, "d"))
 
     @pytest.mark.parametrize("split", [0, 9, *MOVING])
     @pytest.mark.parametrize("v_to, d_to", [(20, 20), (14, 10), (10, 14)])
-    def test_growing_a_restored_cache(self, lockstep150, split, v_to, d_to):
+    def test_growing_a_restored_cache(self, table150, split, v_to, d_to):
         # v and d may lag the 20 restored rows, and either may lag the other.
         restored = dict(start="waiting", a=20, v_to=v_to, d_to=d_to)
         if split:
-            _agrees(lockstep150, _case(40, split, "d", **restored))
+            _agrees(table150, _case(40, split, "d", **restored))
         else:  # alone, against the tables d(150) grew
-            grown = _restored(lockstep150, **restored)
+            grown = _restored(table150, **restored)
             _build(grown.d, 40)
-            assert _tables(grown) == tuple(x[:n] for x, n in zip(_tables(lockstep150), (40, 40, 41, 41)))
+            assert _tables(grown) == tuple(x[:n] for x, n in zip(_tables(table150), (40, 40, 41, 41)))
 
 
 @st.composite
 def _split_cases(draw):
-    """A start state, a target b <= 40, a schedule K(first..b), lockstep or
-    not, at most one planted fault, and the number of rows after which the
-    child is killed, or None."""
+    """A start state, a target b <= 40, a schedule K(first..b), at most one
+    planted fault, and the number of rows after which the child is killed,
+    or None."""
     start = draw(st.sampled_from(["empty", "held", "waiting"]))
     a = 0 if start == "empty" else draw(st.integers(1, 39))
     first = a + 1
@@ -691,7 +689,7 @@ def _split_cases(draw):
         edits = (("v", draw(st.integers(1, v_to)), delta),)
     kill = draw(st.none() | st.integers(0, b - a))
     state = dict(start=start, a=a, u_to=u_to, v_to=v_to, d_to=d_to, edits=edits)
-    return state, b, ks, draw(st.sampled_from(["build_s_table", "d"])), kill, None
+    return state, b, ks, "build_s_table", kill, None
 
 
 # The hand-picked cases the property replaced, each at a boundary that puts
@@ -700,7 +698,7 @@ def _split_cases(draw):
 # check of h(4); u(0) = 3 gives s(1,1) = 9; v(j) + 1 makes d(j) even.
 ENTRY = ("s", (10, 5), 1)
 H4 = ("u", 3, 1)
-AT_ENTRY = dict(start="held", a=10, expect=("s(12,7) is not an integer", (11, 12, 11, 11)))
+AT_ENTRY = dict(start="held", a=10, expect=("s(12,7) is not an integer", (11, 12, 12, 12)))
 AT_H4 = ("h(4) / 2^7 is not an integer", (3, 4, 4, 4))
 EVEN_D12 = ("d(12) = -923351332174412750 is even", (12, 12, 41, 12))
 
@@ -720,19 +718,18 @@ class TestSplitProperty:
     @example(case=_case(8, 2, start="held", a=3, edits=(("s", (3, 2), 1),),
                         expect=("s(4,3) is not an integer", (3, 4, 4, 4))))  # the child's column
     @example(case=_case(8, 2, start="held", a=3, u_to=3, edits=(H4, ("s", (3, 2), 1)), expect=AT_H4))
-    @example(case=_case(8, _moving(2, 5), start="held", a=1, u_to=3, edits=(H4,),
-                        expect=(AT_H4[0], (3, 4, 2, 2))))
+    @example(case=_case(8, _moving(2, 5), start="held", a=1, u_to=3, edits=(H4,), expect=AT_H4))
     @example(case=_case(6, 2, edits=(("u", 0, 2),), expect=("s(1,1) = 9, expected 1", (0, 1, 1, 1))))
-    @example(case=_case(20, 5, "d", v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
-    @example(case=_case(20, _moving(5, 12), "d", v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
-    @example(case=_case(8, 2, "d", u_to=3, v_to=8, edits=(H4, ("v", 3, 1)),
+    @example(case=_case(20, 5, v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
+    @example(case=_case(20, _moving(5, 12), v_to=40, edits=(("v", 12, 1),), expect=EVEN_D12))
+    @example(case=_case(8, 2, u_to=3, v_to=8, edits=(H4, ("v", 3, 1)),
                         expect=("d(3) = 52 is even", (3, 4, 9, 3))))
-    @example(case=_case(16, 6, "d", start="held", a=10, v_to=16, edits=(ENTRY, ("v", 11, 1)),
+    @example(case=_case(16, 6, start="held", a=10, v_to=16, edits=(ENTRY, ("v", 11, 1)),
                         expect=("d(11) = 38711592371355940 is even", (11, 11, 17, 11))))
     @example(case=_case(16, 3, start="held", a=10, edits=(("s", (10, 7), 1),), kill=0,
                         expect=("s(11,8) is not an integer", (10, 11, 11, 11))))  # lost, then fails
-    def test_forced_split_matches_the_unforked_build(self, lockstep150, case):
-        _agrees(lockstep150, case)
+    def test_forced_split_matches_the_unforked_build(self, table150, case):
+        _agrees(table150, case)
 
 
 def _errno(cls, code):
@@ -771,15 +768,15 @@ class TestForkFailure:
     @pytest.mark.parametrize("name, exc", FORK_FAULTS)
     @pytest.mark.parametrize("read", ["build_s_table", "d"])
     @pytest.mark.parametrize("start", ["empty", "held", "waiting"])
-    def test_builds_the_serial_tables(self, lockstep150, name, exc, read, start):
-        serial = _outcome(_restored(lockstep150, start, 20), read, 40)
-        cache = _restored(lockstep150, start, 20)
+    def test_builds_the_serial_tables(self, table150, name, exc, read, start):
+        serial = _outcome(_restored(table150, start, 20), read, 40)
+        cache = _restored(table150, start, 20)
         with _failing(name, exc) as calls:
             assert _outcome(cache, read, 40, _at(5), forked=False) == serial
         assert len(calls) == (1 if name == "fork" else 2)
 
     def test_verify_passes(self, capsys, monkeypatch):
-        monkeypatch.setattr(core, "_split_column", lambda first, last, lockstep: [1] * (last - first + 1))
+        monkeypatch.setattr(core, "_split_column", lambda first, last: [1] * (last - first + 1))
         with _reaped_forks() as pids, _failing("fork", _errno(BlockingIOError, errno.EAGAIN)) as calls:
             assert cli.main(["verify", "--suite", "mod5"]) == 0
         assert calls and not pids
@@ -794,16 +791,16 @@ class TestLostChild:
     @pytest.mark.parametrize("kill_after", [0, 1, 5, 20])
     @pytest.mark.parametrize("read", ["build_s_table", "d"])
     @pytest.mark.parametrize("start", ["empty", "held"])
-    def test_builds_the_serial_tables(self, lockstep150, monkeypatch, kill_after, read, start):
+    def test_builds_the_serial_tables(self, table150, monkeypatch, kill_after, read, start):
         a = 20 if start == "held" else 0
         heads, head = [], core._head
         monkeypatch.setattr(core, "_head", lambda *args: heads.append(args[3]) or head(*args))
-        _agrees(lockstep150, _case(40, 5, read, kill_after, start=start, a=a))
+        _agrees(table150, _case(40, 5, read, kill_after, start=start, a=a))
         # Rows after the kill are built again, unless the child had sent them all.
         assert (len(heads) > 2 * (40 - a)) == (kill_after < 40 - a)
 
     def test_verify_passes(self, capsys, monkeypatch):
-        monkeypatch.setattr(core, "_split_column", lambda first, last, lockstep: [1] * (last - first + 1))
+        monkeypatch.setattr(core, "_split_column", lambda first, last: [1] * (last - first + 1))
         with _reaped_forks(kill_after=0) as pids:
             assert cli.main(["verify", "--suite", "mod5"]) == 0
         assert len(pids) == 1
@@ -834,9 +831,9 @@ def _a_failing_fork(name, exc):
         *(pytest.param(_a_failing_fork(*fault.values), id=fault.id) for fault in FORK_FAULTS),
     ],
 )
-def test_a_build_leaves_the_descriptors_it_found(lockstep150, build):
+def test_a_build_leaves_the_descriptors_it_found(table150, build):
     before = os.listdir("/proc/self/fd")
-    build(lockstep150)
+    build(table150)
     assert os.listdir("/proc/self/fd") == before
 
 
@@ -909,9 +906,9 @@ class TestSequenceResidues:
         calls = []
         build = SequenceCache.build_s_table
 
-        def spy(self, max_n, **lockstep):
+        def spy(self, max_n):
             calls.append(max_n)
-            build(self, max_n, **lockstep)
+            build(self, max_n)
 
         monkeypatch.setattr(SequenceCache, "build_s_table", spy)
         assert fresh.residues("d", 7, 20) == [x % 7 for x in cache.known_values("d")[:21]]
