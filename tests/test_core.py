@@ -594,6 +594,11 @@ class TestSplitBuild:
         a = max_n // 2
         _agrees(table150, _case(max_n, split, start="held", a=a, v_to=a // 2, d_to=a // 2))
 
+    def test_growing_from_held_rows(self, table150):
+        # Rows 1..20 held with v and d level with them, grown to 40.
+        for split in (9, _from_one(1), _from_one(2)):
+            _agrees(table150, _case(40, split, start="held", a=20))
+
     def test_an_error_of_its_own_kills_the_child(self):
         _interrupted()
 
