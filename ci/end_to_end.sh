@@ -75,6 +75,16 @@ for args in "compute --seq s --max 40 --format csv" "compute --seq r --max 40"; 
 done
 status=0; python -m romik cache check --dir "$tmp/none" || status=$?
 test "$status" -eq 2
+# A cache dir under a regular file is refused by the load, before any build.
+printf 'a regular file' > "$tmp/file"
+cp "$tmp/file" "$tmp/file.bak"
+status=0
+python -m romik cache build --max 60 --dir "$tmp/file/c" > "$tmp/file.out" 2> "$tmp/file.err" ||
+  status=$?
+test "$status" -eq 2
+test ! -s "$tmp/file.out"
+printf 'romik: error: %s: Not a directory\n' "$tmp/file/c" | cmp - "$tmp/file.err"
+cmp "$tmp/file.bak" "$tmp/file"
 python -m romik verify --suite sums --cache-dir "$tmp/c"
 python -m romik cache check --dir "$tmp/c" | tee "$tmp/check60.txt"
 grep -qx "SEQ s ROWS 60" "$tmp/check60.txt"

@@ -18,13 +18,13 @@ lines the handler returned.  Handlers compute and never print.  A corrupt
 file is refused with the remedy, since the command would append to it,
 whether the load finds it or the handler does: the s-table rows of a load
 are decoded as they are first read.  ``cache check`` reads every row.  A
-cache directory that names a file is refused before the handler runs.
+cache directory that names a regular file, or a path under one, is refused
+by the load's listing before the handler runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 
@@ -64,15 +64,15 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "cache_command", None) == "check":
             # Outside the session: a missing directory is an error, and nothing is stored.
             cache, directory = cache_io.load_cache(directory), None
-        if directory and os.path.exists(directory) and not os.path.isdir(directory):
-            # Refused before the handler runs: the store could not make it.
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
         try:
-            if directory and os.path.isdir(directory):
-                cache = cache_io.load_cache(directory)
-                before = _cache_sizes(cache)
-            # s.bin's rows are decoded as they are first read, so the handler
-            # can meet a bad stored value too.
+            if directory:
+                try:  # a regular file, or a path under one, raises NotADirectoryError
+                    cache = cache_io.load_cache(directory)
+                    before = _cache_sizes(cache)
+                except FileNotFoundError as exc:
+                    if exc.filename != directory:  # a file in it, gone since the listing
+                        raise
+            # The handler can meet a bad stored value too: s.bin's rows decode when first read.
             code, lines = handler(args, parser, cache)
         except cache_io.CacheFormatError as exc:
             raise (exc.refusing_store() if directory else exc) from None

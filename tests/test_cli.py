@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process, and through
 ``python -m`` in a subprocess)."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from itertools import chain
 import pytest
 
 import romik
-from romik import SequenceCache, cli
+from romik import SequenceCache, cache_io, cli
 from romik.cache_io import append_sequence, load_cache
 from romik.cli import main
 
@@ -232,16 +233,17 @@ class TestVerify:
         assert "remove the cache directory and build it again" in err
         assert path.read_bytes() == torn
 
-    def test_failed_store_prints_no_result(self, tmp_path, capsys):
-        # A directory to be made under a regular file: the store fails.
-        target = tmp_path / "regular-file"
-        target.write_text("")
+    def test_failed_store_prints_no_result(self, tmp_path, capsys, monkeypatch):
+        # The handler has run; the store fails on its first file.
+        def fail(path, name, values):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+
+        monkeypatch.setattr(cache_io, "append_sequence", fail)
         code, out, err = run_cli(
-            ["verify", "--suite", "sums", "--max", "5", "--cache-dir", str(target / "c")], capsys
+            ["verify", "--suite", "sums", "--max", "5", "--cache-dir", str(tmp_path / "c")], capsys
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"romik: error: {target / 'c'}: ")
-        assert target.read_text() == ""
+        assert err == f"romik: error: {tmp_path / 'c' / 'u.bin'}: {os.strerror(errno.EIO)}\n"
 
     def test_all_rejects_max_override(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "all", "--max", "10"], capsys)
@@ -547,14 +549,22 @@ class TestCacheDirFlow:
         assert code == 0
         assert files() == before
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "parity"],
-        ["scan-period", "--prime", "5", "--bound", "40", "--cache-dir"],
-        ["cache", "build", "--max", "30", "--dir"],
-    ], ids=["verify-env", "scan-period", "cache-build"])
-    def test_a_cache_dir_that_is_a_file_is_refused_first(self, tmp_path, capsys, monkeypatch, argv):
-        path = tmp_path / "file"
-        path.write_bytes(b"not a directory")
+    @pytest.mark.parametrize("argv, under", [
+        pytest.param(argv, under, id=name + suffix)
+        for under, suffix in [("", ""), ("c", "-under-c"), ("a/b", "-under-a-b")]
+        for name, argv in [
+            ("verify-env", ["verify", "--suite", "parity"]),
+            ("scan-period", ["scan-period", "--prime", "5", "--bound", "40", "--cache-dir"]),
+            ("cache-build", ["cache", "build", "--max", "30", "--dir"]),
+        ]
+    ])
+    def test_a_cache_dir_that_is_a_file_is_refused_first(
+        self, tmp_path, capsys, monkeypatch, argv, under
+    ):
+        # A regular file, or a path under one: refused by the load's listing.
+        file = tmp_path / "file"
+        file.write_bytes(b"not a directory")
+        path = file / under if under else file
         built = []
         monkeypatch.setattr(SequenceCache, "build_s_table", lambda cache, max_n: built.append(max_n))
         if argv[0] == "verify":
@@ -563,7 +573,8 @@ class TestCacheDirFlow:
             argv = [*argv, str(path)]
         assert run_cli(argv, capsys) == (2, "", f"romik: error: {path}: Not a directory\n")
         assert built == []
-        assert path.read_bytes() == b"not a directory"
+        assert file.read_bytes() == b"not a directory"
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_env_variable_is_honored(self, tmp_path, capsys, monkeypatch):
         directory = str(tmp_path / "envcache")
