@@ -38,12 +38,17 @@ for P in 2 5 7; do
            awk '{printf "%d:", NR; for (i = 1; i <= NR; i++) printf " %s", $i; print ""}') \
        <(python -m romik compute --seq r --max 40 --mod "$P")
 done
+# The grid's per-prime table reaches past the exact table's bound: rows
+# n <= 150 of a grid to 300 are the exact residues.
+timeout 20 python -m romik grid --prime 5 --max-n 300 --format csv > "$tmp/grid300.csv"
+diff <(awk -F, 'NR > 1 && $1 <= 150' "$tmp/grid300.csv") \
+     <(python -m romik compute --seq r --max 150 --mod 5 --format csv | tail -n +2)
 # The residue readers over stored rows 1..40 and rows grown past them
 # print what a run with no cache dir prints.
 python -m romik cache build --dir "$tmp/c40" --max 40
-# Every build grows v and d with the rows: a grid into a fresh directory
-# stores the v, d and rows that cache build stores.
-python -m romik grid --prime 5 --max-n 40 --cache-dir "$tmp/g40" > /dev/null
+# Every build grows v and d with the rows: the s-table into a fresh
+# directory stores the v, d and rows that cache build stores.
+python -m romik compute --seq s --max 40 --cache-dir "$tmp/g40" > /dev/null
 python -m romik cache check --dir "$tmp/g40" > "$tmp/g40.txt"
 for line in "SEQ v COUNT 41" "SEQ d COUNT 41" "SEQ s ROWS 40"; do
   grep -qxF "$line" "$tmp/g40.txt"

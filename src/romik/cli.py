@@ -17,9 +17,14 @@ command's handler, stores once if a table grew, and only then writes the
 lines the handler returned.  Handlers compute and never print.  A corrupt
 file is refused with the remedy, since the command would append to it,
 whether the load finds it or the handler does: the s-table rows of a load
-are decoded as they are first read.  ``cache check`` reads every row.  A
-cache directory that names a regular file, or a path under one, is refused
-by the load's listing before the handler runs.
+are decoded as they are first read.  Growth that fails an exactness check
+over loaded values (an IntegrityError) is refused so too, naming the
+directory.  ``cache check`` reads every row.  A cache directory that names
+a regular file, or a path under one, is refused by the load's listing
+before the handler runs.  ``grid`` has no session: it takes its residues
+from the per-prime table of ``residues``, so it loads and stores no
+directory, and its --cache-dir, like ROMIK_CACHE_DIR, is accepted and
+unused.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = COMMANDS[args.command][2]
     try:
         directory = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+        if args.command == "grid":
+            # Its residues come from a per-prime table: the grid reads and stores no cache dir.
+            directory = None
         # A directory still to be made gets sizes (), so that the store makes it.
         cache, before = SequenceCache(), ()
         if getattr(args, "cache_command", None) == "check":
@@ -76,6 +84,11 @@ def main(argv: list[str] | None = None) -> int:
             code, lines = handler(args, parser, cache)
         except cache_io.CacheFormatError as exc:
             raise (exc.refusing_store() if directory else exc) from None
+        except IntegrityError as exc:
+            if not before:  # nothing was loaded: no stored value to blame
+                raise
+            # Growth met a loaded value that framed and checked but is wrong.
+            raise cache_io.CacheFormatError(directory, str(exc)).refusing_store() from None
         if directory and _cache_sizes(cache) != before:
             cache_io.store_cache(directory, cache)
         _emit(args, lines)
@@ -187,7 +200,7 @@ def _grid_arguments(parser) -> None:
 def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
     if args.highlight_n0:
         vanishing_n0(args.prime)  # rejects p = 1 (mod 4) before any work
-    rows = build_residue_grid(args.prime, args.max_n, cache)
+    rows = build_residue_grid(args.prime, args.max_n)
     if args.format == "pgm":
         return 0, _pgm_lines(rows, args.prime - 1)
     return 0, _triangle_lines(rows, args.format, "residue")

@@ -51,7 +51,9 @@ Two readers give residues.  ``SequenceCache.r_residues(p, max_n)`` returns
 the rows of r(n, k) mod p without forming r, each entry the held s^(n, k)
 mod p times 2^(E(n) - E(k) + n - k) mod p from one table of powers of two
 per call; ``residues(name, p, max_n)`` reduces u, v or d.  The suites and
-grids read only through these two; ``r`` stays the exact single-entry read.
+the scanner read only through these two, and the grid reads neither (it
+has the per-prime table of ``residues``); ``r`` stays the exact
+single-entry read.
 
 ``s_table_by_series`` is the reference the recurrence is tested against:
 it reads only u and shares no code with the builder.  It puts g, with

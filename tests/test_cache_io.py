@@ -775,14 +775,15 @@ class TestRestoreOnDemand:
             load_cache(str(tmp_path)).stored_s_rows()
 
         directory = str(tmp_path)
-        assert main(["grid", "--prime", "5", "--max-n", "10"]) == 0
-        expected = capsys.readouterr().out
-        assert main(["grid", "--prime", "5", "--max-n", "10", "--cache-dir", directory]) == 0
-        assert capsys.readouterr().out == expected
-        # Each of these reaches row 50: the grid reads it, cache check reads
-        # every row, and the store of u's growth would write s.bin's rows.
+        # The grid reads no cache dir, so it never meets the planted value.
+        for max_n in ("10", "55"):
+            assert main(["grid", "--prime", "5", "--max-n", max_n]) == 0
+            expected = capsys.readouterr().out
+            assert main(["grid", "--prime", "5", "--max-n", max_n, "--cache-dir", directory]) == 0
+            assert capsys.readouterr() == (expected, "")
+        # Each of these reaches row 50: cache check reads every row, and the
+        # store of u's growth would write s.bin's rows.
         for argv, remedy in [
-            (["grid", "--prime", "5", "--max-n", "55", "--cache-dir", directory], True),
             (["compute", "--seq", "u", "--max", "70", "--cache-dir", directory], True),
             (["cache", "check", "--dir", directory], False),
         ]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -448,11 +449,18 @@ class TestCacheCommand:
         rows[9][4] += 1  # s(10, 5)
         os.unlink(s_path)
         append_sequence(s_path, "s", chain.from_iterable(rows))
-        code, _, err = run_cli(
+        def files():
+            return {name: Path(directory, name).read_bytes() for name in sorted(os.listdir(directory))}
+
+        before = files()
+        code, out, err = run_cli(
             ["compute", "--seq", "d", "--max", "16", "--cache-dir", directory], capsys
         )
-        assert code == 2
-        assert "not an integer" in err
+        # The growth's exact division fails over a loaded value: the directory's error.
+        assert (code, out) == (2, "")
+        assert err.startswith(f"romik: error: {directory}: s(")
+        assert "is not an integer; not appended to: remove the cache directory" in err
+        assert files() == before
 
 
 class TestLibraryChecks:
@@ -531,23 +539,33 @@ class TestCacheDirFlow:
         assert err.startswith(f"romik: error: {target}: ")
         assert (directory / "d.bin").exists()
 
-    def test_small_grid_on_a_larger_directory_stores_nothing(self, tmp_path, capsys):
-        directory = tmp_path / "cache"
-        code, _, _ = run_cli(["cache", "build", "--dir", str(directory), "--max", "60"], capsys)
-        assert code == 0
+    def test_small_grid_on_a_larger_directory_stores_nothing(self, tmp_path, capsys, monkeypatch):
+        # The grid loads and stores no cache dir, whatever the path names:
+        # it prints what a run without one prints and leaves every byte as it was.
+        for name, bound in [("smaller", "5"), ("larger", "60"), ("damaged", "60")]:
+            argv = ["cache", "build", "--dir", str(tmp_path / name), "--max", bound]
+            assert run_cli(argv, capsys)[0] == 0
+        damaged = tmp_path / "damaged" / "s.bin"
+        damaged.write_bytes(damaged.read_bytes()[:-1])
+        (tmp_path / "file").write_bytes(b"not a directory")
 
         def files():
             return {
-                name: ((directory / name).read_bytes(), (directory / name).stat().st_mtime_ns)
-                for name in sorted(os.listdir(directory))
+                str(path): (path.read_bytes(), path.stat().st_mtime_ns) if path.is_file() else None
+                for path in sorted(tmp_path.rglob("*"))
             }
 
         before = files()
         argv = ["grid", "--prime", "7", "--max-n", "10"]
-        code, out, _ = run_cli([*argv, "--cache-dir", str(directory)], capsys)
-        assert (code, out) == run_cli(argv, capsys)[:2]
-        assert code == 0
-        assert files() == before
+        plain = run_cli(argv, capsys)
+        assert plain[0] == 0
+        for name in ["fresh", "smaller", "larger", "damaged", "file", "file/c"]:
+            path = str(tmp_path / name)
+            assert run_cli([*argv, "--cache-dir", path], capsys) == plain, name
+            monkeypatch.setenv("ROMIK_CACHE_DIR", path)
+            assert run_cli(argv, capsys) == plain, name
+            monkeypatch.delenv("ROMIK_CACHE_DIR")
+            assert files() == before, name
 
     @pytest.mark.parametrize("argv, under", [
         pytest.param(argv, under, id=name + suffix)

@@ -846,10 +846,8 @@ class TestResidueReader:
     """r_residues reads r(n, k) mod p from the held table, never forming r."""
 
     @pytest.fixture(scope="class")
-    def table(self):
-        fresh = SequenceCache()
-        fresh.build_s_table(150)
-        return fresh
+    def table(self, table150):
+        return table150
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 19, 2**61 - 1])
     def test_equals_exact_r_reduced(self, table, p):

@@ -2,15 +2,16 @@
 five-cycle counts, grid rows and the vanishing threshold n0."""
 
 from itertools import permutations, zip_longest
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romik import (
     IntegrityError,
     PartitionFilter,
+    SequenceCache,
     binomial_vanishes,
     build_residue_grid,
     count_fifth_roots,
@@ -309,36 +310,72 @@ def test_vanishing_n0(p, expected):
 
 
 class TestResidueGrid:
-    def test_entries(self, cache):
-        rows = build_residue_grid(5, 10, cache)
+    """build_residue_grid reads r(n, k) mod p off a per-prime table, and a
+    prime past its slot bound off the exact table of a fresh cache."""
+
+    def test_entries(self):
+        rows = build_residue_grid(5, 10)
         assert rows[2][0] == 4  # r(3, 1) mod 5
         assert all(rows[n - 1][n - 1] == 1 for n in range(1, 11))
 
-    def test_zero_region_mod5(self, cache):
-        rows = build_residue_grid(5, 20, cache)
+    def test_zero_region_mod5(self):
+        rows = build_residue_grid(5, 20)
         for n in range(1, 21):
             for k in range(1, n + 1):
                 if n > 5 * k:
                     assert rows[n - 1][k - 1] == 0
 
-    def test_pgm_layout(self, cache):
-        lines = _pgm_lines(build_residue_grid(7, 3, cache), 6)
+    def test_pgm_layout(self):
+        lines = _pgm_lines(build_residue_grid(7, 3), 6)
         assert lines[:3] == ["P2", "3 3", "6"]
         assert lines[3] == "1 6 6"  # background = maxval fills k > n
         assert lines[4] == "6 1 6"
         assert lines[5] == "3 2 1"
 
-    def test_is_the_r_residues(self, cache):
-        assert build_residue_grid(7, 30, cache) == cache.r_residues(7, 30)
+    def test_is_the_r_residues(self, exact150):
+        for p in (2, 3, 5, 7, 11, 13, 17, 29, 41, 97):
+            assert build_residue_grid(p, 150) == exact150.r_residues(p, 150), p
+
+    def test_longer_grid_keeps_the_shorter_rows(self):
+        assert build_residue_grid(5, 300)[:150] == build_residue_grid(5, 150)
+
+    def test_slot_bound(self, monkeypatch):
+        # The largest prime whose slot sums stay below 2^_SUM_BITS at this
+        # bound takes the table; the next prime takes the exact residues.
+        max_n = 3
+        edge = 1 + isqrt(((1 << residues._SUM_BITS) - 1) // max_n)
+        inside = next(p for p in range(edge, 1, -1) if is_prime(p))
+        past = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+        assert max_n * (inside - 1) ** 2 < 1 << residues._SUM_BITS <= max_n * (past - 1) ** 2
+        read = SequenceCache.r_residues
+        exact = {p: read(SequenceCache(), p, max_n) for p in (inside, past)}
+        called = []
+        monkeypatch.setattr(
+            SequenceCache, "r_residues", lambda self, p, n: called.append(p) or read(self, p, n)
+        )
+        assert build_residue_grid(inside, max_n) == exact[inside]
+        assert build_residue_grid(past, max_n) == exact[past]
+        assert called == [past]
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 127, 32749, 46337]),
+        st.lists(st.integers(0, (1 << 31) - 1) | st.sampled_from([0, 1, (1 << 31) - 1]),
+                 min_size=1, max_size=12),
+    )
+    def test_slot_reducer_is_the_slotwise_residue(self, p, slots):
+        packed = sum(x << 64 * j for j, x in enumerate(slots))
+        reduced = residues._slot_reducer(p, len(slots))(packed)
+        assert reduced == sum(x % p << 64 * j for j, x in enumerate(slots))
 
     @pytest.mark.parametrize("p, max_n, message", [
         (6, 5, "p must be prime, got 6"),
         (1, 5, "p must be prime, got 1"),
         (5, 0, "max_n must be >= 1, got 0"),
     ])
-    def test_rejects(self, cache, p, max_n, message):
+    def test_rejects(self, p, max_n, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            build_residue_grid(p, max_n, cache)
+            build_residue_grid(p, max_n)
 
 
 class TestIsPrime:

@@ -144,8 +144,8 @@ class TestModPVanishing:
         report = verify_mod_p_vanishing(bad, 3, 10)
         assert (report.counterexample.n, report.counterexample.k) == (10, 3)
         assert report.counterexample.actual == bad.r(10, 3) % 3 != 0
-        assert build_residue_grid(3, 10, bad)[9][2] == report.counterexample.actual
-        assert build_residue_grid(3, 10, cache)[9][2] == 0
+        assert bad.r_residues(3, 10)[9][2] == report.counterexample.actual
+        assert build_residue_grid(3, 10)[9][2] == 0  # no cache: the grid has its own table
 
 
 class TestUvStructure:
@@ -259,12 +259,26 @@ EXACT_READS = ("u", "v", "d", "s", "r", "known_values", "known_s_rows", "stored_
 
 
 class TestResidueSeam:
-    """The suites, the scanner and the grid read u, v, d and r only through
+    """The suites and the scanner read u, v, d and r only through
     SequenceCache.residues and r_residues: one entry moved there is the one
-    they report, and no exact value is read outside those two."""
+    they report, and no exact value is read outside those two.  The grid
+    calls no SequenceCache method at all."""
 
     @pytest.mark.parametrize("run", [*suites(), "scan-period", "grid"])
     def test_no_exact_read_outside_the_readers(self, monkeypatch, run):
+        if run == "grid":  # the grid has its own table: no SequenceCache method runs
+            called = []
+            for name, method in list(vars(SequenceCache).items()):
+                if callable(method):
+                    def spy(*args, name=name, method=method):
+                        called.append(name)
+                        return method(*args)
+                    monkeypatch.setattr(SequenceCache, name, spy)
+            build_residue_grid(7, 64)
+            assert called == []
+            SequenceCache().u(0)  # the guard is live
+            assert called == ["__init__", "u"]
+            return
         depth, outside = [0], []
         for name in ("residues", "r_residues"):
             def seam(self, *args, read=getattr(SequenceCache, name)):
@@ -283,8 +297,6 @@ class TestResidueSeam:
         cache = SequenceCache()
         if run == "scan-period":
             scan_periodicity(cache, 13, 64)
-        elif run == "grid":
-            build_residue_grid(7, 64, cache)
         else:
             # Bound 64 is past n0 = 60 of p = 11, the largest vanishing prime.
             function, primes = suites()[run]
