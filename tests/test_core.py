@@ -845,30 +845,26 @@ def test_a_build_leaves_the_descriptors_it_found(table150, build):
 class TestResidueReader:
     """r_residues reads r(n, k) mod p from the held table, never forming r."""
 
-    @pytest.fixture(scope="class")
-    def table(self, table150):
-        return table150
-
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 19, 2**61 - 1])
-    def test_equals_exact_r_reduced(self, table, p):
-        expected = [[table.r(n, k) % p for k in range(1, n + 1)] for n in range(1, 151)]
-        assert table.r_residues(p, 150) == expected
+    def test_equals_exact_r_reduced(self, table150, p):
+        expected = [[table150.r(n, k) % p for k in range(1, n + 1)] for n in range(1, 151)]
+        assert table150.r_residues(p, 150) == expected
 
-    def test_grows_a_restored_cache(self, table):
+    def test_grows_a_restored_cache(self, table150):
         restored = SequenceCache.from_stored(
-            u=table.known_values("u")[:20], s_rows=table.stored_s_rows()[:20]
+            u=table150.known_values("u")[:20], s_rows=table150.stored_s_rows()[:20]
         )
-        assert restored.r_residues(7, 40) == table.r_residues(7, 40)
-        assert restored.stored_s_rows() == table.stored_s_rows()[:40]
+        assert restored.r_residues(7, 40) == table150.r_residues(7, 40)
+        assert restored.stored_s_rows() == table150.stored_s_rows()[:40]
 
     @pytest.mark.parametrize(
         "p, lo, max_n, max_k",
         [(3, 5, 40, 4), (7, 25, 60, 24), (5, 1, 30, None), (2, 10, 30, 40), (11, 30, 30, 1)],
     )
-    def test_window_is_a_slice_of_the_full_rows(self, table, p, lo, max_n, max_k):
-        full = table.r_residues(p, max_n)
+    def test_window_is_a_slice_of_the_full_rows(self, table150, p, lo, max_n, max_k):
+        full = table150.r_residues(p, max_n)
         expected = [row[:max_k] for row in full[lo - 1 :]]
-        assert table.r_residues(p, max_n, lo, max_k) == expected
+        assert table150.r_residues(p, max_n, lo, max_k) == expected
 
     def test_empty_bound_and_bad_modulus(self):
         fresh = SequenceCache()
