@@ -38,6 +38,13 @@ for P in 2 5 7; do
            awk '{printf "%d:", NR; for (i = 1; i <= NR; i++) printf " %s", $i; print ""}') \
        <(python -m romik compute --seq r --max 40 --mod "$P")
 done
+# At p = 65537 the grid's slots are 128 bits wide, and its rows are the
+# exact residues too; a PGM, whose maxval p - 1 must be below 65536, is
+# refused there as a usage error.
+diff <(python -m romik grid --prime 65537 --max-n 40 --format csv | tail -n +2) \
+     <(python -m romik compute --seq r --max 40 --mod 65537 --format csv | tail -n +2)
+status=0; python -m romik grid --prime 65537 --max-n 3 --format pgm > /dev/null || status=$?
+test "$status" -eq 2
 # The grid's per-prime table reaches past the exact table's bound: rows
 # n <= 150 of a grid to 300 are the exact residues.
 timeout 20 python -m romik grid --prime 5 --max-n 300 --format csv > "$tmp/grid300.csv"

@@ -198,6 +198,8 @@ def _grid_arguments(parser) -> None:
 
 
 def _run_grid(args, parser, cache) -> tuple[int, list[str]]:
+    if args.format == "pgm" and args.prime > 65536:  # a PGM's maxval, p - 1, is below 65536
+        parser.error(f"--format pgm needs a prime below 65536, got {args.prime}")
     if args.highlight_n0:
         vanishing_n0(args.prime)  # rejects p = 1 (mod 4) before any work
     rows = build_residue_grid(args.prime, args.max_n)

@@ -28,16 +28,16 @@ Lucas's theorem C(a, b) = C(a mod q, b) mod p for b < q = p^e, so q rows
 answer every a (a digit-by-digit Lucas product measured 1.7 to 4 times
 slower).
 
-Row N is one integer whose 64-bit slot j holds the entry for K = 2j + (N
-mod 2).  It is sum_i w_i (row N-i) over the odd i with w_i != 0 mod p,
-shifted up one slot for even N.  Only the last I rows are held, I the
-largest odd i with x_i 2^((i-1)/2) != 0 mod p, as no weight reaches
-further.  A row has at most max_n weights, so a slot sum is at most
-max_n (p-1)^2.  While that is below 2^31, one multiply, shift and mask of
-the whole row divide every slot by p (Granlund and Montgomery's
-multiplication by the reciprocal), and a subtraction leaves the residues;
-the slots of even rows are read as ``array('Q')``.  A larger p takes the
-exact residues of a fresh ``SequenceCache`` (``r_residues``).
+Row N is one integer whose slot j holds the entry for K = 2j + (N mod 2):
+sum_i w_i (row N-i) over the odd i with w_i != 0 mod p, shifted up one
+slot for even N.  Only the last I rows are held, I the largest odd i with
+x_i 2^((i-1)/2) != 0 mod p, as no weight reaches further.  A row has at
+most max_n weights, so a slot sum is below 2^bits, bits the bit length of
+max_n (p-1)^2; a slot is the fewest 64-bit words that hold 2 bits + 1 bits
+(one for p up to about 3,780 at max_n = 150).  One multiply, shift and mask
+of the row divide every slot by p (Granlund and Montgomery's multiplication
+by the reciprocal), a subtraction leaves the residues, and an even row's are
+the low words of its slots in an ``array('Q')``, so p is below 2^64.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from array import array
 from itertools import chain
 from math import isqrt
 
-from .core import IntegrityError, SequenceCache, _check_pair, _exact_quotient, factorial
+from .core import IntegrityError, _check_pair, _exact_quotient, factorial
 
 
 def is_prime(n: int) -> bool:
@@ -215,31 +215,29 @@ def vanishing_n0(p: int) -> int:
     return (p * p - 1) // 2
 
 
-# Slot sums stay below 2^_SUM_BITS, so that a sum times the reciprocal
-# constant of _slot_reducer, below 2^(2 * _SUM_BITS + 1), fits its 64-bit slot.
-_SUM_BITS = 31
-
-
 def build_residue_grid(p: int, max_n: int) -> list[list[int]]:
     """Rows n = 1..max_n of r(n, k) mod p: ``rows[n-1][k-1]`` is r(n, k) % p,
-    from the per-prime table of the module docstring, or from
-    ``SequenceCache().r_residues`` for a p whose slot sums could reach 2^31."""
+    from the per-prime table of the module docstring, for a prime p < 2^64."""
+    if p >> 64:
+        raise ValueError(f"p must be below 2^64, got {p}")
     _require_prime(p)
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if max_n * (p - 1) ** 2 >> _SUM_BITS:
-        return SequenceCache().r_residues(p, max_n)
+    u, binomials, period = _u_residues(p, max_n)
     # scaled[j] = x_i 2^((i-1)/2) mod p for i = 2j + 1; u(0) = 1 keeps one nonzero
-    scaled = [x * pow(2, j, p) % p for j, x in enumerate(_u_residues(p, max_n))]
+    scaled = [x * pow(2, j, p) % p for j, x in enumerate(u)]
     window = 2 * max(j for j, y in enumerate(scaled) if y) + 1
-    binomials, period = _binomial_rows(p, 2 * max_n, window)
+    if window > len(binomials[-1]):  # the u pass's rows, cut to their last's width, end short
+        binomials, period = _binomial_rows(p, 2 * max_n, window)
     # weights[a] = the (i, w_i), w_i != 0, of every row N with N - 1 = a (mod period):
     # C(N-1, i-1) is entry 2j of the row.
     weights = [
         [(2 * j + 1, w) for j, (c, y) in enumerate(zip(row[::2], scaled)) if (w := c * y % p)]
         for row in binomials
     ]
-    reduce_slots = _slot_reducer(p, max_n + 1)
+    bits = (max_n * (p - 1) ** 2).bit_length()
+    words = (2 * bits + 64) // 64  # per slot, the fewest that hold 2 bits + 1 bits
+    reduce_slots = _slot_reducer(p, bits, 64 * words, max_n + 1)
     rows: list[int | None] = [1]  # rows[N] is row N of the table, or None past the window
     grid = []
     for big_n in range(1, 2 * max_n + 1):
@@ -249,18 +247,19 @@ def build_residue_grid(p: int, max_n: int) -> list[list[int]]:
         if big_n & 1:
             rows.append(reduce_slots(total))
         else:
-            rows.append(reduce_slots(total << 64))
-            slots = array("Q", rows[-1].to_bytes(4 * big_n + 8, sys.byteorder))
-            grid.append(slots.tolist()[1:])
+            rows.append(reduce_slots(total << 64 * words))
+            slots = array("Q", rows[-1].to_bytes(words * (4 * big_n + 8), sys.byteorder))
+            grid.append(slots[words::words].tolist())
         if big_n >= window:
             rows[big_n - window] = None
     return grid
 
 
-def _u_residues(p: int, count: int) -> list[int]:
+def _u_residues(p: int, count: int) -> tuple[list[int], list[list[int]], int]:
     """u(0..count-1) mod p by u's recurrence with t = j - m,
     u(j) = (3*7*...*(4j-1))^2 - sum_{t=1}^{j} C(2j+1, 2t) (1*5*...*(4t-3))^2 u(j-t),
-    whose terms end where the square first vanishes mod p, as it then stays."""
+    whose terms end where the square first vanishes mod p, as it then stays;
+    and the Pascal rows and period of ``_binomial_rows`` that it read them from."""
     squares = [1]  # (1*5*...*(4t-3))^2 mod p, while not 0
     odd = 1
     while len(squares) < count:
@@ -278,7 +277,7 @@ def _u_residues(p: int, count: int) -> list[int]:
             total -= row[2 * t] * squares[t] * u[j - t]
         u.append(total % p)
         odd = odd * (4 * j + 3) % p
-    return u
+    return u, binomials, period
 
 
 def _binomial_rows(p: int, count: int, width: int) -> tuple[list[list[int]], int]:
@@ -296,15 +295,15 @@ def _binomial_rows(p: int, count: int, width: int) -> tuple[list[list[int]], int
     return rows, period
 
 
-def _slot_reducer(p: int, slots: int):
-    """The map from an integer of up to ``slots`` 64-bit slots, each below
-    2^_SUM_BITS, to the integer of their residues mod p.  With
-    shift = _SUM_BITS + bits of p and magic = ceil(2^shift / p),
-    (x * magic) >> shift is x // p for every such x (Granlund and
-    Montgomery), and x * magic stays in x's slot.  After the shift, a
-    slot's quotient is in its low 64 - shift bits, and the fraction from the
+def _slot_reducer(p: int, bits: int, width: int, slots: int):
+    """The map from an integer of up to ``slots`` slots of ``width`` >= 2 bits + 1
+    bits, each below 2^bits, to the integer of their residues mod p.  With
+    shift = bits + bits of p and magic = ceil(2^shift / p), (x * magic) >>
+    shift is x // p for every such x (Granlund and Montgomery), and
+    x * magic < 2^(2 bits + 1) stays in x's slot.  After the shift, a slot's
+    quotient is in its low width - shift bits, and the fraction from the
     slot above in the rest, which the mask clears."""
-    shift = _SUM_BITS + p.bit_length()
+    shift = bits + p.bit_length()
     magic = -(-(1 << shift) // p)
-    mask = int.from_bytes(((1 << (64 - shift)) - 1).to_bytes(8, "little") * slots, "little")
+    mask = int.from_bytes(((1 << width - shift) - 1).to_bytes(width // 8, "little") * slots, "little")
     return lambda row: row - p * (row * magic >> shift & mask)

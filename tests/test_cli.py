@@ -140,6 +140,7 @@ class TestGrid:
         for p, max_n, head in [
             (7, 9, ["P2", "9 9", "6"]),
             (2, 4, ["P2", "4 4", "1"]),
+            (65521, 2, ["P2", "2 2", "65520", "1 65520"]),  # the largest prime a PGM takes
         ]:
             code, out, _ = run_cli(
                 ["grid", "--prime", str(p), "--max-n", str(max_n), "--format", "pgm"], capsys
@@ -166,6 +167,19 @@ class TestGrid:
         assert code == 2
         assert out == ""
         assert err.startswith("romik: error:")
+
+    def test_pgm_needs_a_prime_below_65536(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_residue_grid", lambda *args: built.append(args))
+        code, out, err = run_cli(
+            ["grid", "--prime", "65537", "--max-n", "3", "--format", "pgm"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "romik: error: --format pgm needs a prime below 65536, got 65537"
+        )
+        assert built == []  # refused before any work
 
     def test_rejects_composite_prime(self, capsys):
         code, _, _ = run_cli(["grid", "--prime", "6", "--max-n", "5"], capsys)

@@ -310,8 +310,8 @@ def test_vanishing_n0(p, expected):
 
 
 class TestResidueGrid:
-    """build_residue_grid reads r(n, k) mod p off a per-prime table, and a
-    prime past its slot bound off the exact table of a fresh cache."""
+    """build_residue_grid reads r(n, k) mod p off a per-prime table for every
+    prime, with slots as wide as p and max_n need."""
 
     def test_entries(self):
         rows = build_residue_grid(5, 10)
@@ -340,38 +340,61 @@ class TestResidueGrid:
         assert build_residue_grid(5, 300)[:150] == build_residue_grid(5, 150)
 
     def test_slot_bound(self, monkeypatch):
-        # The largest prime whose slot sums stay below 2^_SUM_BITS at this
-        # bound takes the table; the next prime takes the exact residues.
+        # At max_n = 3 the slots widen from 64 to 128 bits between the largest
+        # prime whose slot sums stay below 2^31 and the next one; 65537 to 60
+        # takes 128-bit and 2^31 - 1 to 20 takes 192-bit slots.
         max_n = 3
-        edge = 1 + isqrt(((1 << residues._SUM_BITS) - 1) // max_n)
+        edge = 1 + isqrt(((1 << 31) - 1) // max_n)
         inside = next(p for p in range(edge, 1, -1) if is_prime(p))
         past = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
-        assert max_n * (inside - 1) ** 2 < 1 << residues._SUM_BITS <= max_n * (past - 1) ** 2
-        read = SequenceCache.r_residues
-        exact = {p: read(SequenceCache(), p, max_n) for p in (inside, past)}
-        called = []
-        monkeypatch.setattr(
-            SequenceCache, "r_residues", lambda self, p, n: called.append(p) or read(self, p, n)
-        )
-        assert build_residue_grid(inside, max_n) == exact[inside]
-        assert build_residue_grid(past, max_n) == exact[past]
-        assert called == [past]
+        assert (inside, past) == (26737, 26759)
+        cases = [(inside, max_n), (past, max_n), (65537, 60), ((1 << 31) - 1, 20)]
+        exact = [SequenceCache().r_residues(p, n) for p, n in cases]
+        widths, made = [], []
+        reducer, init = residues._slot_reducer, SequenceCache.__init__
+        monkeypatch.setattr(residues, "_slot_reducer",
+                            lambda p, bits, width, slots: widths.append(width)
+                            or reducer(p, bits, width, slots))
+        monkeypatch.setattr(SequenceCache, "__init__", lambda self: made.append(self) or init(self))
+        assert [build_residue_grid(p, n) for p, n in cases] == exact
+        assert widths == [64, 128, 128, 192]
+        assert made == []  # the grid builds no exact table, for any p
+        SequenceCache()  # the spy is live
+        assert len(made) == 1
 
-    @settings(max_examples=40)
+    @pytest.mark.parametrize("p, max_n, built", [(4001, 150, 1), (5, 119, 2)])
+    def test_pascal_rows_of_the_u_pass_serve_a_window_they_cover(
+        self, exact150, monkeypatch, p, max_n, built
+    ):
+        # For p > 4 max_n no square (1*5*...*(4t-3))^2 vanishes, so the u
+        # pass's rows are as wide as the window; at p = 5 the window is wider.
+        calls = []
+        binomial_rows = residues._binomial_rows
+        monkeypatch.setattr(residues, "_binomial_rows",
+                            lambda *args: calls.append(args) or binomial_rows(*args))
+        assert build_residue_grid(p, max_n) == exact150.r_residues(p, max_n)
+        assert len(calls) == built
+
+    @settings(max_examples=60)
     @given(
-        st.sampled_from([2, 3, 5, 7, 127, 32749, 46337]),
-        st.lists(st.integers(0, (1 << 31) - 1) | st.sampled_from([0, 1, (1 << 31) - 1]),
-                 min_size=1, max_size=12),
+        st.sampled_from([2, 3, 5, 7, 127, 32749, 46337, 65537, 1000003, (1 << 31) - 1]),
+        st.sampled_from([64, 128, 192]),
+        st.data(),
     )
-    def test_slot_reducer_is_the_slotwise_residue(self, p, slots):
-        packed = sum(x << 64 * j for j, x in enumerate(slots))
-        reduced = residues._slot_reducer(p, len(slots))(packed)
-        assert reduced == sum(x % p << 64 * j for j, x in enumerate(slots))
+    def test_slot_reducer_is_the_slotwise_residue(self, p, width, data):
+        bits = data.draw(st.integers(1, (width - 1) // 2) | st.just((width - 1) // 2))
+        top = (1 << bits) - 1
+        slots = data.draw(st.lists(st.integers(0, top) | st.sampled_from([0, 1, top]),
+                                   min_size=1, max_size=12))
+        packed = sum(x << width * j for j, x in enumerate(slots))
+        reduced = residues._slot_reducer(p, bits, width, len(slots))(packed)
+        assert reduced == sum(x % p << width * j for j, x in enumerate(slots))
 
     @pytest.mark.parametrize("p, max_n, message", [
         (6, 5, "p must be prime, got 6"),
         (1, 5, "p must be prime, got 1"),
         (5, 0, "max_n must be >= 1, got 0"),
+        (1 << 64, 5, f"p must be below 2\\^64, got {1 << 64}"),
     ])
     def test_rejects(self, p, max_n, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

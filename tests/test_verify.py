@@ -275,6 +275,7 @@ class TestResidueSeam:
                         return method(*args)
                     monkeypatch.setattr(SequenceCache, name, spy)
             build_residue_grid(7, 64)
+            build_residue_grid(65537, 20)  # past the 64-bit slots' bound, too
             assert called == []
             SequenceCache().u(0)  # the guard is live
             assert called == ["__init__", "u"]
