@@ -70,6 +70,30 @@ for args in "verify" "scan-period --prime 13 --bound 100"; do
   python -m romik $args --cache-dir "$tmp/fresh40" > "$tmp/cached.txt"
   cmp "$tmp/plain.txt" "$tmp/cached.txt"
 done
+# The vanishing and sums suites read r mod p off the per-prime grid, never
+# off stored rows: rows 1..20 stored again with s^(10, 3) + 1, checksums
+# rewritten by store_cache, print what a run with no cache dir prints, and
+# a sums run past the stored rows grows no table.
+python -m romik cache build --dir "$tmp/e20" --max 20
+python -W error - "$tmp/e20" "$tmp/edited20" <<'PY'
+import sys
+from romik.cache_io import load_cache, store_cache
+from romik.core import SequenceCache
+held = load_cache(sys.argv[1])
+rows = [list(row) for row in held.stored_s_rows()]
+rows[9][2] += 1
+tables = {name: held.known_values(name) for name in "uvd"}
+store_cache(sys.argv[2], SequenceCache.from_stored(**tables, s_rows=rows))
+assert load_cache(sys.argv[2]).s(10, 3) != held.s(10, 3)
+PY
+for args in "verify --suite vanishing --prime 3 --max 20" "verify --suite sums --max 20"; do
+  python -m romik $args > "$tmp/plain.txt"
+  python -m romik $args --cache-dir "$tmp/edited20" > "$tmp/cached.txt"
+  cmp "$tmp/plain.txt" "$tmp/cached.txt"
+done
+cp "$tmp/e20/s.bin" "$tmp/e20.bin"
+python -m romik verify --suite sums --max 40 --cache-dir "$tmp/e20" > /dev/null
+cmp "$tmp/e20.bin" "$tmp/e20/s.bin"
 python -m romik cache build --dir "$tmp/c" --max 20
 cp "$tmp/c/s.bin" "$tmp/s20.bin"
 python -m romik cache build --dir "$tmp/c" --max 20
@@ -97,7 +121,7 @@ test "$status" -eq 2
 test ! -s "$tmp/file.out"
 printf 'romik: error: %s: Not a directory\n' "$tmp/file/c" | cmp - "$tmp/file.err"
 cmp "$tmp/file.bak" "$tmp/file"
-python -m romik verify --suite sums --cache-dir "$tmp/c"
+python -m romik compute --seq s --max 60 --cache-dir "$tmp/c" > /dev/null
 python -m romik cache check --dir "$tmp/c" | tee "$tmp/check60.txt"
 grep -qx "SEQ s ROWS 60" "$tmp/check60.txt"
 cmp -n "$(stat -c %s "$tmp/s20.bin")" "$tmp/s20.bin" "$tmp/c/s.bin"
@@ -137,7 +161,7 @@ test ! -s "$tmp/planted.txt"
 grep -q "s.bin: value 210 is not in its" "$tmp/planted.err"
 # Segments close where the values alone put them: a directory grown
 # in steps, round-tripped into a fresh one, matches a one-shot build.
-python -m romik verify --suite sums --max 90 --cache-dir "$tmp/c"
+python -m romik compute --seq s --max 90 --cache-dir "$tmp/c" > /dev/null
 cp "$tmp/c/s.bin" "$tmp/s90.bin"
 python -m romik grid --prime 7 --max-n 10 --cache-dir "$tmp/c" > /dev/null
 cmp "$tmp/s90.bin" "$tmp/c/s.bin"

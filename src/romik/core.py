@@ -47,13 +47,10 @@ carried from one index to the next, and a call that grows the s-table
 first indexes the held rows by column, so the sum for s^(n, k) is one dot
 product of a slice of the row's terms, in descending m, with column k-1.
 
-Two readers give residues.  ``SequenceCache.r_residues(p, max_n)`` returns
-the rows of r(n, k) mod p without forming r, each entry the held s^(n, k)
-mod p times 2^(E(n) - E(k) + n - k) mod p from one table of powers of two
-per call; ``residues(name, p, max_n)`` reduces u, v or d.  The suites and
-the scanner read only through these two, and the grid reads neither (it
-has the per-prime table of ``residues``); ``r`` stays the exact
-single-entry read.
+One reader gives residues: ``SequenceCache.residues(name, p, max_n)``
+reduces u, v or d, and the suites and the scanner read the cache only
+through it.  r(n, k) mod p comes from the per-prime table of ``residues``,
+which reads no cache; ``r`` stays the exact single-entry read.
 
 ``s_table_by_series`` is the reference the recurrence is tested against:
 it reads only u and shares no code with the builder.  It puts g, with
@@ -177,8 +174,7 @@ class SequenceCache:
     ``_s_rows`` is the record of the table and holds it normalized,
     ``_s_rows[n-1][k-1] = s^(n, k) = s(n, k) >> (E(n) - E(k))``.  ``s``,
     ``r`` (one shift, by E(n) - E(k) + n - k), ``known_s_rows`` and ``d``
-    shift on read, ``r_residues`` reduces mod p on read without shifting
-    and ``residues`` reduces u, v or d; ``stored_s_rows`` and
+    shift on read, and ``residues`` reduces u, v or d; ``stored_s_rows`` and
     ``from_stored`` are the one round trip of the held form, to and from
     ``cache_io``, which writes it as it is.  A row is never changed once
     held, so ``stored_s_rows`` hands out the held rows without copying.
@@ -342,31 +338,6 @@ class SequenceCache:
     def r(self, n: int, k: int) -> int:
         """Exact r(n, k) = 2^(n-k) s(n, k), one shift of the stored entry."""
         return self._stored(n, k) << (_e_gap(n, k) + n - k)
-
-    def r_residues(
-        self, p: int, max_n: int, lo: int = 1, max_k: int | None = None
-    ) -> list[list[int]]:
-        """Rows [r(n, 1) % p, ..., r(n, min(n, max_k)) % p] for n = lo..max_n
-        (every column if max_k is None), growing the table to max_n if
-        needed.  Each entry is s^(n, k) % p times 2^(E(n) - E(k) + n - k) % p,
-        read from one table of powers of two, so r is never formed, and
-        entries outside the window are not read."""
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
-        if max_n < 0 or lo < 1:
-            raise ValueError(f"need max_n >= 0 and lo >= 1, got max_n={max_n}, lo={lo}")
-        self.build_s_table(max_n)
-        en = [_e(m) + m for m in range(max_n + 1)]  # en[m] = E(m) + m
-        pow2 = [1]
-        for _ in range(en[max_n]):
-            pow2.append(pow2[-1] * 2 % p)
-        width = max_n if max_k is None else min(max_k, max_n)
-        ek = en[1 : width + 1]
-        out = []
-        for n, row in enumerate(self._s_rows[lo - 1 : max_n], lo):
-            top = en[n]
-            out.append([x % p * pow2[top - c] % p for x, c in zip(row, ek)])
-        return out
 
     # -- d ---------------------------------------------------------------
 

@@ -12,7 +12,8 @@ summand is the one before it times a small integer, divided exactly by
 another small integer.
 
 ``build_residue_grid(p, max_n)`` gives rows 1..max_n of r(n, k) mod p from
-one table per prime and reads neither the exact s-table nor a cache.  With
+one table per prime and reads neither the exact s-table nor a cache; it is
+the one source of r mod p, for the grid and the suites alike.  With
 x_i = i! [z^i] f, which is u((i-1)/2) for odd i and 0 for even i, the
 partial Bell polynomials B_{N,K} = N!/K! [z^N] f^K satisfy the
 division-free recurrence (Comtet, Advanced Combinatorics, section 3.3)
@@ -218,7 +219,7 @@ def vanishing_n0(p: int) -> int:
 def build_residue_grid(p: int, max_n: int) -> list[list[int]]:
     """Rows n = 1..max_n of r(n, k) mod p: ``rows[n-1][k-1]`` is r(n, k) % p,
     from the per-prime table of the module docstring, for a prime p < 2^64."""
-    if p >> 64:
+    if p >= 1 << 64:
         raise ValueError(f"p must be below 2^64, got {p}")
     _require_prime(p)
     if max_n < 1:

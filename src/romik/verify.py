@@ -4,9 +4,10 @@ Each suite walks one family of congruences from the smallest index upward
 and reports pass/fail together with the minimal counterexample when a check
 fails (smallest n first, then smallest k).  Suites only read the cache, so
 a single cache built to the largest needed bound can serve all of them.
-Residues come only from the cache's two readers: ``SequenceCache.residues``
-for u, v and d mod p, and ``SequenceCache.r_residues`` for r(n, k) mod p,
-which never forms r.  Only a counterexample's text may print an exact value.
+u, v and d mod p come only from the cache's one reader,
+``SequenceCache.residues``, and r(n, k) mod p only from
+``residues.build_residue_grid``, the per-prime table built in the run,
+which reads no cache.  Only a counterexample's text may print an exact value.
 
 Each suite function holds its own default bound and argument checks: parity
 and mod5 run to 150, vanishing to ``DEFAULT_VANISHING_MAX``, uv to n0 + 20
@@ -23,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .core import SequenceCache
-from .residues import _require_prime, is_prime, vanishing_n0
+from .residues import _require_prime, build_residue_grid, is_prime, vanishing_n0
 
 # Desk-scale default bounds; every suite accepts an explicit override.
 DEFAULT_MAX_N = 150
@@ -127,7 +128,8 @@ def verify_mod_p_vanishing(
 ) -> VerificationReport:
     """For p = 3 (mod 4): d(n) = 0 mod p for all n0 < n <= max_n, together
     with the vanishing of the whole r-submatrix 1 <= k <= n0 < n <= max_n
-    that drives it.  Fails if either family has an exception.  ``max_n``
+    that drives it, read from rows n0+1..max_n of ``build_residue_grid(p,
+    max_n)``.  Fails if either family has an exception.  ``max_n``
     defaults to ``DEFAULT_VANISHING_MAX`` (n0 + 30 for primes not in it)."""
     n0 = vanishing_n0(p)
     if max_n is None:
@@ -136,13 +138,13 @@ def verify_mod_p_vanishing(
         raise ValueError(f"max_n must exceed n0={n0}, got {max_n}")
     started = time.perf_counter()
     d = cache.residues("d", p, max_n)
-    residues = cache.r_residues(p, max_n, n0 + 1, n0)
+    rows = build_residue_grid(p, max_n)
     ce = None
     for n in range(n0 + 1, max_n + 1):
         if d[n]:
             ce = Counterexample(n, None, 0, d[n])
             break
-        low = residues[n - n0 - 1]  # r(n, k) mod p for k = 1..n0
+        low = rows[n - 1][:n0]  # r(n, k) mod p for k = 1..n0
         if any(low):
             k = next(k for k, residue in enumerate(low, 1) if residue)
             ce = Counterexample(n, k, 0, low[k - 1])
@@ -214,15 +216,16 @@ def verify_even_odd_sums(
     cache: SequenceCache, max_n: int = 60
 ) -> VerificationReport:
     """For 3 <= n <= max_n (default 60) the sums of r(n, k) over even k and over odd k,
-    both restricted to n/5 <= k <= n, each vanish mod 5."""
+    both restricted to n/5 <= k <= n, each vanish mod 5.  The residues are
+    the rows of ``build_residue_grid(5, max_n)``: the cache is not read."""
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3, got {max_n}")
     started = time.perf_counter()
-    residues = cache.r_residues(5, max_n)
+    rows = build_residue_grid(5, max_n)
     ce = None
     for n in range(3, max_n + 1):
         lo = -(-n // 5)  # smallest integer k with 5k >= n
-        tail = residues[n - 1][lo - 1 :]  # r(n, k) mod 5 for k = lo..n
+        tail = rows[n - 1][lo - 1 :]  # r(n, k) mod 5 for k = lo..n
         from_lo, after_lo = sum(tail[::2]), sum(tail[1::2])
         odd_sum, even_sum = (from_lo, after_lo) if lo & 1 else (after_lo, from_lo)
         if even_sum % 5 != 0:

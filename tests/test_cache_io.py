@@ -526,7 +526,7 @@ class TestAppendOnly:
         directory = tmp_path / "cache"
         assert main(["cache", "build", "--dir", str(directory), "--max", "20"]) == 0
         first = {name: (directory / name).read_bytes() for name in os.listdir(directory)}
-        argv = ["verify", "--suite", "sums", "--max", "40", "--cache-dir", str(directory)]
+        argv = ["compute", "--seq", "s", "--max", "40", "--cache-dir", str(directory)]
         assert main(argv) == 0
         return directory, first
 
@@ -646,7 +646,7 @@ class TestAppendOnly:
         with ExitStack() as running:
             writers = []
             for n in (36, 48):
-                argv = ["verify", "--suite", "sums", "--max", str(n), "--cache-dir", str(directory)]
+                argv = ["compute", "--seq", "s", "--max", str(n), "--cache-dir", str(directory)]
                 writer = running.enter_context(subprocess.Popen(
                     [sys.executable, "-m", "romik", *argv],
                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
@@ -743,11 +743,8 @@ class TestRestoreOnDemand:
         for _ in range(8):
             n = rng.randint(1, 60)
             k = rng.randint(1, n)
-            read = rng.choice(["s", "r", "r_residues", "d"])
-            if read == "r_residues":
-                args = (rng.choice([2, 3, 5, 7, 11]), n, rng.randint(1, n), rng.choice([None, k]))
-            else:
-                args = (n,) if read == "d" else (n, k)
+            read = rng.choice(["s", "r", "d"])
+            args = (n,) if read == "d" else (n, k)
             assert getattr(loaded, read)(*args) == getattr(fresh, read)(*args), (read, args)
         assert loaded.s_bound == max(40, fresh.s_bound)
         assert loaded.stored_s_rows()[:fresh.s_bound] == fresh.stored_s_rows()

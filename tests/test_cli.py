@@ -581,6 +581,28 @@ class TestCacheDirFlow:
             monkeypatch.delenv("ROMIK_CACHE_DIR")
             assert files() == before, name
 
+    def test_an_edited_stored_row_moves_no_r_verdict(self, tmp_path, cache, capsys, monkeypatch):
+        # s^(10, 3) + 1 stored through store_cache, so its checksum holds: the
+        # vanishing and sums suites read r mod p off the grid, decode no s.bin
+        # row, and print what a run without a cache dir prints.
+        rows = [list(row) for row in cache.stored_s_rows()]
+        rows[9][2] += 1
+        tables = {name: cache.known_values(name) for name in "uvd"}
+        cache_io.store_cache(str(tmp_path), SequenceCache.from_stored(**tables, s_rows=rows))
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        decoded = []
+        decode = cache_io._decode
+        monkeypatch.setattr(cache_io, "_decode",
+                            lambda path, *args: decoded.append(path) or decode(path, *args))
+        for argv in (["verify", "--suite", "vanishing", "--prime", "3", "--max", "10"],
+                     ["verify", "--suite", "sums", "--max", "12"]):
+            plain = run_cli(argv, capsys)
+            assert plain[0] == 0
+            decoded.clear()
+            assert run_cli([*argv, "--cache-dir", str(tmp_path)], capsys) == plain
+            assert decoded and not any(path.endswith("s.bin") for path in decoded)
+            assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
     @pytest.mark.parametrize("argv, under", [
         pytest.param(argv, under, id=name + suffix)
         for under, suffix in [("", ""), ("c", "-under-c"), ("a/b", "-under-a-b")]

@@ -140,12 +140,12 @@ class TestSequences:
         assert fresh.known_count("v") == 41
 
     @pytest.mark.parametrize("start", ["empty", "held", "restored"])
-    @pytest.mark.parametrize("read", ["build_s_table", "s", "r_residues", "d"])
+    @pytest.mark.parametrize("read", ["build_s_table", "s", "r", "d"])
     def test_every_build_leaves_v_and_d_at_its_bound(self, table150, start, read):
         # From empty, from 20 held rows, or from 40 stored rows with v and d to 5.
         states = {"empty": ("empty", 0), "held": ("held", 20), "restored": ("waiting", 40, None, 5, 5)}
         grown = _restored(table150, *states[start])
-        reads = {"s": lambda n: grown.s(n, 1), "r_residues": lambda n: grown.r_residues(5, n)}
+        reads = {"s": lambda n: grown.s(n, 1), "r": lambda n: grown.r(n, 1)}
         reads.get(read, getattr(grown, read))(30)
         assert grown.known_count("v") == grown.known_count("d") == 31
         assert grown.known_count("u") >= 30 and grown.s_bound >= 30
@@ -840,41 +840,6 @@ def test_a_build_leaves_the_descriptors_it_found(table150, build):
     before = os.listdir("/proc/self/fd")
     build(table150)
     assert os.listdir("/proc/self/fd") == before
-
-
-class TestResidueReader:
-    """r_residues reads r(n, k) mod p from the held table, never forming r."""
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 19, 2**61 - 1])
-    def test_equals_exact_r_reduced(self, table150, p):
-        expected = [[table150.r(n, k) % p for k in range(1, n + 1)] for n in range(1, 151)]
-        assert table150.r_residues(p, 150) == expected
-
-    def test_grows_a_restored_cache(self, table150):
-        restored = SequenceCache.from_stored(
-            u=table150.known_values("u")[:20], s_rows=table150.stored_s_rows()[:20]
-        )
-        assert restored.r_residues(7, 40) == table150.r_residues(7, 40)
-        assert restored.stored_s_rows() == table150.stored_s_rows()[:40]
-
-    @pytest.mark.parametrize(
-        "p, lo, max_n, max_k",
-        [(3, 5, 40, 4), (7, 25, 60, 24), (5, 1, 30, None), (2, 10, 30, 40), (11, 30, 30, 1)],
-    )
-    def test_window_is_a_slice_of_the_full_rows(self, table150, p, lo, max_n, max_k):
-        full = table150.r_residues(p, max_n)
-        expected = [row[:max_k] for row in full[lo - 1 :]]
-        assert table150.r_residues(p, max_n, lo, max_k) == expected
-
-    def test_empty_bound_and_bad_modulus(self):
-        fresh = SequenceCache()
-        assert fresh.r_residues(5, 0) == []
-        assert fresh.s_bound == 0
-        for p in (1, 0, -3):
-            with pytest.raises(ValueError, match="p must be >= 2"):
-                fresh.r_residues(p, 3)
-        with pytest.raises(ValueError, match="lo >= 1"):
-            fresh.r_residues(5, 3, 0)
 
 
 class TestSequenceResidues:

@@ -309,9 +309,15 @@ def test_vanishing_n0(p, expected):
             vanishing_n0(p)
 
 
+def _r_mod(cache, p, max_n):
+    """Rows n = 1..max_n of the exact r(n, k) % p."""
+    return [[cache.r(n, k) % p for k in range(1, n + 1)] for n in range(1, max_n + 1)]
+
+
 class TestResidueGrid:
     """build_residue_grid reads r(n, k) mod p off a per-prime table for every
-    prime, with slots as wide as p and max_n need."""
+    prime, with slots as wide as p and max_n need: rows that equal the exact
+    r(n, k) % p."""
 
     def test_entries(self):
         rows = build_residue_grid(5, 10)
@@ -333,13 +339,13 @@ class TestResidueGrid:
         assert lines[5] == "3 2 1"
 
     def test_is_the_r_residues(self, exact150):
-        for p in (2, 3, 5, 7, 11, 13, 17, 29, 41, 97):
-            assert build_residue_grid(p, 150) == exact150.r_residues(p, 150), p
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 29, 41, 97):
+            assert build_residue_grid(p, 150) == _r_mod(exact150, p, 150), p
 
     def test_longer_grid_keeps_the_shorter_rows(self):
         assert build_residue_grid(5, 300)[:150] == build_residue_grid(5, 150)
 
-    def test_slot_bound(self, monkeypatch):
+    def test_slot_bound(self, exact150, monkeypatch):
         # At max_n = 3 the slots widen from 64 to 128 bits between the largest
         # prime whose slot sums stay below 2^31 and the next one; 65537 to 60
         # takes 128-bit and 2^31 - 1 to 20 takes 192-bit slots.
@@ -349,7 +355,7 @@ class TestResidueGrid:
         past = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
         assert (inside, past) == (26737, 26759)
         cases = [(inside, max_n), (past, max_n), (65537, 60), ((1 << 31) - 1, 20)]
-        exact = [SequenceCache().r_residues(p, n) for p, n in cases]
+        exact = [_r_mod(exact150, p, n) for p, n in cases]
         widths, made = [], []
         reducer, init = residues._slot_reducer, SequenceCache.__init__
         monkeypatch.setattr(residues, "_slot_reducer",
@@ -372,7 +378,7 @@ class TestResidueGrid:
         binomial_rows = residues._binomial_rows
         monkeypatch.setattr(residues, "_binomial_rows",
                             lambda *args: calls.append(args) or binomial_rows(*args))
-        assert build_residue_grid(p, max_n) == exact150.r_residues(p, max_n)
+        assert build_residue_grid(p, max_n) == _r_mod(exact150, p, max_n)
         assert len(calls) == built
 
     @settings(max_examples=60)
@@ -395,6 +401,7 @@ class TestResidueGrid:
         (1, 5, "p must be prime, got 1"),
         (5, 0, "max_n must be >= 1, got 0"),
         (1 << 64, 5, f"p must be below 2\\^64, got {1 << 64}"),
+        (-5, 5, "p must be prime, got -5"),
     ])
     def test_rejects(self, p, max_n, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -13,6 +13,7 @@ from romik import (
     verify_parity,
     verify_uv_structure,
 )
+from romik import verify
 from romik.verify import Counterexample, REPORT_CSV_HEADER, VerificationReport, suites
 
 
@@ -132,20 +133,21 @@ class TestModPVanishing:
         assert report.counterexample.n == 7
         assert "FAIL" in report.line()
 
-    def test_reads_the_held_entries(self, cache):
-        rows = [list(row) for row in cache.stored_s_rows()]
-        rows[9][2] += 1  # the held s^(10, 3): r(10, 3) moves by a power of two, a unit mod 3
-        bad = SequenceCache.from_stored(
-            u=cache.known_values("u"),
-            v=cache.known_values("v"),
-            d=cache.known_values("d"),
-            s_rows=rows,
-        )
-        report = verify_mod_p_vanishing(bad, 3, 10)
-        assert (report.counterexample.n, report.counterexample.k) == (10, 3)
-        assert report.counterexample.actual == bad.r(10, 3) % 3 != 0
-        assert bad.r_residues(3, 10)[9][2] == report.counterexample.actual
-        assert build_residue_grid(3, 10)[9][2] == 0  # no cache: the grid has its own table
+    @pytest.mark.parametrize("n, k, line_end", [
+        (5, 4, "CE n=5 k=4 expected=0 actual=1"),  # the block's corner, n0 + 1 and n0
+        (10, 3, "CE n=10 k=3 expected=0 actual=1"),
+        (10, 5, "RESULT PASS"),  # k = n0 + 1 lies outside the block
+    ])
+    def test_reports_a_moved_grid_entry(self, monkeypatch, n, k, line_end):
+        # r(n, k) mod 3 moved in the grid's rows, at n0 = 4.
+        def moved(p, max_n):
+            rows = build_residue_grid(p, max_n)
+            rows[n - 1][k - 1] = (rows[n - 1][k - 1] + 1) % p
+            return rows
+
+        monkeypatch.setattr(verify, "build_residue_grid", moved)
+        report = verify_mod_p_vanishing(SequenceCache(), 3, 10)
+        assert report.line().endswith(line_end)
 
 
 class TestUvStructure:
@@ -204,14 +206,28 @@ class TestEvenOddSums:
             verify_even_odd_sums(cache, 2)
 
     def test_default_bound(self):
-        assert verify_even_odd_sums(SequenceCache()).hi == 60
+        fresh = SequenceCache()
+        assert verify_even_odd_sums(fresh).hi == 60
+        # r mod 5 comes off the grid: the suite builds no exact table.
+        assert fresh.s_bound == 0
+        assert [fresh.known_count(name) for name in "uvd"] == [1, 1, 1]
 
     @pytest.mark.parametrize("k, fragment", [
         (2, "CE n=10 k=- expected=even-k sum 0 actual=3"),
         (3, "CE n=10 k=- expected=odd-k sum 0 actual=2"),
     ])
-    def test_reports_a_planted_entry(self, cache, k, fragment):
-        report = verify_even_odd_sums(planted(cache, "s", (10, k), 1), 12)
+    def test_reports_a_planted_entry(self, cache, monkeypatch, k, fragment):
+        # The grid's r(10, k) mod 5 becomes that of a table whose held s^(10, k)
+        # moved by one, a move by the unit 2^(E(10) - E(k) + 10 - k) mod 5.
+        entry = planted(cache, "s", (10, k), 1).r(10, k) % 5
+
+        def grid(p, max_n):
+            rows = build_residue_grid(p, max_n)
+            rows[9][k - 1] = entry
+            return rows
+
+        monkeypatch.setattr(verify, "build_residue_grid", grid)
+        report = verify_even_odd_sums(cache, 12)
         assert report.line().endswith(fragment)
 
 
@@ -259,10 +275,12 @@ EXACT_READS = ("u", "v", "d", "s", "r", "known_values", "known_s_rows", "stored_
 
 
 class TestResidueSeam:
-    """The suites and the scanner read u, v, d and r only through
-    SequenceCache.residues and r_residues: one entry moved there is the one
-    they report, and no exact value is read outside those two.  The grid
-    calls no SequenceCache method at all."""
+    """The suites and the scanner read u, v and d only through
+    SequenceCache.residues, and r mod p only through one build_residue_grid
+    call per suite and prime: an entry moved in either is the one they
+    report, no exact value is read outside residues, and an edited held
+    s-table row moves no verdict.  The grid calls no SequenceCache method at
+    all."""
 
     @pytest.mark.parametrize("run", [*suites(), "scan-period", "grid"])
     def test_no_exact_read_outside_the_readers(self, monkeypatch, run):
@@ -280,21 +298,28 @@ class TestResidueSeam:
             SequenceCache().u(0)  # the guard is live
             assert called == ["__init__", "u"]
             return
-        depth, outside = [0], []
-        for name in ("residues", "r_residues"):
-            def seam(self, *args, read=getattr(SequenceCache, name)):
-                depth[0] += 1
-                try:
-                    return read(self, *args)
-                finally:
-                    depth[0] -= 1
-            monkeypatch.setattr(SequenceCache, name, seam)
+        depth, outside, grids = [0], [], []
+        read = SequenceCache.residues
+
+        def seam(self, *args):
+            depth[0] += 1
+            try:
+                return read(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(SequenceCache, "residues", seam)
         for name in EXACT_READS:
             def exact(self, *args, name=name, read=getattr(SequenceCache, name)):
                 if not depth[0]:
                     outside.append((name, *args))
                 return read(self, *args)
             monkeypatch.setattr(SequenceCache, name, exact)
+        def grid(p, max_n):
+            grids.append((p, max_n))
+            return build_residue_grid(p, max_n)
+
+        monkeypatch.setattr(verify, "build_residue_grid", grid)
         cache = SequenceCache()
         if run == "scan-period":
             scan_periodicity(cache, 13, 64)
@@ -304,8 +329,17 @@ class TestResidueSeam:
             for args in [(p,) for p in primes] or [()]:
                 assert function(cache, *args, 64).passed
         assert outside == []
-        cache.u(0)  # the guard is live: a read outside the two is recorded
+        assert grids == {"vanishing": [(3, 64), (7, 64), (11, 64)], "sums": [(5, 64)]}.get(run, [])
+        cache.u(0)  # the guard is live: a read outside residues is recorded
         assert outside == [("u", 0)]
+
+    def test_an_edited_held_row_moves_no_verdict(self, cache):
+        # The held s^(10, 3) + 1 moves the exact r(10, 3) by a power of two, a
+        # unit mod 3 and mod 5; r mod p comes from the grid, which reads no cache.
+        bad = planted(cache, "s", (10, 3), 1)
+        assert bad.r(10, 3) % 3 and bad.r(10, 3) % 5 != cache.r(10, 3) % 5
+        assert verify_mod_p_vanishing(bad, 3, 10).passed
+        assert verify_even_odd_sums(bad, 12).passed
 
     @pytest.mark.parametrize("name, n, reported", [
         ("v", 12, lambda cache: verify_parity(cache, 20).counterexample.n),
