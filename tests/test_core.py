@@ -18,6 +18,7 @@ from romik import IntegrityError, SequenceCache, s_table_by_series
 from romik import cli, core
 from romik.cache_io import load_cache, store_cache
 from romik.core import StoredValueError, _binomial_row, _truncated_product
+from romik.residues import build_residue_grid
 
 # Published initial segments.
 U_VALUES = [1, 6, 256, 28560, 6071040]
@@ -840,6 +841,16 @@ def test_a_build_leaves_the_descriptors_it_found(table150, build):
     before = os.listdir("/proc/self/fd")
     build(table150)
     assert os.listdir("/proc/self/fd") == before
+
+
+class TestResidueReader:
+    """r(n, k) mod p is read off the per-prime table, build_residue_grid, which
+    never forms r: its rows equal the exact r reduced."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 19])
+    def test_equals_exact_r_reduced(self, table150, p):
+        expected = [[table150.r(n, k) % p for k in range(1, n + 1)] for n in range(1, 151)]
+        assert build_residue_grid(p, 150) == expected
 
 
 class TestSequenceResidues:
